@@ -8,11 +8,11 @@ sphere-plane gradient, and the surface-roughness correction.
 import numpy as np
 
 from casigrat import (
-    FlatForceLaw,
     RoughnessSpec,
     available_materials,
     casimir_pressure_planar,
     epsilon_at_imaginary_frequency,
+    flat_pressure_law,
     force_gradient_sphere_plane,
     get_material,
     ideal_pressure,
@@ -53,10 +53,8 @@ def main() -> None:
 
     print("\n= roughness correction (4 nm and 0.6 nm rms surfaces) =")
     spec = RoughnessSpec.combined_gaussian(4e-9, 0.6e-9)
-    table_z = np.geomspace(80e-9, 700e-9, 48)
-    law = FlatForceLaw.from_table(
-        table_z, np.array([casimir_pressure_planar(gold, si, z)
-                           for z in table_z]), unit="Pa")
+    pad = float(np.max(np.abs(spec.offsets)))
+    law = flat_pressure_law(gold, si, 100e-9 - pad, 600e-9 + pad)
     for z in (100e-9, 300e-9, 600e-9):
         bare = law(z)
         rough = roughness_average(law, z, spec)

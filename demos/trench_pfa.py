@@ -8,9 +8,8 @@ for the reference geometry.
 import numpy as np
 
 from casigrat import (
-    FlatForceLaw,
     GratingProfile,
-    casimir_pressure_planar,
+    flat_pressure_law,
     get_material,
     pfa_corrugated,
     pfa_share_topbottom,
@@ -32,10 +31,7 @@ def main() -> None:
 
     gold = get_material("gold_drude")
     si = get_material("silicon_doped")
-    table_z = np.geomspace(90e-9, 800e-9, 48)
-    law = FlatForceLaw.from_table(
-        table_z, np.array([casimir_pressure_planar(gold, si, z)
-                           for z in table_z]), unit="Pa")
+    law = flat_pressure_law(gold, si, 100e-9, 300e-9 + profile.depth)
 
     print("\n= additive force and the top+floor share =")
     radius = 50e-6

@@ -59,7 +59,6 @@ from .grating import (
     casimir_force_grating,
     casimir_pressure_grating_grid,
     convergence_sweep,
-    flat_pressure_law,
     grating_reflection,
     rho_ratio,
 )
@@ -77,7 +76,13 @@ from .materials import (
     intrinsic_silicon_table,
     load_tabulated_epsilon,
 )
-from .pfa import FlatForceLaw, pfa_corrugated, pfa_curve, pfa_share_topbottom
+from .pfa import (
+    FlatForceLaw,
+    flat_pressure_law,
+    pfa_corrugated,
+    pfa_curve,
+    pfa_share_topbottom,
+)
 from .pipeline import (
     TASKS,
     electrostatic_gradient_curves,
@@ -118,12 +123,13 @@ __all__ = [
     "GratingProfile", "Slab", "height_profile", "reference_trench_profile", "staircase",
     "GratingQuadrature", "ModalError", "ReflectionOperator", "TruncationSpec",
     "casimir_force_grating", "casimir_pressure_grating_grid", "convergence_sweep",
-    "flat_pressure_law", "grating_reflection", "rho_ratio",
+    "grating_reflection", "rho_ratio",
     "DielectricModel", "Drude", "DrudeLorentz", "DrudeParams", "EpsilonTable",
     "PerfectConductor", "Tabulated", "available_materials",
     "epsilon_at_imaginary_frequency", "get_material", "intrinsic_silicon_table",
     "load_tabulated_epsilon",
-    "FlatForceLaw", "pfa_corrugated", "pfa_curve", "pfa_share_topbottom",
+    "FlatForceLaw", "flat_pressure_law", "pfa_corrugated", "pfa_curve",
+    "pfa_share_topbottom",
     "TASKS", "electrostatic_gradient_curves", "flat_force_gradient_curve",
     "rho_ratio_curves", "run_pipeline", "worker_count",
     "NumericalError", "RoughnessSpec", "casimir_pressure_planar",

@@ -29,7 +29,7 @@ from .geometry import reference_trench_profile
 from .grating import convergence_sweep, TruncationSpec
 from .materials import (available_materials, epsilon_at_imaginary_frequency,
                         get_material)
-from .pfa import FlatForceLaw, pfa_corrugated, pfa_share_topbottom
+from .pfa import flat_pressure_law, pfa_corrugated, pfa_share_topbottom
 from .pipeline import (_profile_from_config, run_pipeline, worker_count,
                        rho_ratio_curves)
 from .planar import NumericalError, casimir_pressure_planar
@@ -99,13 +99,6 @@ def _cmd_planar(args) -> int:
     return 0
 
 
-def _flat_pressure_table(mat_a, mat_b, z_lo: float, z_hi: float) -> FlatForceLaw:
-    table_z = np.geomspace(0.98 * z_lo, 1.02 * z_hi, 48)
-    values = np.array([casimir_pressure_planar(mat_a, mat_b, z)
-                       for z in table_z])
-    return FlatForceLaw.from_table(table_z, values, unit="Pa")
-
-
 def _cmd_pfa(args) -> int:
     if args.check:
         return _run_check("pfa")
@@ -115,8 +108,8 @@ def _cmd_pfa(args) -> int:
     mat_b = get_material(args.material_plane)
     z_grid = parse_grid(args.z)
     radius = parse_quantity(args.radius)
-    law = _flat_pressure_table(mat_a, mat_b, float(z_grid[0]),
-                               float(z_grid[-1]) + profile.depth)
+    law = flat_pressure_law(mat_a, mat_b, float(z_grid[0]),
+                            float(z_grid[-1]) + profile.depth)
     grad = np.array([2.0 * np.pi * radius * abs(pfa_corrugated(law, profile, z))
                      for z in z_grid])
     share = np.array([pfa_share_topbottom(law, profile, z) for z in z_grid])

@@ -58,7 +58,7 @@ class SpherePlaneES:
             raise ValueError("radius R must be positive")
 
 
-def _series_terms(alpha: float, n: Array) -> Array:
+def _series_terms(alpha: float, n: Array, gradient: bool = False) -> Array:
     # e^{-n alpha} form: sinh(n alpha) overflows float64 past
     # n alpha ~ 710 while the terms themselves decay like n e^{-n alpha}
     coth_a = 1.0 / math.tanh(alpha)
@@ -67,7 +67,13 @@ def _series_terms(alpha: float, n: Array) -> Array:
     one_m = -np.expm1(-2.0 * na)  # 1 - e^{-2 n alpha}, no cancellation
     inv_sinh = 2.0 * em / one_m
     coth_na = (2.0 - one_m) / one_m
-    return (coth_a - n * coth_na) * inv_sinh
+    term = (coth_a - n * coth_na) * inv_sinh
+    if not gradient:
+        return term
+    # d(term)/d(alpha)
+    csch2_a = 1.0 / math.sinh(alpha) ** 2
+    return ((-csch2_a + n * n * inv_sinh * inv_sinh) * inv_sinh
+            - term * n * coth_na)
 
 
 def _series_tail_bound(alpha: float, n_done: int) -> float:
@@ -79,6 +85,46 @@ def _series_tail_bound(alpha: float, n_done: int) -> float:
     return 2.0 * coth_a * major / (1.0 - x * x)
 
 
+def _image_series(es: SpherePlaneES, n_max: int | None,
+                  gradient: bool) -> float:
+    # Force (gradient=False) or its gap derivative: the image sum in
+    # blocks of _BLOCK orders until the tail bound drops below _TAIL_RTOL
+    # of the running total, or n_max orders.
+    if n_max is not None and n_max < 1:
+        raise ValueError("n_max must be >= 1")
+    dv = es.V - es.V0
+    if dv == 0.0:
+        return 0.0
+    alpha = math.acosh(1.0 + es.d / es.R)
+    if alpha < ALPHA_SERIES_MIN:
+        plate = math.pi * EPS0 * es.R * dv * dv
+        return plate / (es.d * es.d) if gradient else -(plate / es.d)
+    total = 0.0
+    n_done = 0
+    while True:
+        block = min(_BLOCK, n_max - n_done) if n_max is not None else _BLOCK
+        n = np.arange(n_done + 1, n_done + block + 1, dtype=float)
+        total += float(_series_terms(alpha, n, gradient).sum())
+        n_done += block
+        if n_max is not None and n_done >= n_max:
+            break
+        tail = _series_tail_bound(alpha, n_done)
+        if gradient:
+            # the differentiated tail decays with the same geometric
+            # rate, one extra power of n
+            tail *= n_done + 2
+        if tail < _TAIL_RTOL * max(abs(total), 1e-300):
+            break
+        if n_done > 10_000_000:
+            raise NumericalError(
+                f"sphere-plane series did not converge (alpha={alpha:.3e})")
+    pref = 2.0 * math.pi * EPS0 * dv * dv
+    if gradient:
+        # d(alpha)/d(d) from cosh(alpha) = 1 + d/R.
+        return pref * total * (1.0 / (es.R * math.sinh(alpha)))
+    return pref * total
+
+
 def sphere_plane_force(es: SpherePlaneES, n_max: int | None = None) -> float:
     """Exact series force (N, negative = attractive) on the sphere.
 
@@ -87,30 +133,7 @@ def sphere_plane_force(es: SpherePlaneES, n_max: int | None = None) -> float:
     For alpha below the declared crossover the small-gap plate law
     -pi eps0 R (V - V0)^2 / d replaces the series.
     """
-    if n_max is not None and n_max < 1:
-        raise ValueError("n_max must be >= 1")
-    dv = es.V - es.V0
-    if dv == 0.0:
-        return 0.0
-    alpha = math.acosh(1.0 + es.d / es.R)
-    pref = 2.0 * math.pi * EPS0 * dv * dv
-    if alpha < ALPHA_SERIES_MIN:
-        return -math.pi * EPS0 * es.R * dv * dv / es.d
-    total = 0.0
-    n_done = 0
-    while True:
-        block = min(_BLOCK, n_max - n_done) if n_max is not None else _BLOCK
-        n = np.arange(n_done + 1, n_done + block + 1, dtype=float)
-        total += float(_series_terms(alpha, n).sum())
-        n_done += block
-        if n_max is not None and n_done >= n_max:
-            break
-        if _series_tail_bound(alpha, n_done) < _TAIL_RTOL * abs(total):
-            break
-        if n_done > 10_000_000:
-            raise NumericalError(
-                f"sphere-plane series did not converge (alpha={alpha:.3e})")
-    return pref * total
+    return _image_series(es, n_max, gradient=False)
 
 
 def sphere_plane_gradient(es: SpherePlaneES, n_max: int | None = None) -> float:
@@ -119,46 +142,7 @@ def sphere_plane_gradient(es: SpherePlaneES, n_max: int | None = None) -> float:
     Positive for the decaying attraction.  Uses the small-gap form
     +pi eps0 R (V - V0)^2 / d^2 below the series crossover.
     """
-    if n_max is not None and n_max < 1:
-        raise ValueError("n_max must be >= 1")
-    dv = es.V - es.V0
-    if dv == 0.0:
-        return 0.0
-    alpha = math.acosh(1.0 + es.d / es.R)
-    if alpha < ALPHA_SERIES_MIN:
-        return math.pi * EPS0 * es.R * dv * dv / (es.d * es.d)
-    pref = 2.0 * math.pi * EPS0 * dv * dv
-    # d(alpha)/d(d) from cosh(alpha) = 1 + d/R.
-    dalpha_dd = 1.0 / (es.R * math.sinh(alpha))
-    coth_a = 1.0 / math.tanh(alpha)
-    csch2_a = 1.0 / math.sinh(alpha) ** 2
-    total = 0.0
-    n_done = 0
-    while True:
-        block = min(_BLOCK, n_max - n_done) if n_max is not None else _BLOCK
-        n = np.arange(n_done + 1, n_done + block + 1, dtype=float)
-        na = n * alpha
-        em = np.exp(-na)
-        one_m = -np.expm1(-2.0 * na)
-        inv_sinh = 2.0 * em / one_m
-        coth_na = (2.0 - one_m) / one_m
-        term = (coth_a - n * coth_na) * inv_sinh
-        dterm = ((-csch2_a + n * n * inv_sinh * inv_sinh) * inv_sinh
-                 - term * n * coth_na)
-        total += float(dterm.sum())
-        n_done += block
-        if n_max is not None and n_done >= n_max:
-            break
-        # the differentiated tail decays with the same geometric rate,
-        # one extra power of n; reuse the bound with n -> n^2 majorant
-        if (_series_tail_bound(alpha, n_done) * (n_done + 2)
-                < _TAIL_RTOL * max(abs(total), 1e-300)):
-            break
-        if n_done > 10_000_000:
-            raise NumericalError(
-                f"sphere-plane gradient series did not converge "
-                f"(alpha={alpha:.3e})")
-    return pref * total * dalpha_dd
+    return _image_series(es, n_max, gradient=True)
 
 
 # --------------------------------------------------------------------------
@@ -258,15 +242,22 @@ def _is_flat(profile: GratingProfile) -> bool:
     return profile.depth == 0.0 or profile.top_width >= profile.period
 
 
+def _meshing_profile(profile: GratingProfile) -> GratingProfile:
+    # near-vertical walls: mesh with a minimal ramp so the terrain map
+    # stays single-valued; geometry perturbation O(1e-4) period
+    min_ramp = profile.period * 1e-4
+    if _is_flat(profile) or profile.p3 * profile.period >= min_ramp:
+        return profile
+    return replace(profile, sidewall_angle_deg=90.0,
+                   floor_width=profile.period - profile.top_width
+                   - 2.0 * min_ramp)
+
+
 def _column_positions(profile: GratingProfile, nx: int) -> Array:
     lam = profile.period
     if _is_flat(profile):
         return np.linspace(0.0, lam, max(nx, 8) + 1)[:-1]
     ramp = profile.p3 * lam
-    if ramp < lam * 1e-4:
-        # near-vertical walls: mesh with a minimal ramp so the terrain
-        # map stays single-valued; geometry perturbation O(1e-4) period
-        ramp = lam * 1e-4
     l1 = profile.top_width
     l2 = lam - l1 - 2.0 * ramp
     bounds = np.array([0.0, l1, l1 + ramp, l1 + ramp + l2, lam])
@@ -283,27 +274,6 @@ def _column_positions(profile: GratingProfile, nx: int) -> Array:
         xs = _graded_to_both_ends(bounds[seg], bounds[seg + 1], alloc[seg])
         cols.append(xs[1:])
     return np.concatenate(cols)[:-1]  # half-open [0, period)
-
-
-def _terrain_depth(profile: GratingProfile, x: Array) -> Array:
-    lam = profile.period
-    if _is_flat(profile):
-        return np.zeros_like(x)
-    ramp = profile.p3 * lam
-    if ramp >= lam * 1e-4:
-        return height_profile(profile, np.clip(x, 0.0, np.nextafter(lam, 0.0)))
-    # re-derive the trapezoid with the widened meshing ramp
-    ramp = lam * 1e-4
-    l1 = profile.top_width
-    t = profile.depth
-    h = np.zeros_like(x)
-    down = (x >= l1) & (x < l1 + ramp)
-    h[down] = t * (x[down] - l1) / ramp
-    floor = (x >= l1 + ramp) & (x < lam - ramp)
-    h[floor] = t
-    up = x >= lam - ramp
-    h[up] = t * (lam - x[up]) / ramp
-    return h
 
 
 def build_trench_mesh(profile: GratingProfile, gap: float,
@@ -323,10 +293,11 @@ def build_trench_mesh(profile: GratingProfile, gap: float,
     if not gap > 0.0:
         raise ValueError("gap must be positive")
     control = control or MeshControl()
-    xs = np.append(_column_positions(profile, control.nx), profile.period)
+    shape = _meshing_profile(profile)
+    xs = np.append(_column_positions(shape, control.nx), profile.period)
     n_cols = xs.size
-    h = _terrain_depth(profile, np.minimum(xs, np.nextafter(profile.period,
-                                                            0.0)))
+    h = height_profile(shape, np.minimum(xs, np.nextafter(profile.period,
+                                                          0.0)))
     h[-1] = h[0]  # periodic closure is exact by construction
     na = control.ny
     y_up = gap * _graded_from_start(na)

@@ -50,8 +50,10 @@ from .constants import C_LIGHT, HBAR
 from .curves import ForceCurve
 from .geometry import GratingProfile, Slab, staircase
 from .materials import DielectricModel, is_perfect_conductor
-from .pfa import FlatForceLaw, pfa_corrugated
-from .planar import NumericalError, casimir_pressure_planar, fresnel_te_tm
+from .pfa import flat_pressure_law, pfa_corrugated
+# casimir_pressure_planar stays bound here for perfbench's tracer tests
+from .planar import (NumericalError, casimir_pressure_planar,  # noqa: F401
+                     fresnel_te_tm)
 from .quadrature import asinh_gauss_legendre, gauss_legendre
 
 Array = np.ndarray
@@ -518,18 +520,6 @@ def casimir_force_grating(profile: GratingProfile,
     """Pressure (Pa, negative = attractive) at a single separation."""
     return float(casimir_pressure_grating_grid(profile, model_grating,
                                                model_plane, [z], spec)[0])
-
-
-def flat_pressure_law(model_plane: DielectricModel,
-                      model_grating: DielectricModel,
-                      z_min: float, z_max: float,
-                      n_points: int = 48) -> FlatForceLaw:
-    """Planar Lifshitz pressure law sampled for use as a PFA reference."""
-    z = np.geomspace(0.98 * z_min, 1.02 * z_max, n_points)
-    vals = np.array([casimir_pressure_planar(model_plane, model_grating, zi)
-                     for zi in z])
-    return FlatForceLaw.from_table(z, vals, unit="Pa",
-                                   label="flat-pair pressure")
 
 
 def rho_ratio(profile: GratingProfile, model_grating: DielectricModel,

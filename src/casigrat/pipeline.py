@@ -21,10 +21,10 @@ from .electrostatics import SpherePlaneES, sphere_plane_gradient
 from .geometry import GratingProfile, reference_trench_profile
 from .grating import TruncationSpec, rho_ratio
 from .materials import get_material
-from .pfa import FlatForceLaw, pfa_corrugated
-from .planar import RoughnessSpec, casimir_pressure_planar, roughness_average
-
-Array = np.ndarray
+from .pfa import flat_pressure_law, pfa_corrugated
+# casimir_pressure_planar stays bound here for perfbench's tracer tests
+from .planar import (RoughnessSpec, casimir_pressure_planar,  # noqa: F401
+                     roughness_average)
 
 TASKS = ("flat_force_gradient", "rho_ratio", "electrostatic_gradient")
 
@@ -47,7 +47,7 @@ def worker_count() -> int:
 
 def _profile_from_config(config: Config) -> GratingProfile:
     ref = reference_trench_profile()
-    return GratingProfile(
+    values = dict(
         period=config.quantity("geometry", "period", ref.period),
         top_width=config.quantity("geometry", "top_width", ref.top_width),
         floor_width=config.quantity("geometry", "floor_width",
@@ -55,6 +55,10 @@ def _profile_from_config(config: Config) -> GratingProfile:
         depth=config.quantity("geometry", "depth", ref.depth),
         sidewall_angle_deg=config.quantity("geometry", "wall_angle",
                                            ref.sidewall_angle_deg))
+    try:
+        return GratingProfile(**values)
+    except ValueError as exc:
+        raise ConfigError(f"[geometry]: {exc}") from exc
 
 
 def _base_metadata(config: Config, task: str) -> dict:
@@ -64,10 +68,10 @@ def _base_metadata(config: Config, task: str) -> dict:
 def flat_force_gradient_curve(config: Config) -> dict[str, ForceCurve]:
     """Sphere-plane Casimir force gradient on a flat surface.
 
-    The half-space pressure is tabulated on a padded geometric grid,
-    optionally averaged over the combined surface-roughness height
-    distribution, and mapped to the sphere by 2 pi R.  Values are
-    positive (gradient of an attractive force).
+    The half-space pressure law is tabulated over the grid padded by the
+    largest roughness offset, optionally averaged over the combined
+    surface-roughness height distribution, and mapped to the sphere by
+    2 pi R.  Values are positive (gradient of an attractive force).
     """
     sphere = config.string("materials", "sphere", "gold_drude")
     plane = config.string("materials", "plane", "silicon_doped")
@@ -86,11 +90,8 @@ def flat_force_gradient_curve(config: Config) -> dict[str, ForceCurve]:
         pad = float(np.max(np.abs(spec.offsets)))
 
     n_table = config.integer("solver", "table_points", 48)
-    table_z = np.geomspace(float(z_grid[0]) - 1.05 * pad - 1e-12,
-                           float(z_grid[-1]) + 1.05 * pad + 1e-12, n_table)
-    pressures = np.array([casimir_pressure_planar(mat_a, mat_b, z)
-                          for z in table_z])
-    law = FlatForceLaw.from_table(table_z, pressures, unit="Pa")
+    law = flat_pressure_law(mat_a, mat_b, float(z_grid[0]) - pad,
+                            float(z_grid[-1]) + pad, n_table)
     if spec is not None:
         avg = np.array([roughness_average(law, z, spec) for z in z_grid])
     else:
@@ -143,7 +144,8 @@ def rho_ratio_curves(config: Config) -> dict[str, ForceCurve]:
     if measured_path:
         radius = config.quantity("sphere", "radius", _DEFAULT_RADIUS)
         measured = ForceCurve.from_csv(measured_path)
-        law = _pfa_pressure_law(profile, model_g, model_p, measured.z)
+        law = flat_pressure_law(model_p, model_g, float(np.min(measured.z)),
+                                float(np.max(measured.z)) + profile.depth)
         pfa_grad = np.array([2.0 * np.pi * radius
                              * abs(pfa_corrugated(law, profile, z))
                              for z in measured.z])
@@ -153,16 +155,6 @@ def rho_ratio_curves(config: Config) -> dict[str, ForceCurve]:
             measured.z, measured.values / pfa_grad, unit="dimensionless",
             label="measured-to-pfa gradient ratio", metadata=meta_m)
     return curves
-
-
-def _pfa_pressure_law(profile: GratingProfile, model_g, model_p,
-                      z_grid: Array) -> FlatForceLaw:
-    lo = float(np.min(z_grid))
-    hi = float(np.max(z_grid)) + profile.depth
-    table_z = np.geomspace(0.98 * lo, 1.02 * hi, 48)
-    pressures = np.array([casimir_pressure_planar(model_p, model_g, z)
-                          for z in table_z])
-    return FlatForceLaw.from_table(table_z, pressures, unit="Pa")
 
 
 def electrostatic_gradient_curves(config: Config) -> dict[str, ForceCurve]:

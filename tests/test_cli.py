@@ -159,7 +159,7 @@ def test_check_flag_runs_suite(capsys):
     assert "checks passed" in out
 
 
-def test_usage_errors_exit_2(tmp_path):
+def test_usage_errors_exit_2(tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["bogus"])
     assert exc.value.code == 2
@@ -168,6 +168,12 @@ def test_usage_errors_exit_2(tmp_path):
     assert exc.value.code == 2
     assert main(["pipeline", "--config", str(tmp_path / "missing.cfg")]) == 2
     assert main(["planar", "--z", "600:100:25nm"]) == 2
+    bad_geometry = tmp_path / "bad_geometry.cfg"
+    bad_geometry.write_text("[pipeline]\ntask = rho_ratio\n[geometry]\n"
+                            "period = 400nm\ntop_width = 500nm\n")
+    assert main(["pipeline", "--config", str(bad_geometry),
+                 "--out", str(tmp_path / "out")]) == 2
+    assert "[geometry]" in capsys.readouterr().err
 
 
 def test_numerical_failures_exit_1(tmp_path):

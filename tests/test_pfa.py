@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from casigrat import (
     FlatForceLaw,
     GratingProfile,
     casimir_pressure_planar,
+    flat_pressure_law,
     height_profile,
     pfa_corrugated,
     pfa_curve,
@@ -24,6 +27,11 @@ def gold_silicon_law(gold, silicon):
     z = np.geomspace(80e-9, 450e-9, 28)
     p = np.array([casimir_pressure_planar(gold, silicon, zi) for zi in z])
     return FlatForceLaw.from_table(z, p, unit="Pa", label="gold-silicon pressure")
+
+
+@pytest.fixture(scope="module")
+def shared_table(gold, silicon):
+    return flat_pressure_law(gold, silicon, 100e-9, 450e-9)
 
 
 def power_law():
@@ -48,6 +56,21 @@ def test_pfa_matches_profile_integral_tabulated(gold_silicon_law, trench):
         expected = profile_integral_oracle(gold_silicon_law, trench, z)
         got = pfa_corrugated(gold_silicon_law, trench, z)
         assert got == pytest.approx(expected, rel=1e-5)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(period=st.floats(200e-9, 800e-9), p1=st.floats(0.05, 0.9),
+       p2_share=st.floats(0.0, 0.99), depth=st.floats(5e-9, 150e-9),
+       z=st.floats(100e-9, 300e-9))
+def test_pfa_on_shared_table_matches_profile_mean(shared_table, period, p1,
+                                                  p2_share, depth, z):
+    # sloped walls (p3 >= 0.0005) keep the midpoint oracle free of jumps
+    p2 = p2_share * (0.999 - p1)
+    profile = GratingProfile(period=period, top_width=p1 * period,
+                             floor_width=p2 * period, depth=depth)
+    expected = profile_integral_oracle(shared_table, profile, z)
+    got = pfa_corrugated(shared_table, profile, z)
+    assert got == pytest.approx(expected, rel=1e-5)
 
 
 def test_share_near_97_percent(gold_silicon_law, trench):
@@ -88,6 +111,13 @@ def test_law_from_table_exact_at_knots(gold_silicon_law):
     assert gold_silicon_law(z0) == pytest.approx(gold_silicon_law.fn(z0), rel=1e-14)
     with pytest.raises(ValueError):
         gold_silicon_law(1e-9)
+
+
+@pytest.mark.parametrize("values", [[-4.0, -3.0, 0.0, -1.0],
+                                    [-4.0, -3.0, 2.0, -1.0]])
+def test_law_from_table_rejects_zero_or_mixed_sign(values):
+    with pytest.raises(ValueError, match="one sign"):
+        FlatForceLaw.from_table([1e-7, 2e-7, 3e-7, 4e-7], values)
 
 
 def test_pfa_curve_wraps_grid(trench):

@@ -5,6 +5,8 @@ closed-form gradient; the un-etched grating pins the ratio recipe to 1;
 dual runs order idealized above real and trench below flat.
 """
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -17,9 +19,11 @@ from casigrat import (
     run_pipeline,
     worker_count,
 )
-from casigrat.planar import ideal_pressure
+from casigrat.planar import (RoughnessSpec, casimir_pressure_planar,
+                             ideal_pressure, roughness_average)
 
 RADIUS = 50e-6
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 def _cfg(body: str) -> Config:
@@ -56,6 +60,18 @@ def test_ideal_override_reproduces_closed_form():
                          for z in curve.z])
     assert np.max(np.abs(curve.values / expected - 1.0)) < 1e-4
     assert curve.unit == "N/m"
+
+
+def test_shipped_flat_recipe_matches_direct_roughness_average(gold, silicon):
+    cfg = Config.from_file(CONFIGS / "flat_force_gradient.cfg")
+    curve = flat_force_gradient_curve(cfg)["force_gradient"]
+    spec = RoughnessSpec.combined_gaussian(4e-9, 0.6e-9, 21)
+    for z in (100e-9, 600e-9):
+        direct = roughness_average(
+            lambda s: casimir_pressure_planar(gold, silicon, s), z, spec)
+        got = curve.values[np.argmin(np.abs(curve.z - z))]
+        assert got / (2.0 * np.pi * RADIUS * abs(direct)) == \
+            pytest.approx(1.0, abs=1e-6)
 
 
 def test_roughness_increases_close_range_gradient():
@@ -95,17 +111,17 @@ def test_idealized_conductor_ratio_bounds_real():
 
 def test_measured_ratio_ingestion(tmp_path):
     from casigrat.curves import ForceCurve
-    from casigrat.pipeline import _pfa_pressure_law, _profile_from_config
-    from casigrat.pfa import pfa_corrugated
+    from casigrat.pipeline import _profile_from_config
+    from casigrat.pfa import flat_pressure_law, pfa_corrugated
 
     base = ("[pipeline]\ntask = rho_ratio\n"
             "[grid]\nz = 150nm\n[solver]\norders = 2\nslices = 2\n")
     cfg0 = _cfg(base)
     profile = _profile_from_config(cfg0)
     from casigrat.materials import get_material
-    law = _pfa_pressure_law(profile, get_material("silicon_doped"),
-                            get_material("gold_drude"),
-                            np.array([120e-9, 200e-9]))
+    law = flat_pressure_law(get_material("gold_drude"),
+                            get_material("silicon_doped"),
+                            120e-9, 200e-9 + profile.depth)
     z_meas = np.array([120e-9, 160e-9, 200e-9])
     boost = 1.07
     grad = np.array([2.0 * np.pi * RADIUS
