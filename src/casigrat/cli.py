@@ -24,7 +24,6 @@ from .calibration import (FitError, fem_gradient_model, find_residual_voltage,
                           read_frequency_shift_samples, series_gradient_model)
 from .config import Config, ConfigError, parse_grid, parse_int_range, parse_quantity
 from .curves import ForceCurve
-from .electrostatics import SpherePlaneES, sphere_plane_gradient
 from .geometry import reference_trench_profile
 from .grating import convergence_sweep, TruncationSpec
 from .materials import (available_materials, epsilon_at_imaginary_frequency,

@@ -248,6 +248,10 @@ def _meshing_profile(profile: GratingProfile) -> GratingProfile:
     min_ramp = profile.period * 1e-4
     if _is_flat(profile) or profile.p3 * profile.period >= min_ramp:
         return profile
+    if profile.period - profile.top_width < 2.0 * min_ramp:
+        raise ValueError(f"top_width = {profile.top_width:.6g} m leaves the "
+                         "FEM cell a trench opening under 2e-4 * period "
+                         f"(period = {profile.period:.6g} m)")
     return replace(profile, sidewall_angle_deg=90.0,
                    floor_width=profile.period - profile.top_width
                    - 2.0 * min_ramp)

@@ -17,11 +17,15 @@ A mode with eigenvalue ``s2`` decays vertically as ``exp(-kappa y)`` with
 which is what makes scattering-matrix recursion with decaying-only
 factors unconditionally stable.
 
-Layers are joined by matching tangential (Ex, Ey, Hx, Hy) blocks; the
-half-space reflection is accumulated bottom-up through Redheffer-style
-updates.  The vacuum-side result is converted to the per-order (s, p)
-polarization basis, in which a flat surface reproduces the planar Fresnel
-coefficients on the diagonal.
+Upward and downward modes differ only in the sign of their kappa-carrying
+field blocks, so each layer's fields take the W/V form E = W (c+ + D c-),
+H = V (c+ - D c-) with D = diag(-I, I) (Moharam et al., JOSA A 12, 1068
+(1995); Rumpf, PIER B 35, 241 (2011)).  One reflection matrix R
+(c+ = R c-) is marched up from the substrate, propagated through each
+layer and carried across each interface as R <- (F + G)(F - G)^{-1} D,
+F = W_a^-1 W_b (R + D), G = V_a^-1 V_b (R - D).  The vacuum-side result
+is converted to the per-order (s, p) polarization basis, in which a flat
+surface reproduces the planar Fresnel coefficients on the diagonal.
 
 The force between mirror 1 (planar, below at distance z) and mirror 2
 (the grating) follows from the round-trip operator
@@ -48,7 +52,7 @@ import scipy.linalg as sla
 
 from .constants import C_LIGHT, HBAR
 from .curves import ForceCurve
-from .geometry import GratingProfile, Slab, staircase
+from .geometry import GratingProfile, staircase
 from .materials import DielectricModel, is_perfect_conductor
 from .pfa import flat_pressure_law, pfa_corrugated
 # casimir_pressure_planar stays bound here for perfbench's tracer tests
@@ -186,74 +190,76 @@ def _layer_modes(q: float, kn: Array, eps_solid: float | None,
 
 
 # --------------------------------------------------------------------------
-# Tangential field blocks and interface scattering
+# Tangential field blocks and the reflection recursion
 
 
 def _field_blocks(modes: _LayerModes, q: float, kn: Array, ky: Array):
-    """Tangential field matrices E(+-), H(+-) and the decay rates.
+    """Upward-mode field matrices W = E(+), V = H(+) and their inverses.
 
-    Shapes (nky, 2 n1, 2 n1); rows stack (Ex, Ey) resp. (Hx, Hy) Fourier
-    orders, columns stack TE then TM modes.  Only the kappa-carrying
-    blocks change sign between upward (+) and downward (-) modes:
-    E(s) = [s*PE | QE], H(s) = [PH | s*QH].
+    Returns (W, V, W^-1, V^-1, kappa, scale), matrices of shape
+    (nky, 2 n1, 2 n1).  Rows of W, V stack (Ex, Ey) resp. (Hx, Hy) Fourier
+    orders, columns TE then TM modes, each scaled by ``scale`` (nky, 2 n1)
+    to tame dynamic range.  Downward modes flip the kappa-carrying blocks:
+    with D = diag(-I, I), E(-) = W D and H(-) = -V D.  Unscaled,
+    W = [[0, P], [Q, S]] and V = [[T, 0], [U, Y]] are block triangular and
+    Q, T are the orthonormal vec_te times diagonals, so the inverses need
+    one solve against the k_y-independent factors of P and Y.
     """
     n1 = kn.size
-    nky = ky.size
     kap_te = np.sqrt(modes.alpha2_te[None, :] + ky[:, None] ** 2)
     kap_tm = np.sqrt(modes.beta2_tm[None, :] + ky[:, None] ** 2)
-
-    e_plus = np.zeros((nky, 2 * n1, 2 * n1))
-    h_plus = np.zeros((nky, 2 * n1, 2 * n1))
+    ky_q = (ky / q)[:, None, None]
+    w, v, w_inv, v_inv = blocks = np.zeros((4, ky.size, 2 * n1, 2 * n1))
 
     # E blocks.
-    e_plus[:, :n1, n1:] = -(modes.ex_weight_tm * modes.beta2_tm[None, :] / q)[None]
-    e_plus[:, n1:, :n1] = -modes.vec_te[None] * kap_te[:, None, :]
-    e_plus[:, n1:, n1:] = -(ky / q)[:, None, None] * modes.ey_weight_tm[None]
+    w[:, :n1, n1:] = -(modes.ex_weight_tm * modes.beta2_tm[None, :] / q)[None]
+    w[:, n1:, :n1] = -modes.vec_te[None] * kap_te[:, None, :]
+    w[:, n1:, n1:] = -ky_q * modes.ey_weight_tm[None]
     # H blocks.
-    h_plus[:, :n1, :n1] = (modes.vec_te * modes.alpha2_te[None, :] / q)[None]
-    h_plus[:, n1:, :n1] = (ky / q)[:, None, None] * (kn[:, None] * modes.vec_te)[None]
-    h_plus[:, n1:, n1:] = -modes.vec_tm[None] * kap_tm[:, None, :]
+    v[:, :n1, :n1] = (modes.vec_te * modes.alpha2_te[None, :] / q)[None]
+    v[:, n1:, :n1] = ky_q * (kn[:, None] * modes.vec_te)[None]
+    v[:, n1:, n1:] = -modes.vec_tm[None] * kap_tm[:, None, :]
 
-    e_minus = e_plus.copy()
-    e_minus[:, n1:, :n1] *= -1.0
-    h_minus = h_plus.copy()
-    h_minus[:, n1:, n1:] *= -1.0
+    # Inverses: W^-1 = [[-Q^-1 S P^-1, Q^-1], [P^-1, 0]] and
+    # V^-1 = [[T^-1, 0], [-Y^-1 U T^-1, Y^-1]], where S and U are k_y/q
+    # times k_y-independent matrices.
+    x_inv, g_inv = np.linalg.solve(
+        np.stack([modes.ex_weight_tm, modes.vec_tm]), np.eye(n1)[None])
+    p_inv = w_inv[:, n1:, :n1] = -(q / modes.beta2_tm)[:, None] * x_inv
+    t_inv = v_inv[:, :n1, :n1] = (q / modes.alpha2_te)[:, None] * modes.vec_te.T
+    w_inv[:, :n1, n1:] = -modes.vec_te.T[None] / kap_te[:, :, None]
+    w_inv[:, :n1, :n1] = -ky_q * (modes.vec_te.T @ modes.ey_weight_tm
+                                  @ p_inv)[None] / kap_te[:, :, None]
+    v_inv[:, n1:, n1:] = -g_inv[None] / kap_tm[:, :, None]
+    v_inv[:, n1:, :n1] = ky_q * (g_inv @ (kn[:, None] * modes.vec_te)
+                                 @ t_inv)[None] / kap_tm[:, :, None]
 
-    kappa = np.concatenate([kap_te, kap_tm], axis=1)  # (nky, 2 n1)
-    return e_plus, e_minus, h_plus, h_minus, kappa
-
-
-def _scaled_fields(modes: _LayerModes, q: float, kn: Array, ky: Array):
-    """Field blocks with per-mode column scaling to tame dynamic range."""
-    e_p, e_m, h_p, h_m, kappa = _field_blocks(modes, q, kn, ky)
-    col_max = np.maximum(np.abs(e_p).max(axis=1), np.abs(h_p).max(axis=1))
+    col_max = np.maximum(np.abs(w).max(axis=1), np.abs(v).max(axis=1))
     scale = 1.0 / np.where(col_max > 0.0, col_max, 1.0)  # (nky, 2 n1)
-    s = scale[:, None, :]
-    return e_p * s, e_m * s, h_p * s, h_m * s, kappa, scale
+    blocks[:2] *= scale[:, None, :]
+    blocks[2:] /= scale[:, :, None]
+    kappa = np.concatenate([kap_te, kap_tm], axis=1)  # (nky, 2 n1)
+    return w, v, w_inv, v_inv, kappa, scale
 
 
-def _interface_blocks(below, above, context: str):
-    """Scattering blocks of one interface.
+def _climb(r: Array, below, above, d: Array, context: str) -> Array:
+    """Reflection just above an interface from the one just below it.
 
-    Returns (r_b, t_td, t_bu, r_t) mapping incoming (up from below, down
-    from above) to outgoing (down into below, up into above) amplitudes.
+    ``below`` and ``above`` are ``_field_blocks`` tuples; ``r`` maps
+    downward to upward amplitudes (c+ = r c-) in the layer below.
+    F = W_a^-1 W_b (r + D) and G = V_a^-1 V_b (r - D) are the above-layer
+    amplitude sums c+ + D c- and c+ - D c- per unit c- below.
     """
-    eb_p, eb_m, hb_p, hb_m = below
-    ea_p, ea_m, ha_p, ha_m = above
-    n2 = eb_p.shape[-1]
-    lhs = np.concatenate([
-        np.concatenate([-eb_m, ea_p], axis=2),
-        np.concatenate([-hb_m, ha_p], axis=2),
-    ], axis=1)
-    rhs = np.concatenate([
-        np.concatenate([eb_p, -ea_m], axis=2),
-        np.concatenate([hb_p, -ha_m], axis=2),
-    ], axis=1)
+    w_b, v_b = below[0], below[1]
+    f = above[2] @ (w_b @ r + w_b * d)
+    g = above[3] @ (v_b @ r - v_b * d)
     try:
-        x = np.linalg.solve(lhs, rhs)
+        # X (F - G) = F + G, as a solve on the transposes.
+        x_t = np.linalg.solve(np.transpose(f - g, (0, 2, 1)),
+                              np.transpose(f + g, (0, 2, 1)))
     except np.linalg.LinAlgError as exc:
         raise ModalError(f"interface solve failed at {context}: {exc}") from None
-    return (x[:, :n2, :n2], x[:, :n2, n2:], x[:, n2:, :n2], x[:, n2:, n2:])
+    return np.transpose(x_t, (0, 2, 1)) * d
 
 
 def _reflection_stack(q: float, kn: Array, ky: Array,
@@ -267,80 +273,57 @@ def _reflection_stack(q: float, kn: Array, ky: Array,
     Returns (R, scale_vac, kappa_vac) with R in scaled vacuum-mode
     amplitudes.
     """
-    # Modal data for every distinct layer, bottom to top, then vacuum.
-    fields = []
-    kappas = []
-    for eps_solid, slot_frac, _h in slabs_bottom_up:
-        modes = _layer_modes(q, kn, eps_solid, slot_frac, context)
-        e_p, e_m, h_p, h_m, kappa, _sc = _scaled_fields(modes, q, kn, ky)
-        fields.append((e_p, e_m, h_p, h_m))
-        kappas.append(kappa)
-    vac_modes = _layer_modes(q, kn, None, 1.0, context)
-    e_p, e_m, h_p, h_m, kappa_vac, scale_vac = _scaled_fields(vac_modes, q, kn, ky)
-    fields.append((e_p, e_m, h_p, h_m))
-
-    # Reflection looking down from the first finite layer (or vacuum if
-    # there are no slabs) into the substrate.
+    # Field blocks for every finite layer, bottom to top, then vacuum.
+    layers = [_field_blocks(_layer_modes(q, kn, eps, frac, context), q, kn, ky)
+              for eps, frac, _h in slabs_bottom_up + [(None, 1.0, 0.0)]]
+    n1 = kn.size
+    d = np.concatenate([-np.ones(n1), np.ones(n1)])
     if substrate_pc:
-        # Vanishing tangential E on the conductor: E(+) c+ + E(-) c- = 0.
-        eb_p, eb_m = fields[0][0], fields[0][1]
-        try:
-            r = -np.linalg.solve(eb_p, eb_m)
-        except np.linalg.LinAlgError as exc:
-            raise ModalError(f"conductor boundary solve failed at {context}: "
-                             f"{exc}") from None
+        # Vanishing tangential E on the conductor: W (c+ + D c-) = 0.
+        r = np.broadcast_to(np.diag(-d), layers[0][0].shape)
     else:
-        sub_modes = _layer_modes(q, kn, substrate_eps, 0.0, context)
-        sub_fields = _scaled_fields(sub_modes, q, kn, ky)[:4]
-        _rb, _ttd, _tbu, r = _interface_blocks(sub_fields, fields[0], context)
+        # The substrate carries no upward wave: climb from r = 0.
+        substrate = _field_blocks(
+            _layer_modes(q, kn, substrate_eps, 0.0, context), q, kn, ky)
+        r = _climb(np.zeros(layers[0][0].shape), substrate, layers[0], d,
+                   context)
 
-    # March upward: propagate through each slab, then cross its top
-    # interface, keeping only the upward-looking reflection.
-    for idx, (_eps, _frac, h) in enumerate(slabs_bottom_up):
-        phi = np.exp(-kappas[idx] * h)  # (nky, 2 n1)
-        r = phi[:, :, None] * r * phi[:, None, :]
-        r_b, t_td, t_bu, r_t = _interface_blocks(fields[idx], fields[idx + 1],
-                                                 context)
-        n2 = r.shape[-1]
-        eye = np.eye(n2)
-        try:
-            mid = np.linalg.solve(eye[None] - r @ r_b, r @ t_td)
-        except np.linalg.LinAlgError as exc:
-            raise ModalError(f"scattering recursion failed at {context}: "
-                             f"{exc}") from None
-        r = r_t + t_bu @ mid
+    # March upward: propagate through each slab, then cross its top.
+    for (_eps, _frac, h), below, above in zip(slabs_bottom_up, layers,
+                                              layers[1:]):
+        phi = np.exp(-below[4] * h)  # (nky, 2 n1)
+        r = _climb(phi[:, :, None] * r * phi[:, None, :], below, above, d,
+                   context)
 
+    *_blocks, kappa_vac, scale_vac = layers[-1]
     return r, scale_vac, kappa_vac
 
 
-def _sp_conversion(q: float, kn: Array, ky: Array):
-    """Conversion matrices between vacuum x-mode and (s, p) amplitudes.
+def _sp_conversion(q: float, kn: Array, ky: Array, kap: Array):
+    """Conversion matrix from vacuum x-mode to (s, p) amplitudes.
 
-    Per order the map is a 2x2 block acting on (TE-to-x, TM-to-x)
-    amplitudes; rows are flux-weighted by sqrt(kappa_n) so the resulting
-    reflection operator is passivity-normalized.  Returns (C_plus,
-    C_minus) for upward and downward waves, shape (nky, 2 n1, 2 n1).
+    Per order the map is a 2x2 block [[a, b], [-b, a]] acting on
+    (TE-to-x, TM-to-x) amplitudes of upward waves; rows are flux-weighted
+    by sqrt(kappa_n) so the resulting reflection operator is
+    passivity-normalized.  Downward waves map through C- = -C+^T, and
+    C+ C+^T = (a^2 + b^2) I.  ``kap`` holds the vacuum decay rates
+    (nky, n1).  Returns (C+, a^2 + b^2) with shapes (nky, 2 n1, 2 n1) and
+    (nky, 2 n1).
     """
     n1 = kn.size
-    nky = ky.size
-    kap = np.sqrt(q * q + kn[None, :] ** 2 + ky[:, None] ** 2)  # (nky, n1)
     k_t = np.sqrt(kn[None, :] ** 2 + ky[:, None] ** 2)
     if np.any(k_t == 0.0):
         raise ValueError("(k_x, k_y) = (0, 0) has no (s, p) decomposition; "
                          "use a nonzero transverse wavevector")
     w = np.sqrt(kap)
-    diag_ss = -kap * kn[None, :] / k_t * w
-    diag_sp = q * ky[:, None] / k_t * w
-    out = []
-    for sign in (+1.0, -1.0):
-        c = np.zeros((nky, 2 * n1, 2 * n1))
-        idx = np.arange(n1)
-        c[:, idx, idx] = sign * diag_ss
-        c[:, idx, idx + n1] = diag_sp
-        c[:, idx + n1, idx] = -diag_sp
-        c[:, idx + n1, idx + n1] = sign * diag_ss
-        out.append(c)
-    return out[0], out[1]
+    a = -kap * kn[None, :] / k_t * w
+    b = q * ky[:, None] / k_t * w
+    c = np.zeros((ky.size, 2 * n1, 2 * n1))
+    idx = np.arange(n1)
+    c[:, idx, idx] = c[:, idx + n1, idx + n1] = a
+    c[:, idx, idx + n1] = b
+    c[:, idx + n1, idx] = -b
+    return c, np.tile(a * a + b * b, 2)
 
 
 def _reflection_batch(profile: GratingProfile, model: DielectricModel,
@@ -348,7 +331,8 @@ def _reflection_batch(profile: GratingProfile, model: DielectricModel,
                       n_slices: int):
     """Flux-normalized (s,p) reflection matrices for a batch of k_y.
 
-    Returns (R_sp, kappa_vac) with shapes (nky, 2 n1, 2 n1), (nky, n1).
+    Returns (R_sp, kappa_vac) with shapes (nky, 2 n1, 2 n1), (nky, 2 n1);
+    kappa_vac repeats the vacuum decay rates for the TE and TM halves.
     """
     context = f"xi={xi:.4e} rad/s, k_x={k_x:.4e} 1/m"
     q = xi / C_LIGHT
@@ -366,21 +350,15 @@ def _reflection_batch(profile: GratingProfile, model: DielectricModel,
     layer_list = [(eps_solid, s.slot_width / profile.period, s.thickness)
                   for s in reversed(slabs)]  # bottom-up
 
-    r_x, scale_vac, kappa_vac_2 = _reflection_stack(
+    r_x, scale_vac, kappa_vac = _reflection_stack(
         q, kn, ky, layer_list, eps_solid, pc, context)
 
     # Undo the vacuum column scaling: rows by scale, columns by 1/scale.
     r_raw = scale_vac[:, :, None] * r_x / scale_vac[:, None, :]
 
-    c_plus, c_minus = _sp_conversion(q, kn, ky)
-    left = c_plus @ r_raw
-    # R_sp = C+ R C-^{-1}, as solve on the right.
-    r_sp = np.linalg.solve(np.transpose(c_minus, (0, 2, 1)),
-                           np.transpose(left, (0, 2, 1)))
-    r_sp = np.transpose(r_sp, (0, 2, 1))
-    n1 = kn.size
-    kappa_vac = kappa_vac_2[:, :n1]
-    return r_sp, kappa_vac
+    # R_sp = C+ R C-^{-1} = -C+ R C+ / (a^2 + b^2).
+    c_plus, norm2 = _sp_conversion(q, kn, ky, kappa_vac[:, :kn.size])
+    return -(c_plus @ r_raw @ c_plus) / norm2[:, None, :], kappa_vac
 
 
 def grating_reflection(profile: GratingProfile, model: DielectricModel,
@@ -428,27 +406,27 @@ def _quad_nodes(z_grid: Array, period: float, quad: GratingQuadrature):
 
 def _trace_over_z(r_sp: Array, kappa_vac: Array, r1_diag: Array,
                   z_grid: Array, ky_w: Array, context: str) -> Array:
-    """Sum_ky w_ky tr[(1-M)^{-1}(-dM/dz)] for each z; M = R1 L R2 L."""
-    nky, n1 = kappa_vac.shape
-    kappa2 = np.concatenate([kappa_vac, kappa_vac], axis=1)  # (nky, 2 n1)
-    eye = np.eye(2 * n1)
-    out = np.empty(z_grid.size)
-    for iz, z in enumerate(z_grid):
-        lam = np.exp(-kappa2 * z)
-        d1 = r1_diag * lam                      # R1 e^{-kz}, diagonal
-        m = d1[:, :, None] * r_sp * lam[:, None, :]
-        a = (d1 * kappa2)[:, :, None] * r_sp * lam[:, None, :] \
-            + d1[:, :, None] * r_sp * (kappa2 * lam)[:, None, :]
-        try:
-            sol = np.linalg.solve(eye[None] - m, a)
-        except np.linalg.LinAlgError as exc:
-            raise ModalError(f"loop operator singular at {context}, "
-                             f"z={z:.3e}: {exc}") from None
-        tr = np.einsum("kii->k", sol)
-        if not np.all(np.isfinite(tr)):
-            raise ModalError(f"non-finite loop trace at {context}, z={z:.3e}")
-        out[iz] = ky_w @ tr
-    return out
+    """Sum_ky w_ky tr[(1-M)^{-1}(-dM/dz)] for each z; M = R1 L R2 L.
+
+    With K the diagonal of vacuum decay rates, -dM/dz = K M + M K, and
+    since M commutes with (1-M)^{-1} the trace is 2 tr[(1-M)^{-1} K M].
+    Every (z, k_y) loop operator is solved in one batched call.
+    """
+    lam = np.exp(-kappa_vac[None] * z_grid[:, None, None])  # (nz, nky, 2 n1)
+    m = (r1_diag * lam)[..., :, None] * r_sp * lam[..., None, :]
+    try:
+        sol = np.linalg.solve(np.eye(kappa_vac.shape[1]) - m,
+                              kappa_vac[:, :, None] * m)
+    except np.linalg.LinAlgError as exc:
+        zs = ", ".join(f"{z:.3e}" for z in z_grid)
+        raise ModalError(f"loop operator singular at {context}, "
+                         f"z in ({zs}): {exc}") from None
+    tr = 2.0 * np.einsum("zkii->zk", sol)
+    bad = ~np.all(np.isfinite(tr), axis=1)
+    if np.any(bad):
+        zs = ", ".join(f"{z:.3e}" for z in z_grid[bad])
+        raise ModalError(f"non-finite loop trace at {context}, z={zs}")
+    return tr @ ky_w
 
 
 def _node_contribution(args) -> tuple[int, Array]:

@@ -17,7 +17,8 @@ import numpy as np
 from .calibration import fem_gradient_model
 from .config import Config, ConfigError
 from .curves import ForceCurve
-from .electrostatics import SpherePlaneES, sphere_plane_gradient
+from .electrostatics import (SpherePlaneES, _meshing_profile,
+                             sphere_plane_gradient)
 from .geometry import GratingProfile, reference_trench_profile
 from .grating import TruncationSpec, rho_ratio
 from .materials import get_material
@@ -166,6 +167,10 @@ def electrostatic_gradient_curves(config: Config) -> dict[str, ForceCurve]:
     below the flat one at equal separation.
     """
     profile = _profile_from_config(config)
+    try:
+        _meshing_profile(profile)
+    except ValueError as exc:
+        raise ConfigError(f"[geometry]: {exc}") from exc
     radius = config.quantity("sphere", "radius", _DEFAULT_RADIUS)
     volt = config.quantity("voltage", "applied", 0.3)
     v0 = config.quantity("voltage", "residual", 0.0)

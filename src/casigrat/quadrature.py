@@ -8,6 +8,7 @@ the exponential tail with a few tens of nodes.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,11 +37,19 @@ class QuadratureSpec:
         return QuadratureSpec(self.xi_nodes * factor, self.k_nodes * factor)
 
 
+@functools.lru_cache(maxsize=128)
+def _leggauss(n: int) -> tuple[Array, Array]:
+    """Read-only Gauss-Legendre rule on [-1, 1], built once per n."""
+    x, w = np.polynomial.legendre.leggauss(n)
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
+
+
 def gauss_legendre(a: float, b: float, n: int) -> tuple[Array, Array]:
     """Gauss-Legendre nodes and weights on [a, b]."""
     if not b > a:
         raise ValueError("need b > a")
-    x, w = np.polynomial.legendre.leggauss(n)
+    x, w = _leggauss(n)
     mid = 0.5 * (a + b)
     half = 0.5 * (b - a)
     return mid + half * x, half * w

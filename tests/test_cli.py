@@ -174,6 +174,15 @@ def test_usage_errors_exit_2(tmp_path, capsys):
     assert main(["pipeline", "--config", str(bad_geometry),
                  "--out", str(tmp_path / "out")]) == 2
     assert "[geometry]" in capsys.readouterr().err
+    narrow_trench = tmp_path / "narrow_trench.cfg"
+    narrow_trench.write_text("[pipeline]\ntask = electrostatic_gradient\n"
+                             "[geometry]\nperiod = 400nm\n"
+                             "top_width = 399.99nm\nfloor_width = 0nm\n"
+                             "wall_angle = 90deg\n")
+    assert main(["pipeline", "--config", str(narrow_trench),
+                 "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "[geometry]" in err and "top_width" in err and "period" in err
 
 
 def test_numerical_failures_exit_1(tmp_path):

@@ -20,6 +20,8 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg as sla
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from casigrat import (
     GratingProfile,
@@ -315,6 +317,30 @@ def test_passivity_bounded_singular_values(trench):
         assert op.max_singular_value() <= 1.0 + 1e-8
 
 
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(period=st.floats(200e-9, 800e-9), p1=st.floats(0.05, 0.9),
+       run_share=st.floats(0.0, 0.99), depth=st.floats(10e-9, 150e-9),
+       log_xi=st.floats(12.0, 16.5), kx_share=st.floats(-1.0, 1.0),
+       log_ky=st.floats(4.0, 7.7), orders=st.integers(1, 8),
+       slices=st.integers(1, 5))
+def test_passivity_on_random_trapezoids(period, p1, run_share, depth, log_xi,
+                                        kx_share, log_ky, orders, slices):
+    # the wall angle is derived from the widths, so the profile is
+    # consistent; near-vertical walls snap to 90 degrees, where the
+    # widths-derived run would be lost to cancellation
+    run = run_share * min(depth, 0.5 * (1.0 - p1) * period)
+    if run_share < 0.01:
+        run = 0.0
+    angle = 90.0 + math.degrees(math.atan(run / depth))
+    profile = GratingProfile(period=period, top_width=p1 * period,
+                             floor_width=(1.0 - p1) * period - 2.0 * run,
+                             depth=depth, sidewall_angle_deg=angle)
+    op = grating_reflection(profile, get_material("silicon_doped"),
+                            10.0**log_xi, kx_share * math.pi / period,
+                            10.0**log_ky, TruncationSpec(orders, slices))
+    assert op.max_singular_value() <= 1.0 + 1e-8
+
+
 def test_brillouin_zone_evenness(trench):
     si = get_material("silicon_doped")
     xi, kx, ky = 1.2e15, 0.35 * math.pi / LAM, 4e6
@@ -403,6 +429,23 @@ def test_worker_count_does_not_change_result(trench):
     parallel = casimir_pressure_grating_grid(trench, si, gold, z, spec,
                                              workers=2)
     assert serial[0] == parallel[0]
+
+
+@pytest.mark.parametrize("conductor", [False, True])
+def test_grid_pressure_regression_pin(trench, conductor):
+    # literal values recorded from the (4 n1)-sized interface-solve kernel;
+    # the kernel must reproduce them to rounding
+    gold = get_material("gold_drude")
+    if conductor:
+        profile, model = GratingProfile(LAM, LAM, 0.0, 0.0), PerfectConductor()
+        want = [-7.537786771390838, -1.9436000834686278, -0.29623816009465037]
+    else:
+        profile, model = trench, get_material("silicon_doped")
+        want = [-2.358683360567413, -0.6302582527576783, -0.10112032315967324]
+    spec = TruncationSpec(4, 2, GratingQuadrature(4, 4, 8))
+    got = casimir_pressure_grating_grid(profile, model, gold,
+                                        [100e-9, 150e-9, 250e-9], spec)
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
 
 
 # --------------------------------------------------------------------------

@@ -18,6 +18,18 @@ def test_gauss_legendre_polynomial_exactness():
     assert w @ x**5 == pytest.approx(1.0 / 6.0, rel=1e-14)
 
 
+def test_gauss_legendre_callers_own_their_arrays():
+    # the [-1, 1] rule is cached; writing to a returned rule must not
+    # reach the cache or the next caller
+    x, w = gauss_legendre(0.0, 1.0, 12)
+    x[:] = 0.0
+    w[:] = 0.0
+    ref_x, ref_w = np.polynomial.legendre.leggauss(12)
+    x, w = gauss_legendre(0.0, 1.0, 12)
+    np.testing.assert_array_equal(x, 0.5 + 0.5 * ref_x)
+    np.testing.assert_array_equal(w, 0.5 * ref_w)
+
+
 def test_log_rule_integrates_one_over_x_exactly():
     x, w = log_gauss_legendre(1e-3, 1e3, 4)
     assert w @ (1.0 / x) == pytest.approx(math.log(1e6), rel=1e-14)
