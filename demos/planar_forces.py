@@ -55,9 +55,9 @@ def main() -> None:
     spec = RoughnessSpec.combined_gaussian(4e-9, 0.6e-9)
     pad = float(np.max(np.abs(spec.offsets)))
     law = flat_pressure_law(gold, si, 100e-9 - pad, 600e-9 + pad)
-    for z in (100e-9, 300e-9, 600e-9):
-        bare = law(z)
-        rough = roughness_average(law, z, spec)
+    z_grid = np.array([100e-9, 300e-9, 600e-9])
+    for z, bare, rough in zip(z_grid, law(z_grid),
+                              roughness_average(law, z_grid, spec)):
         print(f"  z = {z * 1e9:5.0f} nm   bare {bare:+.5e} Pa   "
               f"averaged {rough:+.5e} Pa   boost {rough / bare - 1:+.3%}")
     print("\nThe averaged magnitude always exceeds the bare one: the "

@@ -35,9 +35,10 @@ def main() -> None:
 
     print("\n= additive force and the top+floor share =")
     radius = 50e-6
-    for z in (100e-9, 150e-9, 200e-9, 300e-9):
-        p = pfa_corrugated(law, profile, z)
-        share = pfa_share_topbottom(law, profile, z)
+    z_grid = np.array([100e-9, 150e-9, 200e-9, 300e-9])
+    pressures = pfa_corrugated(law, profile, z_grid)
+    shares = pfa_share_topbottom(law, profile, z_grid)
+    for z, p, share in zip(z_grid, pressures, shares):
         grad = 2.0 * np.pi * radius * abs(p)
         print(f"  z = {z * 1e9:5.0f} nm   P = {p:+.4e} Pa   "
               f"F' = {grad:.4e} N/m   top+floor {share:.2%}")
@@ -46,9 +47,9 @@ def main() -> None:
     no_walls = GratingProfile(profile.period,
                               profile.period - profile.floor_width,
                               profile.floor_width, profile.depth, 90.0)
-    for z in (100e-9, 300e-9):
-        full = pfa_corrugated(law, profile, z)
-        widened = pfa_corrugated(law, no_walls, z)
+    z_grid = np.array([100e-9, 300e-9])
+    for z, full, widened in zip(z_grid, pfa_corrugated(law, profile, z_grid),
+                                pfa_corrugated(law, no_walls, z_grid)):
         print(f"  z = {z * 1e9:5.0f} nm   with ramps {full:+.5e} Pa   "
               f"ramps absorbed into plateau {widened:+.5e} Pa   "
               f"shift {widened / full - 1:+.3%}")

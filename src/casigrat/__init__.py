@@ -80,7 +80,6 @@ from .pfa import (
     FlatForceLaw,
     flat_pressure_law,
     pfa_corrugated,
-    pfa_curve,
     pfa_share_topbottom,
 )
 from .pipeline import (
@@ -128,7 +127,7 @@ __all__ = [
     "PerfectConductor", "Tabulated", "available_materials",
     "epsilon_at_imaginary_frequency", "get_material", "intrinsic_silicon_table",
     "load_tabulated_epsilon",
-    "FlatForceLaw", "flat_pressure_law", "pfa_corrugated", "pfa_curve",
+    "FlatForceLaw", "flat_pressure_law", "pfa_corrugated",
     "pfa_share_topbottom",
     "TASKS", "electrostatic_gradient_curves", "flat_force_gradient_curve",
     "rho_ratio_curves", "run_pipeline", "worker_count",

@@ -29,8 +29,8 @@ from .grating import convergence_sweep, TruncationSpec
 from .materials import (available_materials, epsilon_at_imaginary_frequency,
                         get_material)
 from .pfa import flat_pressure_law, pfa_corrugated, pfa_share_topbottom
-from .pipeline import (_profile_from_config, run_pipeline, worker_count,
-                       rho_ratio_curves)
+from .pipeline import (_meshable_profile_from_config, _profile_from_config,
+                       run_pipeline, worker_count, rho_ratio_curves)
 from .planar import NumericalError, casimir_pressure_planar
 
 _USAGE_ERROR = 2
@@ -48,6 +48,14 @@ def _run_check(module: str) -> int:
     results = checks.run_checks(module)
     print(checks.format_results(results))
     return 0 if checks.all_passed(results) else _NUMERICAL_ERROR
+
+
+def _radius(text: str) -> float:
+    """argparse type of ``--radius``: a positive length."""
+    radius = parse_quantity(text)
+    if not radius > 0.0:
+        raise argparse.ArgumentTypeError(f"must be positive, got {text!r}")
+    return radius
 
 
 def _cmd_materials(args) -> int:
@@ -86,9 +94,8 @@ def _cmd_planar(args) -> int:
     meta = {"materials": f"{args.material_a}/{args.material_b}",
             "quadrature": "refined to rtol 1e-6"}
     if args.gradient:
-        radius = parse_quantity(args.radius)
-        values = 2.0 * np.pi * radius * np.abs(values)
-        meta["radius_um"] = f"{radius * 1e6:.6g}"
+        values = 2.0 * np.pi * args.radius * np.abs(values)
+        meta["radius_um"] = f"{args.radius * 1e6:.6g}"
         curve = ForceCurve(z_grid, values, unit="N/m",
                            label="sphere-plane force gradient", metadata=meta)
     else:
@@ -106,14 +113,13 @@ def _cmd_pfa(args) -> int:
     mat_a = get_material(args.material_sphere)
     mat_b = get_material(args.material_plane)
     z_grid = parse_grid(args.z)
-    radius = parse_quantity(args.radius)
     law = flat_pressure_law(mat_a, mat_b, float(z_grid[0]),
                             float(z_grid[-1]) + profile.depth)
-    grad = np.array([2.0 * np.pi * radius * abs(pfa_corrugated(law, profile, z))
-                     for z in z_grid])
-    share = np.array([pfa_share_topbottom(law, profile, z) for z in z_grid])
+    grad = 2.0 * np.pi * args.radius * np.abs(
+        pfa_corrugated(law, profile, z_grid))
+    share = pfa_share_topbottom(law, profile, z_grid)
     meta = {"materials": f"{args.material_sphere}/{args.material_plane}",
-            "radius_um": f"{radius * 1e6:.6g}",
+            "radius_um": f"{args.radius * 1e6:.6g}",
             "profile": f"period {profile.period * 1e9:.6g} nm, depth "
                        f"{profile.depth * 1e9:.6g} nm"}
     curve = ForceCurve(z_grid, grad, unit="N/m",
@@ -179,17 +185,18 @@ def _cmd_electrostatics(args) -> int:
 
 
 def _gradient_model_for(args):
-    radius = parse_quantity(args.radius)
     v0 = parse_quantity(args.v0)
     if args.model == "series":
-        return series_gradient_model(radius, v0=v0)
+        return series_gradient_model(args.radius, v0=v0)
     if args.model == "plate":
-        return plate_gradient_model(radius, v0=v0)
-    profile = (_profile_from_config(Config.from_file(args.config))
+        return plate_gradient_model(args.radius, v0=v0)
+    profile = (_meshable_profile_from_config(Config.from_file(args.config))
                if args.config else reference_trench_profile())
-    z_lo = parse_quantity(args.fem_z_min)
-    z_hi = parse_quantity(args.fem_z_max)
-    return fem_gradient_model(profile, radius, z_min=z_lo, z_max=z_hi, v0=v0)
+    z_lo, z_hi = parse_quantity(args.fem_z_min), parse_quantity(args.fem_z_max)
+    if not 0.0 < z_lo < z_hi:
+        raise ConfigError("--fem-z-min and --fem-z-max need 0 < min < max, "
+                          f"got {args.fem_z_min} and {args.fem_z_max}")
+    return fem_gradient_model(profile, args.radius, z_lo, z_hi, v0=v0)
 
 
 def _cmd_calibrate(args) -> int:
@@ -260,7 +267,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--z", default="100:600:25nm")
     p.add_argument("--gradient", action="store_true",
                    help="sphere-plane force gradient instead of pressure")
-    p.add_argument("--radius", default="50um")
+    p.add_argument("--radius", default="50um", type=_radius)
     p.add_argument("--out", default="out/planar.csv")
     add_check(p)
     p.set_defaults(fn=_cmd_planar)
@@ -273,7 +280,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--material-plane", default="silicon_doped",
                    choices=available_materials())
     p.add_argument("--z", default="100:300:10nm")
-    p.add_argument("--radius", default="50um")
+    p.add_argument("--radius", default="50um", type=_radius)
     p.add_argument("--out", default="out/pfa_gradient.csv")
     add_check(p)
     p.set_defaults(fn=_cmd_pfa)
@@ -304,7 +311,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="CSV with z_piezo_nm,theta_rad,V_volt,delta_f_hz")
     p.add_argument("--model", choices=("series", "plate", "fem"),
                    default="series")
-    p.add_argument("--radius", default="50um")
+    p.add_argument("--radius", default="50um", type=_radius)
     p.add_argument("--v0", default="0V", help="residual voltage")
     p.add_argument("--lever-b", dest="lever_b", default="0m")
     p.add_argument("--voltage-differences", action="store_true",

@@ -516,7 +516,7 @@ def rho_ratio(profile: GratingProfile, model_grating: DielectricModel,
     law = flat_pressure_law(model_plane, model_grating,
                             float(z_arr.min()),
                             float(z_arr.max()) + profile.depth)
-    pfa = np.array([pfa_corrugated(law, profile, z) for z in z_arr])
+    pfa = pfa_corrugated(law, profile, z_arr)
     return ForceCurve(z_arr, exact / pfa, unit="dimensionless",
                       label="exact-to-pfa pressure ratio")
 

@@ -62,6 +62,22 @@ def _profile_from_config(config: Config) -> GratingProfile:
         raise ConfigError(f"[geometry]: {exc}") from exc
 
 
+def _meshable_profile_from_config(config: Config) -> GratingProfile:
+    profile = _profile_from_config(config)
+    try:
+        _meshing_profile(profile)
+    except ValueError as exc:
+        raise ConfigError(f"[geometry]: {exc}") from exc
+    return profile
+
+
+def _sphere_radius(config: Config) -> float:
+    radius = config.quantity("sphere", "radius", _DEFAULT_RADIUS)
+    if not radius > 0.0:
+        raise ConfigError(f"[sphere] radius must be positive, got {radius} m")
+    return radius
+
+
 def _base_metadata(config: Config, task: str) -> dict:
     return {"task": task, "inputs": config.digest()}
 
@@ -77,7 +93,7 @@ def flat_force_gradient_curve(config: Config) -> dict[str, ForceCurve]:
     sphere = config.string("materials", "sphere", "gold_drude")
     plane = config.string("materials", "plane", "silicon_doped")
     mat_a, mat_b = get_material(sphere), get_material(plane)
-    radius = config.quantity("sphere", "radius", _DEFAULT_RADIUS)
+    radius = _sphere_radius(config)
     z_grid = config.grid("grid", "z", _DEFAULT_Z)
 
     rough_on = config.boolean("roughness", "enabled", True)
@@ -93,10 +109,7 @@ def flat_force_gradient_curve(config: Config) -> dict[str, ForceCurve]:
     n_table = config.integer("solver", "table_points", 48)
     law = flat_pressure_law(mat_a, mat_b, float(z_grid[0]) - pad,
                             float(z_grid[-1]) + pad, n_table)
-    if spec is not None:
-        avg = np.array([roughness_average(law, z, spec) for z in z_grid])
-    else:
-        avg = law(z_grid)
+    avg = law(z_grid) if spec is None else roughness_average(law, z_grid, spec)
     grad = 2.0 * np.pi * radius * np.abs(avg)
 
     meta = _base_metadata(config, "flat_force_gradient")
@@ -127,6 +140,8 @@ def rho_ratio_curves(config: Config) -> dict[str, ForceCurve]:
     spec = TruncationSpec(orders=config.integer("solver", "orders", 8),
                           n_slices=config.integer("solver", "slices", 4))
     workers = worker_count()
+    measured_path = config.string("measured", "gradient_csv", "")
+    radius = _sphere_radius(config) if measured_path else None
 
     theory = rho_ratio(profile, model_g, model_p, z_grid, spec,
                        workers=workers)
@@ -141,15 +156,12 @@ def rho_ratio_curves(config: Config) -> dict[str, ForceCurve]:
                                        unit=theory.unit, label=theory.label,
                                        metadata=meta)}
 
-    measured_path = config.string("measured", "gradient_csv", "")
     if measured_path:
-        radius = config.quantity("sphere", "radius", _DEFAULT_RADIUS)
         measured = ForceCurve.from_csv(measured_path)
         law = flat_pressure_law(model_p, model_g, float(np.min(measured.z)),
                                 float(np.max(measured.z)) + profile.depth)
-        pfa_grad = np.array([2.0 * np.pi * radius
-                             * abs(pfa_corrugated(law, profile, z))
-                             for z in measured.z])
+        pfa_grad = 2.0 * np.pi * radius * np.abs(
+            pfa_corrugated(law, profile, measured.z))
         meta_m = dict(meta)
         meta_m["task"] = "rho_measured"
         curves["rho_measured"] = ForceCurve(
@@ -166,12 +178,8 @@ def electrostatic_gradient_curves(config: Config) -> dict[str, ForceCurve]:
     close-proximity relation.  The corrugated gradient lies strictly
     below the flat one at equal separation.
     """
-    profile = _profile_from_config(config)
-    try:
-        _meshing_profile(profile)
-    except ValueError as exc:
-        raise ConfigError(f"[geometry]: {exc}") from exc
-    radius = config.quantity("sphere", "radius", _DEFAULT_RADIUS)
+    profile = _meshable_profile_from_config(config)
+    radius = _sphere_radius(config)
     volt = config.quantity("voltage", "applied", 0.3)
     v0 = config.quantity("voltage", "residual", 0.0)
     z_grid = config.grid("grid", "z", _DEFAULT_Z)

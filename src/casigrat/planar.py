@@ -197,13 +197,12 @@ class RoughnessSpec:
 def roughness_average(law, z, spec: RoughnessSpec):
     """Geometrically averaged force law over the roughness distribution.
 
-    ``law`` is a callable of separation; the corrected value at z is
-    sum_i w_i law(z + h_i).  Raises if any shifted separation is <= 0.
+    ``law`` takes an array of separations; sum_i w_i law(z + h_i) is formed
+    for every z in one law call.  Raises if any shifted separation is <= 0.
     """
     z_arr = np.atleast_1d(np.asarray(z, dtype=float))
     shifted = z_arr[:, None] + spec.offsets[None, :]
     if np.any(shifted <= 0.0):
         raise ValueError("roughness offsets drive the local gap non-positive")
-    vals = np.array([[law(s) for s in row] for row in shifted])
-    out = vals @ spec.weights
+    out = law(shifted) @ spec.weights
     return out if np.ndim(z) else float(out[0])

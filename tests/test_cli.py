@@ -183,6 +183,33 @@ def test_usage_errors_exit_2(tmp_path, capsys):
                  "--out", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
     assert "[geometry]" in err and "top_width" in err and "period" in err
+    sweep = tmp_path / "sweep.csv"
+    sweep.write_text("z_piezo_nm,theta_rad,V_volt,delta_f_hz\n"
+                     "100,0,0.3,-1\n200,0,0.3,-1.1\n300,0,0.3,-1.2\n")
+    assert main(["calibrate", "--input", str(sweep), "--model", "fem",
+                 "--config", str(narrow_trench)]) == 2
+    err = capsys.readouterr().err
+    assert "[geometry]" in err and "top_width" in err
+    assert main(["calibrate", "--input", str(sweep), "--model", "fem",
+                 "--fem-z-min", "500nm", "--fem-z-max", "100nm"]) == 2
+    err = capsys.readouterr().err
+    assert "--fem-z-min" in err and "--fem-z-max" in err
+    for argv in (["pfa", "--radius=0um"],
+                 ["planar", "--gradient", "--radius=0um"],
+                 ["calibrate", "--input", str(sweep), "--radius=0um"],
+                 ["calibrate", "--input", str(sweep), "--model", "fem",
+                  "--radius=-1um"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--out", str(tmp_path / "r.csv")])
+        assert exc.value.code == 2
+        assert "--radius" in capsys.readouterr().err
+    for task in ("flat_force_gradient", "electrostatic_gradient"):
+        zero_radius = tmp_path / f"{task}_radius.cfg"
+        zero_radius.write_text(f"[pipeline]\ntask = {task}\n"
+                               "[sphere]\nradius = 0um\n")
+        assert main(["pipeline", "--config", str(zero_radius),
+                     "--out", str(tmp_path / "out")]) == 2
+        assert "[sphere] radius" in capsys.readouterr().err
 
 
 def test_numerical_failures_exit_1(tmp_path):

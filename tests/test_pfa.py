@@ -2,16 +2,19 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.integrate import quad
 
 from casigrat import (
     FlatForceLaw,
     GratingProfile,
+    NumericalError,
+    RoughnessSpec,
     casimir_pressure_planar,
     flat_pressure_law,
     height_profile,
     pfa_corrugated,
-    pfa_curve,
     pfa_share_topbottom,
+    roughness_average,
 )
 
 
@@ -120,9 +123,41 @@ def test_law_from_table_rejects_zero_or_mixed_sign(values):
         FlatForceLaw.from_table([1e-7, 2e-7, 3e-7, 4e-7], values)
 
 
-def test_pfa_curve_wraps_grid(trench):
-    law = power_law()
-    z = np.array([100e-9, 150e-9, 200e-9])
-    curve = pfa_curve(law, trench, z, unit="Pa")
-    assert curve.values.shape == (3,)
-    assert curve.values[0] == pytest.approx(pfa_corrugated(law, trench, 100e-9))
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(period=st.floats(200e-9, 800e-9), p1=st.floats(0.05, 0.9),
+       p2_share=st.floats(0.0, 0.99), depth=st.floats(5e-9, 150e-9),
+       z=st.lists(st.floats(100e-9, 300e-9), min_size=1, max_size=12))
+def test_grid_calls_match_per_z_calls(shared_table, period, p1, p2_share,
+                                      depth, z):
+    p2 = p2_share * (0.999 - p1)
+    profile = GratingProfile(period=period, top_width=p1 * period,
+                             floor_width=p2 * period, depth=depth)
+    z = np.array(z)
+    spec = RoughnessSpec.gaussian(0.5e-9)  # stays inside the table
+    for fn in (lambda zz: pfa_corrugated(shared_table, profile, zz),
+               lambda zz: pfa_share_topbottom(shared_table, profile, zz),
+               lambda zz: roughness_average(shared_table, zz, spec)):
+        on_grid = fn(z)
+        assert isinstance(on_grid, np.ndarray) and on_grid.shape == z.shape
+        per_z = [fn(zi) for zi in z]
+        assert all(isinstance(v, float) for v in per_z)
+        np.testing.assert_allclose(on_grid, per_z, rtol=1e-15, atol=0.0)
+
+
+def test_pfa_matches_adaptive_quadrature(gold_silicon_law, trench):
+    law, t = gold_silicon_law, trench.depth
+    z = np.linspace(100e-9, 350e-9, 11)
+    expected = [trench.p1 * law(zi) + trench.p2 * law(zi + t)
+                + 2.0 * trench.p3 * quad(lambda u: law(zi + t * u), 0.0, 1.0,
+                                         epsabs=0.0, epsrel=1e-12,
+                                         limit=200)[0]
+                for zi in z]
+    np.testing.assert_allclose(pfa_corrugated(law, trench, z), expected,
+                               rtol=1e-9, atol=0.0)
+
+
+def test_unresolved_sidewall_raises_naming_z(trench):
+    # decays over 0.2 nm, far below the 98 nm wall depth the rule spans
+    law = FlatForceLaw(lambda z: np.exp(-z / 0.2e-9), 1e-9, 1e-5)
+    with pytest.raises(NumericalError, match=r"z = 2\.000e-09 m"):
+        pfa_corrugated(law, trench, np.array([2e-9, 3e-9]))

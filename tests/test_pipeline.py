@@ -67,8 +67,8 @@ def test_shipped_flat_recipe_matches_direct_roughness_average(gold, silicon):
     curve = flat_force_gradient_curve(cfg)["force_gradient"]
     spec = RoughnessSpec.combined_gaussian(4e-9, 0.6e-9, 21)
     for z in (100e-9, 600e-9):
-        direct = roughness_average(
-            lambda s: casimir_pressure_planar(gold, silicon, s), z, spec)
+        direct = roughness_average(np.vectorize(
+            lambda s: casimir_pressure_planar(gold, silicon, s)), z, spec)
         got = curve.values[np.argmin(np.abs(curve.z - z))]
         assert got / (2.0 * np.pi * RADIUS * abs(direct)) == \
             pytest.approx(1.0, abs=1e-6)
