@@ -146,7 +146,7 @@ def series_gradient_model(radius: float, v0: float = 0.0) -> GradientModel:
 
 def fem_gradient_model(profile: GratingProfile, radius: float,
                        z_min: float, z_max: float, n_points: int = 48,
-                       v0: float = 0.0, control=None) -> GradientModel:
+                       v0: float = 0.0) -> GradientModel:
     """Sphere-grating gradient from tabulated capacitor-cell energies.
 
     The unit-voltage field energy per area E1(z) is solved on a geometric
@@ -161,7 +161,7 @@ def fem_gradient_model(profile: GratingProfile, radius: float,
     if n_points < 8:
         raise ValueError("n_points must be >= 8")
     grid = np.geomspace(0.98 * z_min, 1.02 * z_max, n_points)
-    energies = np.array([solve_corrugated_capacitor(profile, z, 1.0, control)
+    energies = np.array([solve_corrugated_capacitor(profile, z, 1.0)
                          for z in grid])
     slope = PchipInterpolator(grid, energies).derivative()
 
@@ -238,18 +238,17 @@ def fit_calibration(samples: Sequence[FrequencyShiftSample],
                     gradient_model: GradientModel,
                     casimir_background: Callable[[float], float] | None = None,
                     lever_b: float = 0.0,
-                    use_voltage_differences: bool = False,
-                    z0_bounds: tuple[float, float] | None = None,
+                    use_voltage_differences: bool = False
                     ) -> CalibrationFit:
     """Fit the transduction coefficient and standoff distance.
 
     The model for each sample is delta_f = coeff * [g_es(z, V) + g_cas(z)]
     with z = z0 - z_piezo - lever_b * theta.  For a trial z0 the optimal
     coeff is the linear projection; the concentrated sum of squares is
-    minimized over z0 inside ``z0_bounds`` (derived from the data and the
-    model domain when omitted).  With ``use_voltage_differences`` the fit
-    runs on shift differences at shared distances, which cancels any
-    voltage-independent background exactly.
+    minimized over z0 inside bounds derived from the data and the model
+    domain.  With ``use_voltage_differences`` the fit runs on shift
+    differences at shared distances, which cancels any voltage-independent
+    background exactly.
 
     Returns a CalibrationFit; 1-sigma uncertainties come from the
     residual covariance at the optimum.
@@ -285,10 +284,8 @@ def fit_calibration(samples: Sequence[FrequencyShiftSample],
 
     base = float(offsets.max())
     floor = float(offsets.min())
-    if z0_bounds is None:
-        lo = base + max(gradient_model.z_min, 1e-10)
-        hi = min(floor + gradient_model.z_max, base + 50e-6)
-        z0_bounds = (lo, hi)
+    z0_bounds = (base + max(gradient_model.z_min, 1e-10),
+                 min(floor + gradient_model.z_max, base + 50e-6))
     if not z0_bounds[0] < z0_bounds[1]:
         raise FitError("empty z0 search interval; distances are "
                        "incompatible with the gradient model domain")

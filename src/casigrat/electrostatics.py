@@ -286,13 +286,15 @@ def build_trench_mesh(profile: GratingProfile, gap: float,
 
     The blocks meet at the ridge-top level y = 0, where the reentrant
     surface corners sit.  Above it an axis-aligned grid spans the full
-    period with rows graded toward y = 0; below it, columns over the
-    trench carry rows from the local surface y = -h(x) up to y = 0,
-    graded toward the mouth.  Where the trench opens (h crosses zero)
-    the lower rows collapse onto the corner node as a triangle fan, so
-    both corners are refined radially from every side.  The closing
-    column at x = period duplicates the x = 0 layout and is folded onto
-    it by ``dof_map``.
+    period with rows graded toward y = 0.  Below it every column has the
+    same nb + 1 row ids: a column over the trench carries rows from the
+    local surface y = -h(x) up to its mouth node at y = 0, graded toward
+    the mouth, and any other column repeats its mouth node in every row.
+    Both blocks are split two triangles per grid cell and triangles that
+    repeat a node are dropped, so beside a trench edge the lower cells
+    fan out from the corner node and both corners are refined radially
+    from every side.  The closing column at x = period duplicates the
+    x = 0 layout and is folded onto it by ``dof_map``.
     """
     if not gap > 0.0:
         raise ValueError("gap must be positive")
@@ -306,53 +308,32 @@ def build_trench_mesh(profile: GratingProfile, gap: float,
     na = control.ny
     y_up = gap * _graded_from_start(na)
     up_id = np.arange(n_cols * (na + 1)).reshape(n_cols, na + 1)
-    blocks = [np.column_stack([np.repeat(xs, na + 1),
-                               np.tile(y_up, n_cols)])]
 
     deep = h > 0.0
-    nb = 0
-    low_id = np.full((n_cols, 1), -1)
-    if deep.any():
-        depth = float(h.max())
-        nb = max(3, round(na * depth / (depth + gap)))
-        s = np.linspace(0.0, 1.0, nb + 1)
-        rise = 1.0 - (1.0 - s) ** _GRADE_MU  # dense near the mouth y = 0
-        low_id = np.full((n_cols, nb + 1), -1)
-        low_id[:, nb] = up_id[:, 0]  # mouth-level node is shared
-        next_id = n_cols * (na + 1)
-        for i in np.flatnonzero(deep):
-            low_id[i, :nb] = next_id + np.arange(nb)
-            next_id += nb
-            blocks.append(np.column_stack([
-                np.full(nb, xs[i]), -h[i] * (1.0 - rise[:nb])]))
-    nodes = np.vstack(blocks)
+    n_deep = np.count_nonzero(deep)
+    depth = float(h.max())
+    nb = max(3, round(na * depth / (depth + gap))) if n_deep else 0
+    s = np.linspace(0.0, 1.0, nb + 1)
+    rise = 1.0 - (1.0 - s) ** _GRADE_MU  # dense near the mouth y = 0
+    low_id = np.repeat(up_id[:, :1], nb + 1, axis=1)  # all on the mouth
+    low_id[deep, :nb] = (up_id.size
+                         + np.arange(n_deep * nb).reshape(n_deep, nb))
+    nodes = np.vstack([
+        np.column_stack([np.repeat(xs, na + 1), np.tile(y_up, n_cols)]),
+        np.column_stack([np.repeat(xs[deep], nb),
+                         (-h[deep, None] * (1.0 - rise[:nb])).ravel()])])
 
-    tris = []
-    for i in range(n_cols - 1):
-        lu, ru = up_id[i], up_id[i + 1]
-        for j in range(na):
-            tris.append((lu[j], ru[j], ru[j + 1]))
-            tris.append((lu[j], ru[j + 1], lu[j + 1]))
-        if deep[i] and deep[i + 1]:
-            ll, rl = low_id[i], low_id[i + 1]
-            for j in range(nb):
-                tris.append((ll[j], rl[j], rl[j + 1]))
-                tris.append((ll[j], rl[j + 1], ll[j + 1]))
-        elif deep[i + 1]:  # trench opens: fan from the left corner node
-            rl = low_id[i + 1]
-            for j in range(nb):
-                tris.append((up_id[i, 0], rl[j], rl[j + 1]))
-        elif deep[i]:  # trench closes: fan onto the right corner node
-            ll = low_id[i]
-            for j in range(nb):
-                tris.append((ll[j], up_id[i + 1, 0], ll[j + 1]))
-    triangles = np.array(tris, dtype=int)
+    # per column: the upper rows, then the lower rows, two per cell
+    tris = np.concatenate([_cell_triangles(up_id), _cell_triangles(low_id)],
+                          axis=1).reshape(-1, 3)
+    distinct = ((tris[:, 0] != tris[:, 1]) & (tris[:, 1] != tris[:, 2])
+                & (tris[:, 2] != tris[:, 0]))
 
     dof_map = np.arange(nodes.shape[0])
     dof_map[up_id[-1]] = up_id[0]  # the closing column has no lower nodes
 
-    mesh = Mesh2D(nodes=nodes, triangles=triangles,
-                  bottom_nodes=np.where(deep, low_id[:, 0], up_id[:, 0]),
+    mesh = Mesh2D(nodes=nodes, triangles=tris[distinct],
+                  bottom_nodes=low_id[:, 0].copy(),
                   top_nodes=up_id[:, na].copy(),
                   left_nodes=up_id[0].copy(),
                   right_nodes=up_id[-1].copy(),
@@ -360,6 +341,14 @@ def build_trench_mesh(profile: GratingProfile, gap: float,
                   period=profile.period)
     mesh.validate()
     return mesh
+
+
+def _cell_triangles(ids: Array) -> Array:
+    # (n_cols - 1, rows, 2, 3): each cell of the (n_cols, rows + 1) id
+    # grid split along its rising diagonal, counter-clockwise
+    corners = np.stack([ids[:-1, :-1], ids[1:, :-1], ids[1:, 1:],
+                        ids[:-1, 1:]], axis=-1)
+    return corners[..., [[0, 1, 2], [0, 2, 3]]]
 
 
 def _stiffness(mesh: Mesh2D) -> sp.csr_matrix:
@@ -410,8 +399,9 @@ def solve_corrugated_capacitor(profile: GratingProfile, gap: float, V: float,
     used[mesh.dof_map[mesh.triangles].ravel()] = True
     free &= used
 
-    k_ff = stiff[free][:, free]
-    rhs = -stiff[free][:, fixed] @ u[fixed]
+    stiff_free = stiff[free]
+    k_ff = stiff_free[:, free]
+    rhs = -stiff_free[:, fixed] @ u[fixed]
     try:
         u_free = spla.spsolve(k_ff.tocsc(), rhs)
     except Exception as exc:  # pragma: no cover - solver backend failure

@@ -156,14 +156,12 @@ class Slab:
     """One staircase slice of the trench cross-section.
 
     ``solid_fraction`` is the silicon fill of the slice; ``slot_width`` the
-    complementary vacuum opening.  ``depth_mid`` locates the slice midpoint
-    below the top surface.
+    complementary vacuum opening.
     """
 
     thickness: float
     solid_fraction: float
     slot_width: float
-    depth_mid: float
 
 
 def staircase(profile: GratingProfile, n_slices: int) -> list[Slab]:
@@ -180,30 +178,8 @@ def staircase(profile: GratingProfile, n_slices: int) -> list[Slab]:
     dt = profile.depth / n_slices
     slabs = []
     for i in range(n_slices):
-        d_mid = (i + 0.5) * dt
-        w = float(profile.trench_width_at_depth(d_mid))
+        w = float(profile.trench_width_at_depth((i + 0.5) * dt))
         slabs.append(Slab(thickness=dt, solid_fraction=1.0 - w / profile.period,
-                          slot_width=w, depth_mid=d_mid))
+                          slot_width=w))
     return slabs
 
-
-def staircase_profile_error(profile: GratingProfile, n_slices: int) -> float:
-    """L1 distance between the staircase and the true trench opening.
-
-    Integral over depth of |w_staircase(d) - w_true(d)|, normalized by the
-    etched cross-section area.  Scales as 1/n_slices for sloped walls.
-    """
-    slabs = staircase(profile, n_slices)
-    if not slabs:
-        return 0.0
-    err = 0.0
-    area = 0.0
-    for slab in slabs:
-        d0 = slab.depth_mid - 0.5 * slab.thickness
-        d1 = slab.depth_mid + 0.5 * slab.thickness
-        # |w_true(d) - w_slab| for linear w_true is triangular about d_mid.
-        d_fine = np.linspace(d0, d1, 64)
-        w_true = profile.trench_width_at_depth(d_fine)
-        err += float(np.trapezoid(np.abs(w_true - slab.slot_width), d_fine))
-        area += slab.slot_width * slab.thickness
-    return err / area

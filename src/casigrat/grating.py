@@ -62,6 +62,10 @@ from .quadrature import asinh_gauss_legendre, gauss_legendre
 
 Array = np.ndarray
 
+# Scaled-variable window y = 2 kappa z of the xi and k_y rules.
+_Y_SCALE = 1.0
+_Y_HI = 45.0
+
 
 class ModalError(NumericalError):
     """Modal eigenproblem or interface solve failed; carries (xi, k) context."""
@@ -69,26 +73,22 @@ class ModalError(NumericalError):
 
 @dataclass(frozen=True)
 class GratingQuadrature:
-    """Node counts and scaled-variable window for the (xi, k_x, k_y) grid.
+    """Node counts for the (xi, k_x, k_y) grid.
 
     xi and k_y run on arcsinh-mapped Gauss-Legendre rules: linear near the
     axis origin, where the product-grid integrand stays finite, and
-    logarithmic out to y = 2 kappa z ~ y_hi for the smallest requested z
-    (the transition sits at y ~ y_scale for the largest z).  k_x runs on a
-    plain Gauss-Legendre rule over half the Brillouin zone.
+    logarithmic out to y = 2 kappa z ~ _Y_HI for the smallest requested z
+    (the transition sits at y ~ _Y_SCALE for the largest z).  k_x runs on
+    a plain Gauss-Legendre rule over half the Brillouin zone.
     """
 
     xi_nodes: int = 40
     kx_nodes: int = 8
     ky_nodes: int = 40
-    y_scale: float = 1.0
-    y_hi: float = 45.0
 
     def __post_init__(self) -> None:
         if min(self.xi_nodes, self.kx_nodes, self.ky_nodes) < 4:
             raise ValueError("need at least 4 nodes per axis")
-        if not 0.0 < self.y_scale < self.y_hi:
-            raise ValueError("need 0 < y_scale < y_hi")
 
 
 @dataclass(frozen=True)
@@ -396,8 +396,8 @@ def grating_reflection(profile: GratingProfile, model: DielectricModel,
 
 def _quad_nodes(z_grid: Array, period: float, quad: GratingQuadrature):
     z_min, z_max = float(z_grid.min()), float(z_grid.max())
-    scale = quad.y_scale / (2.0 * z_max)
-    hi = quad.y_hi / (2.0 * z_min)
+    scale = _Y_SCALE / (2.0 * z_max)
+    hi = _Y_HI / (2.0 * z_min)
     q_nodes, q_w = asinh_gauss_legendre(scale, hi, quad.xi_nodes)
     ky_nodes, ky_w = asinh_gauss_legendre(scale, hi, quad.ky_nodes)
     kx_nodes, kx_w = gauss_legendre(0.0, math.pi / period, quad.kx_nodes)

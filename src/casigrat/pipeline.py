@@ -78,6 +78,14 @@ def _sphere_radius(config: Config) -> float:
     return radius
 
 
+def _solver_count(config: Config, key: str, default: int,
+                  minimum: int) -> int:
+    n = config.integer("solver", key, default)
+    if n < minimum:
+        raise ConfigError(f"[solver] {key} must be >= {minimum}, got {n}")
+    return n
+
+
 def _base_metadata(config: Config, task: str) -> dict:
     return {"task": task, "inputs": config.digest()}
 
@@ -106,7 +114,7 @@ def flat_force_gradient_curve(config: Config) -> dict[str, ForceCurve]:
             config.integer("roughness", "n_points", 21))
         pad = float(np.max(np.abs(spec.offsets)))
 
-    n_table = config.integer("solver", "table_points", 48)
+    n_table = _solver_count(config, "table_points", 48, 4)
     law = flat_pressure_law(mat_a, mat_b, float(z_grid[0]) - pad,
                             float(z_grid[-1]) + pad, n_table)
     avg = law(z_grid) if spec is None else roughness_average(law, z_grid, spec)
@@ -137,11 +145,13 @@ def rho_ratio_curves(config: Config) -> dict[str, ForceCurve]:
     plane_mat = config.string("materials", "plane", "gold_drude")
     model_g, model_p = get_material(grating_mat), get_material(plane_mat)
     z_grid = config.grid("grid", "z", "100:250:30nm")
-    spec = TruncationSpec(orders=config.integer("solver", "orders", 8),
-                          n_slices=config.integer("solver", "slices", 4))
+    spec = TruncationSpec(orders=_solver_count(config, "orders", 8, 0),
+                          n_slices=_solver_count(config, "slices", 4, 1))
     workers = worker_count()
     measured_path = config.string("measured", "gradient_csv", "")
-    radius = _sphere_radius(config) if measured_path else None
+    if measured_path:
+        radius = _sphere_radius(config)
+        measured = ForceCurve.from_csv(measured_path)
 
     theory = rho_ratio(profile, model_g, model_p, z_grid, spec,
                        workers=workers)
@@ -157,7 +167,6 @@ def rho_ratio_curves(config: Config) -> dict[str, ForceCurve]:
                                        metadata=meta)}
 
     if measured_path:
-        measured = ForceCurve.from_csv(measured_path)
         law = flat_pressure_law(model_p, model_g, float(np.min(measured.z)),
                                 float(np.max(measured.z)) + profile.depth)
         pfa_grad = 2.0 * np.pi * radius * np.abs(
@@ -188,7 +197,7 @@ def electrostatic_gradient_curves(config: Config) -> dict[str, ForceCurve]:
         SpherePlaneES(R=radius, d=z, V=volt, V0=v0)) for z in z_grid])
     model = fem_gradient_model(
         profile, radius, z_min=float(z_grid[0]), z_max=float(z_grid[-1]),
-        n_points=config.integer("solver", "table_points", 48), v0=v0)
+        n_points=_solver_count(config, "table_points", 48, 8), v0=v0)
     corr_vals = np.array([model(z, volt) for z in z_grid])
 
     meta = _base_metadata(config, "electrostatic_gradient")

@@ -153,10 +153,14 @@ def test_pipeline_rerun_byte_identical(tmp_path):
     assert (out_a / name).read_bytes() == body
 
 
-def test_check_flag_runs_suite(capsys):
-    assert main(["pfa", "--check"]) == 0
+@pytest.mark.parametrize("argv, summary", [
+    (["pfa", "--check"], "checks passed"),
+    (["pipeline", "--check", "--all-checks"], "16/16 checks passed"),
+], ids=["pfa", "all"])
+def test_check_flag_runs_suite(capsys, argv, summary):
+    assert main(argv) == 0
     out = capsys.readouterr().out
-    assert "checks passed" in out
+    assert summary in out
 
 
 def test_usage_errors_exit_2(tmp_path, capsys):
@@ -210,6 +214,16 @@ def test_usage_errors_exit_2(tmp_path, capsys):
         assert main(["pipeline", "--config", str(zero_radius),
                      "--out", str(tmp_path / "out")]) == 2
         assert "[sphere] radius" in capsys.readouterr().err
+    for task, line, key in (
+            ("electrostatic_gradient", "table_points = 4", "table_points"),
+            ("flat_force_gradient", "table_points = 2", "table_points"),
+            ("rho_ratio", "orders = -1", "orders"),
+            ("rho_ratio", "slices = 0", "slices")):
+        bad_solver = tmp_path / f"{task}_{key}.cfg"
+        bad_solver.write_text(f"[pipeline]\ntask = {task}\n[solver]\n{line}\n")
+        assert main(["pipeline", "--config", str(bad_solver),
+                     "--out", str(tmp_path / "out")]) == 2
+        assert f"[solver] {key}" in capsys.readouterr().err
 
 
 def test_numerical_failures_exit_1(tmp_path):

@@ -13,6 +13,7 @@
 """
 
 import dataclasses
+import hashlib
 import math
 import warnings
 
@@ -274,6 +275,32 @@ def test_mesh_structure(trench):
     bottom_y = mesh.nodes[mesh.bottom_nodes, 1]
     assert bottom_y.min() == pytest.approx(-trench.depth)
     assert bottom_y.max() == 0.0
+
+
+def _digest(ids):
+    return hashlib.sha256(ids.astype("<i8").tobytes()).hexdigest()[:16]
+
+
+def test_reference_mesh_pinned(trench):
+    # node and triangle order are part of the pin: assembly and the
+    # electrostatic CSVs depend on them bit for bit
+    mesh = build_trench_mesh(trench, 150e-9)
+    assert mesh.n_triangles == 13146
+    assert mesh.nodes.shape == (6734, 2)
+    assert _digest(mesh.triangles) == "5f814e06804e9e8b"
+    assert _digest(mesh.bottom_nodes) == "1708dec78bf3e4c1"
+
+
+@pytest.mark.parametrize("profile", [
+    GratingProfile(400e-9, 400e-9, 0.0, 0.0),
+    GratingProfile(400e-9, 185.3e-9, 214.7e-9, 98e-9),
+    GratingProfile(400e-9, 204e-9, 0.0, 98e-9, 135.0),
+    GratingProfile(400e-9, 185.3e-9, 199.1e-9, 500e-9),
+], ids=["flat", "vertical", "wall135", "deep500"])
+def test_no_triangle_repeats_a_vertex(profile):
+    tri = build_trench_mesh(profile, 150e-9).triangles
+    assert np.all((tri[:, 0] != tri[:, 1]) & (tri[:, 1] != tri[:, 2])
+                  & (tri[:, 2] != tri[:, 0]))
 
 
 def test_validate_rejects_inverted_triangles(trench):

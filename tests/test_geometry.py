@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from casigrat import GratingProfile, height_profile, staircase
-from casigrat.geometry import staircase_profile_error
 
 
 def vertical_profile():
@@ -91,13 +90,6 @@ def test_staircase_preserves_trench_area(trench):
         slabs = staircase(trench, n)
         area = sum(s.slot_width * s.thickness for s in slabs)
         assert area == pytest.approx(exact_area, rel=1e-12)
-
-
-def test_staircase_error_scales_inverse_n(trench):
-    e8 = staircase_profile_error(trench, 8)
-    e16 = staircase_profile_error(trench, 16)
-    assert e8 > 0.0
-    assert e8 / e16 == pytest.approx(2.0, rel=0.05)
 
 
 def test_staircase_zero_depth():

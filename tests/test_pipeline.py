@@ -137,6 +137,20 @@ def test_measured_ratio_ingestion(tmp_path):
     assert "rho_theory" in curves
 
 
+def test_measured_csv_read_before_grating(tmp_path, monkeypatch):
+    import casigrat.grating
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("grating ran before the measured CSV was read")
+
+    monkeypatch.setattr(casigrat.grating, "casimir_pressure_grating_grid",
+                        unreachable)
+    cfg = _cfg("[pipeline]\ntask = rho_ratio\n[measured]\n"
+               f"gradient_csv = {tmp_path / 'missing.csv'}\n")
+    with pytest.raises(FileNotFoundError):
+        rho_ratio_curves(cfg)
+
+
 ES_CFG = """\
 [pipeline]
 task = electrostatic_gradient
