@@ -10,6 +10,16 @@ Two force models:
    area maps to the sphere force through the close-proximity rule
    F = 2 pi R E.
 
+The cell's gap block, the x-periodic tensor grid between the ridge-top
+level y = 0 and the electrode, is split into right triangles, so its
+stiffness is exactly Ax (x) My + Mx (x) Ay (1-D stiffness A, lumped
+length M).  The solver eliminates it by block elimination: the column
+eigenmodes Ax v = lam Mx v are computed once per column layout, a sweep
+over the rows reduces each mode to a 2x2 map between y = 0 and the
+electrode, and the map onto the trench mouths becomes one dense block of
+a sparse system on the trench nodes.  That system is the only sparse
+factorisation per solve.
+
 Forces are signed along the surface normal, negative = attractive,
 matching the Casimir modules; force gradients dF/dz are then positive
 for the decaying attractions computed here.
@@ -17,6 +27,7 @@ for the decaying attractions computed here.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 
@@ -242,10 +253,17 @@ def _is_flat(profile: GratingProfile) -> bool:
     return profile.depth == 0.0 or profile.top_width >= profile.period
 
 
+# Shortest meshed ramp, as a fraction of the period.  Near-vertical walls
+# get this ramp, and a plateau or floor under half of it gets no columns.
+# Every column spacing then stays above about 1e-5 of the period, which
+# bounds the conditioning of the x-modes in solve_corrugated_capacitor.
+_MIN_RAMP = 1e-4
+
+
 def _meshing_profile(profile: GratingProfile) -> GratingProfile:
     # near-vertical walls: mesh with a minimal ramp so the terrain map
     # stays single-valued; geometry perturbation O(1e-4) period
-    min_ramp = profile.period * 1e-4
+    min_ramp = profile.period * _MIN_RAMP
     if _is_flat(profile) or profile.p3 * profile.period >= min_ramp:
         return profile
     if profile.period - profile.top_width < 2.0 * min_ramp:
@@ -266,7 +284,7 @@ def _column_positions(profile: GratingProfile, nx: int) -> Array:
     l2 = lam - l1 - 2.0 * ramp
     bounds = np.array([0.0, l1, l1 + ramp, l1 + ramp + l2, lam])
     lengths = np.diff(bounds)
-    live = lengths > 0.0
+    live = lengths > 0.5 * _MIN_RAMP * lam
     weights = np.where(live, lengths**0.6, 0.0)
     alloc = np.zeros(4, dtype=int)
     alloc[live] = np.maximum(3, np.round(
@@ -351,10 +369,9 @@ def _cell_triangles(ids: Array) -> Array:
     return corners[..., [[0, 1, 2], [0, 2, 3]]]
 
 
-def _stiffness(mesh: Mesh2D) -> sp.csr_matrix:
-    # element geometry from the true node coordinates, scatter-add into
-    # dof space so the periodic columns share equations
-    p = mesh.nodes[mesh.triangles]  # (M, 3, 2)
+def _element_stiffness(nodes: Array, triangles: Array) -> Array:
+    # (M, 3, 3) P1 stiffness of each triangle from its node coordinates
+    p = nodes[triangles]  # (M, 3, 2)
     x = p[:, :, 0]
     y = p[:, :, 1]
     b = np.stack([y[:, 1] - y[:, 2], y[:, 2] - y[:, 0], y[:, 0] - y[:, 1]],
@@ -363,14 +380,56 @@ def _stiffness(mesh: Mesh2D) -> sp.csr_matrix:
                  axis=1)
     area4 = 2.0 * ((x[:, 1] - x[:, 0]) * (y[:, 2] - y[:, 0])
                    - (x[:, 2] - x[:, 0]) * (y[:, 1] - y[:, 0]))
-    k_local = (b[:, :, None] * b[:, None, :]
-               + c[:, :, None] * c[:, None, :]) / area4[:, None, None]
-    dofs = mesh.dof_map[mesh.triangles]
-    rows = np.repeat(dofs, 3, axis=1).ravel()
-    cols = np.tile(dofs, (1, 3)).ravel()
-    n = mesh.nodes.shape[0]
-    return sp.coo_matrix((k_local.ravel(), (rows, cols)),
-                         shape=(n, n)).tocsr()
+    return (b[:, :, None] * b[:, None, :]
+            + c[:, :, None] * c[:, None, :]) / area4[:, None, None]
+
+
+@functools.lru_cache(maxsize=16)
+def _x_modes(hx_bytes: bytes) -> tuple[Array, Array, Array]:
+    """Modes of the periodic column layout with spacings ``hx``.
+
+    Solves Ax v = lam Mx v (1-D P1 stiffness, lumped lengths) with
+    Mx-orthonormal v and returns (lam, mx, Mx V), built once per layout
+    and read-only.  Mode 0 is set to the exact constant 1 / sqrt(period)
+    with lam = 0, so a uniform potential couples to no other mode.
+    """
+    hx = np.frombuffer(hx_bytes)
+    inv = 1.0 / hx
+    mx = 0.5 * (hx + np.roll(hx, 1))
+    i = np.arange(hx.size)
+    ax = np.diag(inv + np.roll(inv, 1))
+    ax[i, (i + 1) % hx.size] -= inv
+    ax[(i + 1) % hx.size, i] -= inv
+    root = np.sqrt(mx)
+    lam, q = np.linalg.eigh(ax / root[:, None] / root[None, :])
+    mv = root[:, None] * q
+    lam[0] = 0.0
+    mv[:, 0] = mx / math.sqrt(hx.sum())
+    for arr in (lam, mx, mv):
+        arr.flags.writeable = False
+    return lam, mx, mv
+
+
+def _end_row_schur(lam: Array, hy: Array) -> tuple[Array, Array, Array]:
+    """(s00, s01, s11): lam My + Ay on the rows y0 < ... < y_na, reduced
+    onto its end rows, for every x-mode lam.
+
+    A sweep upward adds one row interval at a time and eliminates the
+    row below it.  It carries the row sums sa = s00 + s01 and
+    sd = s11 + s01, which vanish at lam = 0, so every update adds
+    non-negative terms and no digit cancels on the graded rows.
+    """
+    m = 0.5 * lam * hy[0]
+    sa = sd = m
+    b = np.full_like(lam, -1.0 / hy[0])
+    for h in hy[1:]:
+        m = 0.5 * lam * h
+        g = 1.0 / h
+        piv = sd - b + g + m
+        sa, sd, b = (((sa - b) * (sd + m) + sa * (g - b)) / piv,
+                     (sd * g + m * (2.0 * g + m + sd - b)) / piv,
+                     b * g / piv)
+    return sa - b, b, sd - b
 
 
 def solve_corrugated_capacitor(profile: GratingProfile, gap: float, V: float,
@@ -382,35 +441,57 @@ def solve_corrugated_capacitor(profile: GratingProfile, gap: float, V: float,
     the vertical cuts are periodic.  The energy comes from the P1 field-
     energy integral (eps0 / 2) Int |grad phi|^2 over one period, divided
     by the period.
+
+    The gap block above y = 0 is eliminated exactly: its stiffness is
+    Ax (x) My + Mx (x) Ay, so in the x-modes of ``_x_modes`` it reduces
+    to a 2x2 map per mode between the rows y = 0 and y = gap.  What is
+    left is a sparse system on the trench nodes plus a dense
+    mouth-to-mouth block (Buzbee, Dorr, George and Golub, SIAM J. Numer.
+    Anal. 8, 722 (1971)).
     """
     mesh = build_trench_mesh(profile, gap, control)
     n = mesh.nodes.shape[0]
-    stiff = _stiffness(mesh)
+    rows = mesh.left_nodes.size  # na + 1; upper node id = col * rows + row
+    n_up = mesh.top_nodes.size * rows
+    lam, mx, mv = _x_modes(np.diff(mesh.nodes[mesh.top_nodes, 0]).tobytes())
+    s00, s01, s11 = _end_row_schur(lam,
+                                   np.diff(mesh.nodes[mesh.left_nodes, 1]))
 
-    u = np.zeros(n)
-    u[mesh.dof_map[mesh.top_nodes]] = V
-    fixed = np.zeros(n, dtype=bool)
-    fixed[mesh.dof_map[mesh.top_nodes]] = True
-    fixed[mesh.dof_map[mesh.bottom_nodes]] = True
-    free = ~fixed
-    # the folded right-column ids own no equations; a dangling all-zero
-    # row would make the reduced system singular
-    used = np.zeros(n, dtype=bool)
-    used[mesh.dof_map[mesh.triangles].ravel()] = True
-    free &= used
+    # unknowns: the mouth nodes of the columns whose grounded surface
+    # lies below y = 0 (the closing column folds onto column 0), then the
+    # trench nodes not on that surface
+    mouths = np.flatnonzero(mesh.bottom_nodes[:-1] >= n_up)
+    inner = np.ones(n - n_up, dtype=bool)
+    inner[mesh.bottom_nodes[mouths] - n_up] = False
+    unknown = np.concatenate([mouths * rows, n_up + np.flatnonzero(inner)])
+    pos = np.full(n, -1)
+    pos[unknown] = np.arange(unknown.size)
 
-    stiff_free = stiff[free]
-    k_ff = stiff_free[:, free]
-    rhs = -stiff_free[:, fixed] @ u[fixed]
+    # the trench triangles, plus the gap block as a dense mouth block
+    trench = mesh.triangles[mesh.triangles.max(axis=1) >= n_up]
+    dofs = pos[mesh.dof_map[trench]]
+    r = np.repeat(dofs, 3, axis=1).ravel()
+    c = np.tile(dofs, (1, 3)).ravel()
+    keep = (r >= 0) & (c >= 0)
+    gap_map = (mv[mouths] * s00) @ mv[mouths].T
+    i, j = np.indices(gap_map.shape).reshape(2, -1)
+    k_uu = sp.csc_matrix(
+        (np.concatenate([_element_stiffness(mesh.nodes, trench).ravel()[keep],
+                         gap_map.ravel()]),
+         (np.concatenate([r[keep], i]), np.concatenate([c[keep], j]))),
+        shape=(unknown.size, unknown.size))
+    rhs = np.zeros(unknown.size)
+    rhs[:mouths.size] = -s01[0] * V * mx[mouths]
     try:
-        u_free = spla.spsolve(k_ff.tocsc(), rhs)
+        u = spla.spsolve(k_uu, rhs, permc_spec="MMD_AT_PLUS_A")
     except Exception as exc:  # pragma: no cover - solver backend failure
         raise NumericalError(f"capacitor linear solve failed: {exc}") from exc
-    if not np.all(np.isfinite(u_free)):
+    if not np.all(np.isfinite(u)):
         raise NumericalError("capacitor linear solve returned non-finite "
                              "potentials")
-    u[free] = u_free
-    energy = 0.5 * EPS0 * float(u @ (stiff @ u)) / profile.period
+    # u^T K u = s11(0) V^2 period - u . rhs: the electrode row enters
+    # through the constant mode alone
+    energy = 0.5 * EPS0 * (s11[0] * V * V - float(u @ rhs) / profile.period)
     if return_mesh:
         return energy, mesh
     return energy

@@ -108,10 +108,13 @@ def flat_force_gradient_curve(config: Config) -> dict[str, ForceCurve]:
     spec = None
     pad = 0.0
     if rough_on:
-        spec = RoughnessSpec.combined_gaussian(
-            config.quantity("roughness", "sphere_rms", 4e-9),
-            config.quantity("roughness", "plane_rms", 0.6e-9),
-            config.integer("roughness", "n_points", 21))
+        rms = (config.quantity("roughness", "sphere_rms", 4e-9),
+               config.quantity("roughness", "plane_rms", 0.6e-9))
+        n_rough = config.integer("roughness", "n_points", 21)
+        try:
+            spec = RoughnessSpec.combined_gaussian(*rms, n_rough)
+        except ValueError as exc:
+            raise ConfigError(f"[roughness] {exc}") from exc
         pad = float(np.max(np.abs(spec.offsets)))
 
     n_table = _solver_count(config, "table_points", 48, 4)
@@ -151,7 +154,10 @@ def rho_ratio_curves(config: Config) -> dict[str, ForceCurve]:
     measured_path = config.string("measured", "gradient_csv", "")
     if measured_path:
         radius = _sphere_radius(config)
-        measured = ForceCurve.from_csv(measured_path)
+        try:
+            measured = ForceCurve.from_csv(measured_path)
+        except ValueError as exc:
+            raise ConfigError(f"[measured] gradient_csv: {exc}") from exc
 
     theory = rho_ratio(profile, model_g, model_p, z_grid, spec,
                        workers=workers)

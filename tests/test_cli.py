@@ -224,6 +224,20 @@ def test_usage_errors_exit_2(tmp_path, capsys):
         assert main(["pipeline", "--config", str(bad_solver),
                      "--out", str(tmp_path / "out")]) == 2
         assert f"[solver] {key}" in capsys.readouterr().err
+    malformed = tmp_path / "malformed.csv"
+    malformed.write_text("z_nm,value\n100,1e-3\n150,2e-3,7\n")
+    bad_measured = tmp_path / "bad_measured.cfg"
+    bad_measured.write_text("[pipeline]\ntask = rho_ratio\n[measured]\n"
+                            f"gradient_csv = {malformed}\n")
+    assert main(["pipeline", "--config", str(bad_measured),
+                 "--out", str(tmp_path / "out")]) == 2
+    assert "[measured] gradient_csv" in capsys.readouterr().err
+    bad_rough = tmp_path / "bad_roughness.cfg"
+    bad_rough.write_text("[pipeline]\ntask = flat_force_gradient\n"
+                         "[roughness]\nn_points = 0\n")
+    assert main(["pipeline", "--config", str(bad_rough),
+                 "--out", str(tmp_path / "out")]) == 2
+    assert "[roughness] n_points" in capsys.readouterr().err
 
 
 def test_numerical_failures_exit_1(tmp_path):

@@ -10,6 +10,9 @@
    potential trial above).
 3. The flat-cell limit must agree with the parallel-plate law to solver
    precision, tying the FEM to the series model.
+4. The block-eliminating cell solver is checked against a plain global
+   P1 assembly and sparse solve of the same mesh, and the gap block's
+   stiffness against its tensor-product form.
 """
 
 import dataclasses
@@ -19,6 +22,10 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from casigrat import (
     EPS0,
@@ -33,7 +40,7 @@ from casigrat import (
     sphere_plane_force,
     sphere_plane_gradient,
 )
-from casigrat.electrostatics import ALPHA_SERIES_MIN
+from casigrat.electrostatics import ALPHA_SERIES_MIN, _x_modes
 
 RADIUS = 151.7e-6
 VOLT = 0.3
@@ -301,6 +308,138 @@ def test_no_triangle_repeats_a_vertex(profile):
     tri = build_trench_mesh(profile, 150e-9).triangles
     assert np.all((tri[:, 0] != tri[:, 1]) & (tri[:, 1] != tri[:, 2])
                   & (tri[:, 2] != tri[:, 0]))
+
+
+# --------------------------------------------------------------------------
+# oracle 4: global assembly of the same mesh, one sparse solve
+
+
+def global_stiffness(mesh, triangles):
+    """P1 stiffness of ``triangles`` scattered into the folded dof space."""
+    p = mesh.nodes[triangles]
+    x, y = p[:, :, 0], p[:, :, 1]
+    b = np.stack([y[:, 1] - y[:, 2], y[:, 2] - y[:, 0], y[:, 0] - y[:, 1]],
+                 axis=1)
+    c = np.stack([x[:, 2] - x[:, 1], x[:, 0] - x[:, 2], x[:, 1] - x[:, 0]],
+                 axis=1)
+    area4 = 2.0 * ((x[:, 1] - x[:, 0]) * (y[:, 2] - y[:, 0])
+                   - (x[:, 2] - x[:, 0]) * (y[:, 1] - y[:, 0]))
+    k_local = (b[:, :, None] * b[:, None, :]
+               + c[:, :, None] * c[:, None, :]) / area4[:, None, None]
+    dofs = mesh.dof_map[triangles]
+    n = mesh.nodes.shape[0]
+    return sp.coo_matrix((k_local.ravel(),
+                          (np.repeat(dofs, 3, axis=1).ravel(),
+                           np.tile(dofs, (1, 3)).ravel())),
+                         shape=(n, n)).tocsr()
+
+
+def global_solve_energy(profile, gap, volt, control=None):
+    """Energy per area from the whole-cell assembly and one spsolve."""
+    mesh = build_trench_mesh(profile, gap, control)
+    n = mesh.nodes.shape[0]
+    stiff = global_stiffness(mesh, mesh.triangles)
+    u = np.zeros(n)
+    fixed = np.zeros(n, dtype=bool)
+    u[mesh.dof_map[mesh.top_nodes]] = volt
+    fixed[mesh.dof_map[mesh.top_nodes]] = True
+    fixed[mesh.dof_map[mesh.bottom_nodes]] = True
+    free = ~fixed
+    free[np.setdiff1d(np.arange(n), mesh.dof_map)] = False  # folded ids
+    k_free = stiff[free]
+    u[free] = spla.spsolve(k_free[:, free].tocsc(),
+                           -k_free[:, fixed] @ u[fixed])
+    return 0.5 * EPS0 * float(u @ (stiff @ u)) / profile.period
+
+
+CELLS = {
+    "flat": GratingProfile(400e-9, 400e-9, 0.0, 0.0),
+    "vertical": GratingProfile(400e-9, 185.3e-9, 214.7e-9, 98e-9),
+    "wall135": GratingProfile(400e-9, 204e-9, 0.0, 98e-9, 135.0),
+    "deep500": GratingProfile(400e-9, 185.3e-9, 199.1e-9, 500e-9),
+    "reference": GratingProfile(400e-9, 185.3e-9, 199.1e-9, 98e-9, 94.6),
+}
+
+
+@pytest.mark.parametrize("control", [None, MeshControl(37, 11),
+                                     MeshControl().scaled(2.0)],
+                         ids=["default", "37x11", "doubled"])
+@pytest.mark.parametrize("name", list(CELLS))
+def test_block_elimination_matches_global_solve(name, control):
+    for gap in (50e-9, 150e-9, 600e-9):
+        expected = global_solve_energy(CELLS[name], gap, VOLT, control)
+        got = solve_corrugated_capacitor(CELLS[name], gap, VOLT, control)
+        assert got == pytest.approx(expected, rel=1e-7)
+
+
+@settings(max_examples=15, deadline=None, derandomize=True)
+@given(period=st.floats(200e-9, 800e-9), p1=st.floats(1e-6, 0.9),
+       p2_share=st.floats(0.0, 0.99), depth=st.floats(1e-9, 300e-9),
+       gap=st.floats(30e-9, 600e-9))
+def test_block_elimination_matches_global_solve_on_trapezoids(
+        period, p1, p2_share, depth, gap):
+    top = p1 * period
+    prof = GratingProfile(period, top, p2_share * (period - top), depth)
+    control = MeshControl(24, 8)
+    expected = global_solve_energy(prof, gap, VOLT, control)
+    got = solve_corrugated_capacitor(prof, gap, VOLT, control)
+    assert got == pytest.approx(expected, rel=1e-7)
+
+
+def test_short_segments_get_no_columns():
+    # a V-groove whose floor width rounds to ~1e-23 m, and a floor or a
+    # plateau far under the meshing ramp: no column spacing may collapse
+    period = 3.4058189129236817e-07
+    for prof in (GratingProfile(period, 0.05 * period, 0.0, 246e-9),
+                 GratingProfile(400e-9, 200e-9, 4e-14, 30e-9),
+                 GratingProfile(400e-9, 4e-14, 100e-9, 30e-9)):
+        mesh = build_trench_mesh(prof, 30e-9)
+        assert np.diff(mesh.nodes[mesh.top_nodes, 0]).min() > 1e-6 * period
+
+
+@pytest.mark.parametrize("name", ["flat", "vertical", "reference"])
+def test_gap_block_is_a_tensor_product(name):
+    # every gap-block cell is split into two right triangles whose
+    # diagonal carries no stiffness, so the block is Ax (x) My + Mx (x) Ay
+    mesh = build_trench_mesh(CELLS[name], 150e-9, MeshControl(37, 11))
+    rows = mesh.left_nodes.size
+    n_up = mesh.top_nodes.size * rows
+    upper = mesh.triangles[mesh.triangles.max(axis=1) < n_up]
+    n_cols = mesh.top_nodes.size - 1
+    keep = np.arange(n_cols * rows)  # the closing column is folded away
+    block = global_stiffness(mesh, upper)[keep][:, keep]
+
+    def p1_1d(h, periodic):
+        n = h.size if periodic else h.size + 1
+        a = np.zeros((n, n))
+        m = np.zeros(n)
+        for i, hi in enumerate(h):
+            j = (i + 1) % n
+            a[[i, j, i, j], [i, j, j, i]] += [1 / hi, 1 / hi, -1 / hi, -1 / hi]
+            m[[i, j]] += 0.5 * hi
+        return a, np.diag(m)
+
+    ax, mx = p1_1d(np.diff(mesh.nodes[mesh.top_nodes, 0]), periodic=True)
+    ay, my = p1_1d(np.diff(mesh.nodes[mesh.left_nodes, 1]), periodic=False)
+    tensor = sp.csr_matrix(np.kron(ax, my) + np.kron(mx, ay))
+    excess = abs(block - tensor) - 1e-12 * abs(tensor)
+    assert excess.max() <= 0.0
+
+
+def test_x_modes_are_cached_read_only(trench):
+    mesh = build_trench_mesh(trench, 150e-9)
+    key = np.diff(mesh.nodes[mesh.top_nodes, 0]).tobytes()
+    modes = _x_modes(key)
+    for arr in modes:
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[0] = 0.0
+    assert _x_modes(key) is modes
+    lam, mx, mv = modes
+    assert lam[0] == 0.0 and np.all(lam[1:] > 0.0)
+    # Mx-orthonormal: V^T Mx V = I with V = (Mx V) / mx
+    np.testing.assert_allclose(mv.T @ (mv / mx[:, None]), np.eye(lam.size),
+                               atol=1e-10)
 
 
 def test_validate_rejects_inverted_triangles(trench):
