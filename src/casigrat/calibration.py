@@ -11,12 +11,15 @@ Distance bookkeeping: the sphere-surface gap of a sample is
 z = z0 - z_piezo - b * theta, with z0 the unextended standoff, z_piezo
 the piezo extension and theta the measured tilt.
 
+Gradient models broadcast gaps against voltages, like ``FlatForceLaw``,
+so the fit and the synthetic sweep evaluate all samples in one call.
+
 ``fit_calibration`` recovers (coeff, z0) from frequency-shift samples by
 separable least squares: for trial z0 the model is linear in coeff, and
 the concentrated residual is minimized over z0 with a bounded scalar
-search.  A known Casimir force-gradient background can be added to the
-model, or cancelled exactly by fitting voltage differences at shared
-distances.
+search; each trial evaluates the model once on the gap array.  A known
+Casimir force-gradient background can be added to the model, or
+cancelled exactly by fitting voltage differences at shared distances.
 """
 
 from __future__ import annotations
@@ -116,29 +119,37 @@ def inertia_from_coefficient(coeff: float, lever_b: float, f0: float) -> float:
 class GradientModel:
     """Force gradient dF/dz (N/m) as a function of gap and voltage.
 
-    ``fn(z, volt)`` is evaluated only inside [z_min, z_max]; the residual
-    voltage is part of the model, so callers pass raw applied voltages.
+    ``model(z, volt)`` broadcasts z against volt and returns a float for
+    scalars, else an array; ``fn`` gets the broadcast arrays once every gap
+    lies in [z_min, z_max].  The residual voltage is part of the model, so
+    callers pass raw applied voltages.
     """
 
-    fn: Callable[[float, float], float]
+    fn: Callable[[Array, Array], Array]
     z_min: float
     z_max: float
     label: str
 
-    def __call__(self, z: float, volt: float) -> float:
-        if not self.z_min <= z <= self.z_max:
+    def __call__(self, z, volt):
+        z, volt = np.broadcast_arrays(np.asarray(z, dtype=float),
+                                      np.asarray(volt, dtype=float))
+        outside = ~((z >= self.z_min) & (z <= self.z_max))
+        if outside.any():
             raise ValueError(
-                f"gap {z:.3e} m outside the {self.label} model domain "
-                f"[{self.z_min:.3e}, {self.z_max:.3e}] m")
-        return self.fn(z, volt)
+                f"gap {z[outside][0]:.3e} m outside the {self.label} model "
+                f"domain [{self.z_min:.3e}, {self.z_max:.3e}] m")
+        grad = self.fn(z, volt)
+        return float(grad) if np.ndim(grad) == 0 else grad
 
 
 def series_gradient_model(radius: float, v0: float = 0.0) -> GradientModel:
-    """Sphere-plane gradient from the exact image-charge series."""
+    """Sphere-plane gradient from the exact image-charge series, summed
+    gap by gap: each gap sets its own truncation."""
 
-    def fn(z: float, volt: float) -> float:
-        return sphere_plane_gradient(SpherePlaneES(R=radius, d=z, V=volt,
-                                                   V0=v0))
+    def fn(z: Array, volt: Array) -> Array:
+        return np.array([
+            sphere_plane_gradient(SpherePlaneES(R=radius, d=d, V=v, V0=v0))
+            for d, v in zip(z.ravel(), volt.ravel())]).reshape(z.shape)
 
     return GradientModel(fn=fn, z_min=1e-12, z_max=0.1 * radius,
                          label="series")
@@ -165,9 +176,9 @@ def fem_gradient_model(profile: GratingProfile, radius: float,
                          for z in grid])
     slope = PchipInterpolator(grid, energies).derivative()
 
-    def fn(z: float, volt: float) -> float:
+    def fn(z: Array, volt: Array) -> Array:
         dv = volt - v0
-        return -2.0 * math.pi * radius * dv * dv * float(slope(z))
+        return -2.0 * math.pi * radius * dv * dv * slope(z)
 
     return GradientModel(fn=fn, z_min=z_min, z_max=z_max, label="capacitor-fem")
 
@@ -175,7 +186,7 @@ def fem_gradient_model(profile: GratingProfile, radius: float,
 def plate_gradient_model(radius: float, v0: float = 0.0) -> GradientModel:
     """Small-gap plate law pi eps0 R (V - V0)^2 / z^2, for fast synthetics."""
 
-    def fn(z: float, volt: float) -> float:
+    def fn(z: Array, volt: Array) -> Array:
         dv = volt - v0
         return math.pi * EPS0 * radius * dv * dv / (z * z)
 
@@ -204,39 +215,32 @@ class CalibrationFit:
                 f"rss   = {self.rss:.3e} Hz^2 over {self.n_samples} samples")
 
 
-def _sample_arrays(samples: Sequence[FrequencyShiftSample], lever_b: float):
-    zp = np.array([s.z_piezo for s in samples])
-    th = np.array([s.theta for s in samples])
-    vv = np.array([s.volt for s in samples])
-    df = np.array([s.delta_f for s in samples])
-    return zp + lever_b * th, vv, df
+def _sample_columns(samples: Sequence[FrequencyShiftSample]):
+    """z_piezo, theta, volt and delta_f of the samples, four contiguous
+    arrays."""
+    return np.array([(s.z_piezo, s.theta, s.volt, s.delta_f)
+                     for s in samples], dtype=float).T.copy()
 
 
 def _difference_observations(offsets: Array, volts: Array, shifts: Array):
-    """Pair samples sharing a distance; differences cancel any background."""
-    d_off, d_volt_a, d_volt_b, d_shift = [], [], [], []
-    for off in np.unique(offsets):
-        idx = np.flatnonzero(offsets == off)
-        if idx.size < 2:
-            continue
-        ref = idx[0]
-        for j in idx[1:]:
-            if volts[j] == volts[ref]:
-                continue
-            d_off.append(off)
-            d_volt_a.append(volts[j])
-            d_volt_b.append(volts[ref])
-            d_shift.append(shifts[j] - shifts[ref])
-    if not d_off:
+    """Pair each sample with the first at its distance and another voltage;
+    rows run by distance, then sample order.  Differences cancel any
+    background."""
+    _, first, group = np.unique(offsets, return_index=True,
+                                return_inverse=True)
+    ref = first[group]
+    order = np.argsort(group, kind="stable")
+    rows = order[volts[order] != volts[ref[order]]]
+    if rows.size == 0:
         raise FitError("voltage differencing needs repeated distances at "
                        "distinct voltages")
-    return (np.array(d_off), np.array(d_volt_a), np.array(d_volt_b),
-            np.array(d_shift))
+    ref = ref[rows]
+    return offsets[rows], volts[rows], volts[ref], shifts[rows] - shifts[ref]
 
 
 def fit_calibration(samples: Sequence[FrequencyShiftSample],
                     gradient_model: GradientModel,
-                    casimir_background: Callable[[float], float] | None = None,
+                    casimir_background: Callable[[Array], Array] | None = None,
                     lever_b: float = 0.0,
                     use_voltage_differences: bool = False
                     ) -> CalibrationFit:
@@ -250,12 +254,16 @@ def fit_calibration(samples: Sequence[FrequencyShiftSample],
     differences at shared distances, which cancels any voltage-independent
     background exactly.
 
+    Each trial z0 makes one ``gradient_model`` call on the gap array (two
+    with voltage differences) and one ``casimir_background`` call on it.
+
     Returns a CalibrationFit; 1-sigma uncertainties come from the
     residual covariance at the optimum.
     """
     if len(samples) < 3:
         raise FitError("need at least 3 samples")
-    offsets, volts, shifts = _sample_arrays(samples, lever_b)
+    z_piezo, thetas, volts, shifts = _sample_columns(samples)
+    offsets = z_piezo + lever_b * thetas
     if np.unique(volts).size < 2 and len(samples) < 10:
         raise FitError("need >= 2 distinct voltages or >= 10 samples")
     if np.unique(offsets).size < 2:
@@ -263,24 +271,19 @@ def fit_calibration(samples: Sequence[FrequencyShiftSample],
                        "degenerate")
 
     if use_voltage_differences:
-        offsets, volt_a, volt_b, shifts = _difference_observations(
+        offsets, volts, volt_b, shifts = _difference_observations(
             offsets, volts, shifts)
         if np.unique(offsets).size < 2:
             raise FitError("voltage differencing left a single distance")
 
-        def model_vector(z0: float) -> Array:
-            gaps = z0 - offsets
-            return np.array([gradient_model(z, va) - gradient_model(z, vb)
-                             for z, va, vb in zip(gaps, volt_a, volt_b)])
-    else:
-
-        def model_vector(z0: float) -> Array:
-            gaps = z0 - offsets
-            g = np.array([gradient_model(z, v)
-                          for z, v in zip(gaps, volts)])
-            if casimir_background is not None:
-                g += np.array([casimir_background(z) for z in gaps])
-            return g
+    def model_vector(z0: float) -> Array:
+        gaps = z0 - offsets
+        g = gradient_model(gaps, volts)
+        if use_voltage_differences:
+            return g - gradient_model(gaps, volt_b)
+        if casimir_background is not None:
+            g = g + casimir_background(gaps)
+        return g
 
     base = float(offsets.max())
     floor = float(offsets.min())
@@ -356,12 +359,9 @@ def find_residual_voltage(samples: Sequence[FrequencyShiftSample]) -> float:
     """
     if len(samples) < 3:
         raise FitError("need at least 3 samples")
-    zp = np.array([s.z_piezo for s in samples])
-    th = np.array([s.theta for s in samples])
+    zp, th, volts, shifts = _sample_columns(samples)
     if np.ptp(zp) > 1e-12 or np.ptp(th) > 1e-12:
         raise FitError("vertex samples must share one distance")
-    volts = np.array([s.volt for s in samples])
-    shifts = np.array([s.delta_f for s in samples])
     if np.unique(volts).size < 3:
         raise FitError("need >= 3 distinct voltages")
 
@@ -401,8 +401,9 @@ def synthesize_frequency_shifts(coeff: float, z0: float,
                                 ) -> list[FrequencyShiftSample]:
     """Forward-model samples on the (voltage x piezo) grid.
 
-    Tilts default to zero.  ``noise_frac`` adds multiplicative Gaussian
-    noise to the shifts and requires an explicit ``rng``.
+    Tilts default to zero.  The models are called once on the positive
+    gap array of the grid.  ``noise_frac`` adds multiplicative Gaussian
+    noise, one draw in sample order, and requires an explicit ``rng``.
     """
     z_piezo = np.asarray(z_piezo, dtype=float)
     thetas = (np.zeros_like(z_piezo) if thetas is None
@@ -413,20 +414,21 @@ def synthesize_frequency_shifts(coeff: float, z0: float,
         raise ValueError("noise_frac must be non-negative")
     if noise_frac > 0.0 and rng is None:
         raise ValueError("noisy synthesis requires an explicit rng")
-    samples = []
-    for volt in voltages:
-        for zp, th in zip(z_piezo, thetas):
-            gap = DistanceModel(z0=z0, z_piezo=zp, theta=th,
-                                lever_b=lever_b).gap
-            grad = gradient_model(gap, volt)
-            if casimir_background is not None:
-                grad += casimir_background(gap)
-            shift = predict_frequency_shift(coeff, grad)
-            if noise_frac > 0.0:
-                shift *= 1.0 + noise_frac * rng.standard_normal()
-            samples.append(FrequencyShiftSample(z_piezo=zp, theta=th,
-                                                volt=volt, delta_f=shift))
-    return samples
+    volts = np.asarray(voltages, dtype=float)
+    gaps = z0 - z_piezo - lever_b * thetas
+    if not np.all(gaps > 0.0):
+        raise ValueError("distance model gives a non-positive gap")
+    gaps = np.broadcast_to(gaps, (volts.size, gaps.size))
+    grad = gradient_model(gaps, volts[:, None])
+    if casimir_background is not None:
+        grad = grad + casimir_background(gaps)
+    shifts = predict_frequency_shift(coeff, grad)
+    if noise_frac > 0.0:
+        shifts = shifts * (1.0 + noise_frac * rng.standard_normal(
+            shifts.shape))
+    return [FrequencyShiftSample(z_piezo=zp, theta=th, volt=volt, delta_f=df)
+            for volt, row in zip(volts, shifts)
+            for zp, th, df in zip(z_piezo, thetas, row)]
 
 
 _CSV_FIELDS = ("z_piezo_nm", "theta_rad", "V_volt", "delta_f_hz")

@@ -151,11 +151,9 @@ def check_calibration() -> list[CheckResult]:
                        f"worst relative error {rel:.2e}"))
     plate = plate_gradient_model(50e-6, v0=-0.499)
     volts = np.linspace(-0.8, -0.2, 7)
-    parabola = [FrequencyShiftSample(1e-7, 0.0, v,
-                                     predict_frequency_shift(
-                                         -614.0, plate(300e-9, v)))
-                for v in volts]
-    v0 = find_residual_voltage(parabola)
+    shifts = predict_frequency_shift(-614.0, plate(300e-9, volts))
+    v0 = find_residual_voltage([FrequencyShiftSample(1e-7, 0.0, v, df)
+                                for v, df in zip(volts, shifts)])
     out.append(_result("residual-voltage vertex recovery",
                        abs(v0 + 0.499) < 1e-9, f"vertex {v0:.6f} V"))
     return out
@@ -196,22 +194,17 @@ SUITES = {
 def run_checks(name: str) -> list[CheckResult]:
     """Run one module's suite, or every suite for ``all``."""
     if name == "all":
-        results = []
-        for suite in SUITES.values():
-            results.extend(suite())
-        return results
+        return [result for suite in SUITES.values() for result in suite()]
     if name not in SUITES:
         raise ValueError(f"no check suite named {name!r}")
     return SUITES[name]()
 
 
 def format_results(results: list[CheckResult]) -> str:
-    lines = []
-    for name, passed, detail in results:
-        status = "ok  " if passed else "FAIL"
-        lines.append(f"{status}  {name}: {detail}")
-    n_bad = sum(1 for _, passed, _ in results if not passed)
-    lines.append(f"{len(results) - n_bad}/{len(results)} checks passed")
+    lines = [f"{'ok  ' if passed else 'FAIL'}  {name}: {detail}"
+             for name, passed, detail in results]
+    n_ok = sum(passed for _, passed, _ in results)
+    lines.append(f"{n_ok}/{len(results)} checks passed")
     return "\n".join(lines)
 
 

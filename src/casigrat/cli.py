@@ -29,19 +29,26 @@ from .grating import convergence_sweep, TruncationSpec
 from .materials import (available_materials, epsilon_at_imaginary_frequency,
                         get_material)
 from .pfa import flat_pressure_law, pfa_corrugated, pfa_share_topbottom
-from .pipeline import (_meshable_profile_from_config, _profile_from_config,
-                       run_pipeline, worker_count, rho_ratio_curves)
+from .pipeline import (_material_from_config, _meshable_profile_from_config,
+                       _profile_from_config, electrostatic_gradient_curves,
+                       rho_ratio_curves, run_pipeline, worker_count)
 from .planar import NumericalError, casimir_pressure_planar
 
 _USAGE_ERROR = 2
 _NUMERICAL_ERROR = 1
 
 
-def _write_curve(curve: ForceCurve, path: Path, quiet: bool = False) -> None:
+def _write_curve(curve: ForceCurve, path: Path) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     curve.to_csv(path)
-    if not quiet:
-        print(f"wrote {path}")
+    print(f"wrote {path}")
+
+
+def _write_lines(path: Path, lines) -> None:
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text("".join(f"{line}\n" for line in lines),
+                    encoding="utf-8", newline="\n")
+    print(f"wrote {path}")
 
 
 def _run_check(module: str) -> int:
@@ -58,6 +65,14 @@ def _radius(text: str) -> float:
     return radius
 
 
+def _flag_value(parse, text: str, flag: str):
+    """``parse(text)``; a parse error is a ConfigError naming the flag."""
+    try:
+        return parse(text)
+    except ConfigError as exc:
+        raise ConfigError(f"{flag}: {exc}") from None
+
+
 def _cmd_materials(args) -> int:
     if args.check:
         return _run_check("materials")
@@ -66,20 +81,12 @@ def _cmd_materials(args) -> int:
             print(name)
         return 0
     model = get_material(args.name)
-    if ":" in args.xi:
-        xi = parse_grid(args.xi)
-    else:
-        xi = np.array([parse_quantity(args.xi)])
+    xi = _flag_value(parse_grid, args.xi, "--xi")
     eps = np.asarray(epsilon_at_imaginary_frequency(model, xi), dtype=float)
-    path = Path(args.out)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(f"# label: relative permittivity of {args.name} at "
-                 "imaginary frequency\n")
-        fh.write("xi_rad_per_s,epsilon\n")
-        for x, e in zip(xi, eps):
-            fh.write(f"{x:.12e},{e:.12e}\n")
-    print(f"wrote {path}")
+    _write_lines(Path(args.out), [
+        f"# label: relative permittivity of {args.name} at imaginary "
+        "frequency", "xi_rad_per_s,epsilon",
+        *(f"{x:.12e},{e:.12e}" for x, e in zip(xi, eps))])
     return 0
 
 
@@ -88,20 +95,18 @@ def _cmd_planar(args) -> int:
         return _run_check("planar")
     mat_a = get_material(args.material_a)
     mat_b = get_material(args.material_b)
-    z_grid = parse_grid(args.z)
+    z_grid = _flag_value(parse_grid, args.z, "--z")
     values = np.array([casimir_pressure_planar(mat_a, mat_b, z)
                        for z in z_grid])
     meta = {"materials": f"{args.material_a}/{args.material_b}",
             "quadrature": "refined to rtol 1e-6"}
+    unit, label = "Pa", "plane-plane pressure"
     if args.gradient:
         values = 2.0 * np.pi * args.radius * np.abs(values)
         meta["radius_um"] = f"{args.radius * 1e6:.6g}"
-        curve = ForceCurve(z_grid, values, unit="N/m",
-                           label="sphere-plane force gradient", metadata=meta)
-    else:
-        curve = ForceCurve(z_grid, values, unit="Pa",
-                           label="plane-plane pressure", metadata=meta)
-    _write_curve(curve, Path(args.out))
+        unit, label = "N/m", "sphere-plane force gradient"
+    _write_curve(ForceCurve(z_grid, values, unit=unit, label=label,
+                            metadata=meta), Path(args.out))
     return 0
 
 
@@ -112,7 +117,7 @@ def _cmd_pfa(args) -> int:
                if args.config else reference_trench_profile())
     mat_a = get_material(args.material_sphere)
     mat_b = get_material(args.material_plane)
-    z_grid = parse_grid(args.z)
+    z_grid = _flag_value(parse_grid, args.z, "--z")
     law = flat_pressure_law(mat_a, mat_b, float(z_grid[0]),
                             float(z_grid[-1]) + profile.depth)
     grad = 2.0 * np.pi * args.radius * np.abs(
@@ -122,17 +127,15 @@ def _cmd_pfa(args) -> int:
             "radius_um": f"{args.radius * 1e6:.6g}",
             "profile": f"period {profile.period * 1e9:.6g} nm, depth "
                        f"{profile.depth * 1e9:.6g} nm"}
-    curve = ForceCurve(z_grid, grad, unit="N/m",
-                       label="proximity-force gradient over trench profile",
-                       metadata=meta)
-    _write_curve(curve, Path(args.out))
-    meta_s = dict(meta)
-    meta_s["note"] = "fraction of the force from top + floor surfaces"
-    share_curve = ForceCurve(z_grid, share, unit="dimensionless",
-                             label="top+floor share of proximity force",
-                             metadata=meta_s)
-    _write_curve(share_curve, Path(args.out).with_name(
-        Path(args.out).stem + "_share.csv"))
+    out = Path(args.out)
+    _write_curve(ForceCurve(z_grid, grad, unit="N/m",
+                            label="proximity-force gradient over trench "
+                                  "profile", metadata=meta), out)
+    note = "fraction of the force from top + floor surfaces"
+    _write_curve(ForceCurve(z_grid, share, unit="dimensionless",
+                            label="top+floor share of proximity force",
+                            metadata={**meta, "note": note}),
+                 out.with_name(out.stem + "_share.csv"))
     return 0
 
 
@@ -141,42 +144,38 @@ def _cmd_grating(args) -> int:
         return _run_check("grating")
     config = Config.from_file(args.config)
     out_dir = Path(args.out)
+    if args.sweep_N:  # read the sweep's inputs before the ratio curve runs
+        orders = _flag_value(parse_int_range, args.sweep_N, "--sweep-N")
+        if min(orders) < 0:
+            raise ConfigError(f"--sweep-N: orders must be >= 0, got "
+                              f"{args.sweep_N!r}")
+        z_ref = config.quantity("solver", "sweep_z", 150e-9)
+        if not z_ref > 0.0:
+            raise ConfigError(f"[solver] sweep_z must be positive, got "
+                              f"{z_ref} m")
+        _, model_g = _material_from_config(config, "grating", "silicon_doped")
+        _, model_p = _material_from_config(config, "plane", "gold_drude")
     curves = rho_ratio_curves(config)
     for name in sorted(curves):
         _write_curve(curves[name], out_dir / f"rho_ratio_{name}.csv")
     if args.sweep_N:
-        orders = parse_int_range(args.sweep_N)
-        profile = _profile_from_config(config)
-        model_g = get_material(config.string("materials", "grating",
-                                             "silicon_doped"))
-        model_p = get_material(config.string("materials", "plane",
-                                             "gold_drude"))
-        z_ref = config.quantity("solver", "sweep_z", 150e-9)
         spec = TruncationSpec(orders=orders[0],
                               n_slices=config.integer("solver", "slices", 4))
-        rows = convergence_sweep(profile, model_g, model_p, z_ref, orders,
-                                 spec, workers=worker_count())
-        path = out_dir / "rho_ratio_convergence.csv"
-        path.parent.mkdir(parents=True, exist_ok=True)
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("# label: pressure vs diffraction-order cutoff\n")
-            fh.write(f"# inputs: {config.digest()}\n")
-            fh.write(f"# z_nm: {z_ref * 1e9:.6g}\n")
-            fh.write("orders,pressure_pa\n")
-            for n_orders, pressure in rows:
-                fh.write(f"{n_orders},{pressure:.12e}\n")
-        print(f"wrote {path}")
+        rows = convergence_sweep(_profile_from_config(config), model_g,
+                                 model_p, z_ref, orders, spec,
+                                 workers=worker_count())
+        _write_lines(out_dir / "rho_ratio_convergence.csv", [
+            "# label: pressure vs diffraction-order cutoff",
+            f"# inputs: {config.digest()}", f"# z_nm: {z_ref * 1e9:.6g}",
+            "orders,pressure_pa", *(f"{n},{p:.12e}" for n, p in rows)])
     return 0
 
 
 def _cmd_electrostatics(args) -> int:
     if args.check:
         return _run_check("electrostatics")
-    if args.config:
-        config = Config.from_file(args.config)
-    else:
-        config = Config.from_text("[pipeline]\ntask = electrostatic_gradient\n")
-    from .pipeline import electrostatic_gradient_curves
+    config = (Config.from_file(args.config) if args.config else
+              Config.from_text("[pipeline]\ntask = electrostatic_gradient\n"))
     curves = electrostatic_gradient_curves(config)
     out_dir = Path(args.out)
     for name in sorted(curves):
@@ -213,17 +212,12 @@ def _cmd_calibrate(args) -> int:
                           use_voltage_differences=args.voltage_differences)
     print(fit.report())
     if args.out:
-        path = Path(args.out)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("# calibration fit\n")
-            fh.write(f"# model: {args.model}\n")
-            fh.write("quantity,value,sigma\n")
-            fh.write(f"coeff_m_per_N_s,{fit.coeff:.12e},"
-                     f"{fit.coeff_sigma:.12e}\n")
-            fh.write(f"z0_m,{fit.z0:.12e},{fit.z0_sigma:.12e}\n")
-            fh.write(f"rss_hz2,{fit.rss:.12e},0\n")
-        print(f"wrote {path}")
+        _write_lines(Path(args.out), [
+            "# calibration fit", f"# model: {args.model}",
+            "quantity,value,sigma",
+            f"coeff_m_per_N_s,{fit.coeff:.12e},{fit.coeff_sigma:.12e}",
+            f"z0_m,{fit.z0:.12e},{fit.z0_sigma:.12e}",
+            f"rss_hz2,{fit.rss:.12e},0"])
     return 0
 
 

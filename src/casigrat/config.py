@@ -69,7 +69,8 @@ def parse_grid(text: str) -> Array:
 
     ``100:600:25nm`` means start 100, stop 600 inclusive, step 25, all in
     the trailing unit; the step must divide the span.  A comma list or a
-    single quantity is also accepted.
+    single quantity is also accepted.  Grids sample separations and
+    frequencies, so every value must be positive.
     """
     text = str(text).strip()
     if ":" in text:
@@ -87,10 +88,13 @@ def parse_grid(text: str) -> Array:
         n = (stop - start) / step
         if abs(n - round(n)) > 1e-9 * max(1.0, abs(n)):
             raise ConfigError(f"grid {text!r}: step does not divide the span")
-        return np.linspace(start, stop, int(round(n)) + 1)
-    values = np.array([parse_quantity(p) for p in text.split(",")])
-    if np.any(np.diff(values) <= 0.0):
-        raise ConfigError(f"grid {text!r} must be strictly increasing")
+        values = np.linspace(start, stop, int(round(n)) + 1)
+    else:
+        values = np.array([parse_quantity(p) for p in text.split(",")])
+        if np.any(np.diff(values) <= 0.0):
+            raise ConfigError(f"grid {text!r} must be strictly increasing")
+    if not values[0] > 0.0:
+        raise ConfigError(f"grid {text!r} must hold positive values only")
     return values
 
 

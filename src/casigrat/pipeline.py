@@ -78,6 +78,15 @@ def _sphere_radius(config: Config) -> float:
     return radius
 
 
+def _material_from_config(config: Config, key: str, default: str):
+    """``[materials] <key>`` as (name, model); unknown names name the key."""
+    name = config.string("materials", key, default)
+    try:
+        return name, get_material(name)
+    except KeyError as exc:
+        raise ConfigError(f"[materials] {key}: {exc.args[0]}") from None
+
+
 def _solver_count(config: Config, key: str, default: int,
                   minimum: int) -> int:
     n = config.integer("solver", key, default)
@@ -98,9 +107,8 @@ def flat_force_gradient_curve(config: Config) -> dict[str, ForceCurve]:
     surface-roughness height distribution, and mapped to the sphere by
     2 pi R.  Values are positive (gradient of an attractive force).
     """
-    sphere = config.string("materials", "sphere", "gold_drude")
-    plane = config.string("materials", "plane", "silicon_doped")
-    mat_a, mat_b = get_material(sphere), get_material(plane)
+    sphere, mat_a = _material_from_config(config, "sphere", "gold_drude")
+    plane, mat_b = _material_from_config(config, "plane", "silicon_doped")
     radius = _sphere_radius(config)
     z_grid = config.grid("grid", "z", _DEFAULT_Z)
 
@@ -144,9 +152,9 @@ def rho_ratio_curves(config: Config) -> dict[str, ForceCurve]:
     prediction 2 pi R |P_pfa| on its own grid.
     """
     profile = _profile_from_config(config)
-    grating_mat = config.string("materials", "grating", "silicon_doped")
-    plane_mat = config.string("materials", "plane", "gold_drude")
-    model_g, model_p = get_material(grating_mat), get_material(plane_mat)
+    grating_mat, model_g = _material_from_config(config, "grating",
+                                                "silicon_doped")
+    plane_mat, model_p = _material_from_config(config, "plane", "gold_drude")
     z_grid = config.grid("grid", "z", "100:250:30nm")
     spec = TruncationSpec(orders=_solver_count(config, "orders", 8, 0),
                           n_slices=_solver_count(config, "slices", 4, 1))
@@ -177,11 +185,10 @@ def rho_ratio_curves(config: Config) -> dict[str, ForceCurve]:
                                 float(np.max(measured.z)) + profile.depth)
         pfa_grad = 2.0 * np.pi * radius * np.abs(
             pfa_corrugated(law, profile, measured.z))
-        meta_m = dict(meta)
-        meta_m["task"] = "rho_measured"
         curves["rho_measured"] = ForceCurve(
             measured.z, measured.values / pfa_grad, unit="dimensionless",
-            label="measured-to-pfa gradient ratio", metadata=meta_m)
+            label="measured-to-pfa gradient ratio",
+            metadata={**meta, "task": "rho_measured"})
     return curves
 
 
@@ -199,27 +206,24 @@ def electrostatic_gradient_curves(config: Config) -> dict[str, ForceCurve]:
     v0 = config.quantity("voltage", "residual", 0.0)
     z_grid = config.grid("grid", "z", _DEFAULT_Z)
 
+    # a direct loop: series_gradient_model's 0.1 R limit rejects wide grids
     flat_vals = np.array([sphere_plane_gradient(
         SpherePlaneES(R=radius, d=z, V=volt, V0=v0)) for z in z_grid])
     model = fem_gradient_model(
         profile, radius, z_min=float(z_grid[0]), z_max=float(z_grid[-1]),
         n_points=_solver_count(config, "table_points", 48, 8), v0=v0)
-    corr_vals = np.array([model(z, volt) for z in z_grid])
+    corr_vals = model(z_grid, volt)
 
     meta = _base_metadata(config, "electrostatic_gradient")
     meta.update({"radius_um": f"{radius * 1e6:.6g}",
                  "voltage_v": f"{volt:.6g}", "residual_v": f"{v0:.6g}"})
-    meta_f = dict(meta)
-    meta_f["surface"] = "flat"
-    meta_c = dict(meta)
-    meta_c["surface"] = "trench"
     return {
         "flat": ForceCurve(z_grid, flat_vals, unit="N/m",
                            label="electrostatic gradient, flat surface",
-                           metadata=meta_f),
+                           metadata={**meta, "surface": "flat"}),
         "corrugated": ForceCurve(z_grid, corr_vals, unit="N/m",
                                  label="electrostatic gradient, trench cell",
-                                 metadata=meta_c),
+                                 metadata={**meta, "surface": "trench"}),
     }
 
 

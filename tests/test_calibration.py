@@ -11,6 +11,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import Phase, given, settings
+from hypothesis import strategies as st
 
 from casigrat import (
     CalibrationFit,
@@ -97,6 +99,54 @@ def test_fem_gradient_model_behaves(trench):
         model(100e-9, 0.3)  # outside the tabulated window
     with pytest.raises(ValueError):
         fem_gradient_model(trench, RADIUS, z_min=0.0, z_max=1e-7)
+
+
+@pytest.fixture(scope="module")
+def array_models(trench):
+    return {"series": series_gradient_model(RADIUS, v0=0.01),
+            "plate": plate_gradient_model(RADIUS, v0=-0.02),
+            "fem": fem_gradient_model(trench, RADIUS, z_min=150e-9,
+                                      z_max=900e-9, n_points=16, v0=0.01)}
+
+
+# no explain phase: it re-runs a failing example for minutes
+@settings(max_examples=25, deadline=None, derandomize=True,
+          phases=(Phase.generate, Phase.shrink))
+@given(name=st.sampled_from(["series", "plate", "fem"]),
+       gaps=st.lists(st.floats(150e-9, 900e-9), min_size=1, max_size=6),
+       volts=st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=3))
+def test_array_call_matches_scalar_calls(array_models, name, gaps, volts):
+    model = array_models[name]
+    z = np.array(gaps)[None, :]
+    v = np.array(volts)[:, None]
+    got = model(z, v)
+    assert got.shape == (len(volts), len(gaps))
+    for i, volt in enumerate(volts):
+        for j, gap in enumerate(gaps):
+            one = model(gap, volt)
+            assert type(one) is float
+            assert got[i, j] == one  # bit for bit, not approximately
+
+
+def test_domain_error_names_the_offending_gap(array_models):
+    with pytest.raises(ValueError, match=r"gap 1\.000e-07 m outside the "
+                                         r"capacitor-fem"):
+        array_models["fem"](np.array([200e-9, 100e-9, 50e-9]), 0.3)
+    with pytest.raises(ValueError, match=r"gap 2\.000e-05 m"):
+        array_models["series"](np.array([[1e-7], [2e-5]]), (0.2, 0.3))
+
+
+def test_seeded_synthesis_is_pinned(series_model):
+    # values recorded from the scalar-loop implementation: the array
+    # forward model and the single noise draw must reproduce them exactly
+    samples = synthesize_frequency_shifts(
+        COEFF, Z0, series_model, voltages=VOLTS, z_piezo=PIEZO,
+        noise_frac=0.01, rng=np.random.default_rng(11))
+    pinned = {0: -0.24265373788301592, 7: -0.7668063986258978,
+              12: -3.9127174980724195, 13: -0.36320795261040745,
+              25: -5.779551463076164}
+    assert {k: samples[k].delta_f for k in pinned} == pinned
+    assert (samples[13].volt, samples[13].z_piezo) == (0.3, 0.0)
 
 
 def test_noisy_recovery_within_three_sigma(series_model, rng):

@@ -238,6 +238,54 @@ def test_usage_errors_exit_2(tmp_path, capsys):
     assert main(["pipeline", "--config", str(bad_rough),
                  "--out", str(tmp_path / "out")]) == 2
     assert "[roughness] n_points" in capsys.readouterr().err
+    for task, key in (("flat_force_gradient", "sphere"),
+                      ("flat_force_gradient", "plane"),
+                      ("rho_ratio", "grating")):
+        bad_material = tmp_path / f"{task}_{key}_material.cfg"
+        bad_material.write_text(f"[pipeline]\ntask = {task}\n[materials]\n"
+                                f"{key} = golld\n")
+        assert main(["pipeline", "--config", str(bad_material),
+                     "--out", str(tmp_path / "out")]) == 2
+        assert f"[materials] {key}" in capsys.readouterr().err
+    for argv, flag in ((["planar", "--z=-100:600:100nm"], "--z"),
+                       (["pfa", "--z=0:300:100nm"], "--z"),
+                       (["materials", "--name", "gold_drude", "--xi=-2e14"],
+                        "--xi"),
+                       (["materials", "--name", "gold_drude",
+                         "--xi=0:4e14:2e14"], "--xi")):
+        assert main(argv + ["--out", str(tmp_path / "g.csv")]) == 2
+        assert flag in capsys.readouterr().err
+    for task, grid in (("flat_force_gradient", "0:200:100nm"),
+                       ("electrostatic_gradient", "-100:200:100nm"),
+                       ("rho_ratio", "-50nm,100nm")):
+        bad_grid = tmp_path / f"{task}_grid.cfg"
+        bad_grid.write_text(f"[pipeline]\ntask = {task}\n[grid]\nz = {grid}\n")
+        assert main(["pipeline", "--config", str(bad_grid),
+                     "--out", str(tmp_path / "out")]) == 2
+        assert "[grid] z" in capsys.readouterr().err
+
+
+def test_sweep_inputs_checked_before_grating(tmp_path, monkeypatch, capsys):
+    import casigrat.grating
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("grating ran before the sweep inputs were read")
+
+    monkeypatch.setattr(casigrat.grating, "casimir_pressure_grating_grid",
+                        unreachable)
+    cfg = tmp_path / "small.cfg"
+    cfg.write_text(SMALL_RHO_CFG)
+    for sweep in ("4:2:2", "x", "-2,4"):
+        assert main(["grating", "--config", str(cfg), f"--sweep-N={sweep}",
+                     "--out", str(tmp_path / "out")]) == 2
+        assert "--sweep-N" in capsys.readouterr().err
+    for line, key in (("[solver]\nsweep_z = -5nm", "[solver] sweep_z"),
+                      ("[materials]\nplane = golld", "[materials] plane")):
+        bad = tmp_path / "bad_sweep.cfg"
+        bad.write_text("[pipeline]\ntask = rho_ratio\n" + line + "\n")
+        assert main(["grating", "--config", str(bad), "--sweep-N", "2:4:2",
+                     "--out", str(tmp_path / "out")]) == 2
+        assert key in capsys.readouterr().err
 
 
 def test_numerical_failures_exit_1(tmp_path):
