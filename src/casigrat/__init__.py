@@ -11,7 +11,6 @@ and the frequency-shift calibration used to extract force gradients.
 
 from .calibration import (
     CalibrationFit,
-    DistanceModel,
     FitError,
     FrequencyShiftSample,
     GradientModel,
@@ -104,7 +103,7 @@ from .quadrature import QuadratureSpec
 __version__ = "0.1.0"
 
 __all__ = [
-    "CalibrationFit", "DistanceModel", "FitError", "FrequencyShiftSample",
+    "CalibrationFit", "FitError", "FrequencyShiftSample",
     "GradientModel", "average_calibration_fits", "fem_gradient_model",
     "find_residual_voltage", "fit_calibration", "inertia_from_coefficient",
     "oscillator_coefficient", "plate_gradient_model",

@@ -52,28 +52,6 @@ class FitError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class DistanceModel:
-    """Gap bookkeeping z = z0 - z_piezo - lever_b * theta for one sample.
-
-    ``z0`` is the standoff at zero piezo extension and zero tilt,
-    ``lever_b`` the lever arm converting tilt to vertical displacement.
-    """
-
-    z0: float
-    z_piezo: float
-    theta: float = 0.0
-    lever_b: float = 0.0
-
-    def __post_init__(self) -> None:
-        if not self.gap > 0.0:
-            raise ValueError("distance model gives a non-positive gap")
-
-    @property
-    def gap(self) -> float:
-        return self.z0 - self.z_piezo - self.lever_b * self.theta
-
-
-@dataclass(frozen=True)
 class FrequencyShiftSample:
     """One oscillator reading: piezo extension, tilt, voltage, shift."""
 

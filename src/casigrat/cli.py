@@ -74,8 +74,6 @@ def _flag_value(parse, text: str, flag: str):
 
 
 def _cmd_materials(args) -> int:
-    if args.check:
-        return _run_check("materials")
     if args.name is None:
         for name in available_materials():
             print(name)
@@ -91,8 +89,6 @@ def _cmd_materials(args) -> int:
 
 
 def _cmd_planar(args) -> int:
-    if args.check:
-        return _run_check("planar")
     mat_a = get_material(args.material_a)
     mat_b = get_material(args.material_b)
     z_grid = _flag_value(parse_grid, args.z, "--z")
@@ -111,8 +107,6 @@ def _cmd_planar(args) -> int:
 
 
 def _cmd_pfa(args) -> int:
-    if args.check:
-        return _run_check("pfa")
     profile = (_profile_from_config(Config.from_file(args.config))
                if args.config else reference_trench_profile())
     mat_a = get_material(args.material_sphere)
@@ -140,8 +134,6 @@ def _cmd_pfa(args) -> int:
 
 
 def _cmd_grating(args) -> int:
-    if args.check:
-        return _run_check("grating")
     config = Config.from_file(args.config)
     out_dir = Path(args.out)
     if args.sweep_N:  # read the sweep's inputs before the ratio curve runs
@@ -172,8 +164,6 @@ def _cmd_grating(args) -> int:
 
 
 def _cmd_electrostatics(args) -> int:
-    if args.check:
-        return _run_check("electrostatics")
     config = (Config.from_file(args.config) if args.config else
               Config.from_text("[pipeline]\ntask = electrostatic_gradient\n"))
     curves = electrostatic_gradient_curves(config)
@@ -184,14 +174,15 @@ def _cmd_electrostatics(args) -> int:
 
 
 def _gradient_model_for(args):
-    v0 = parse_quantity(args.v0)
+    v0 = _flag_value(parse_quantity, args.v0, "--v0")
     if args.model == "series":
         return series_gradient_model(args.radius, v0=v0)
     if args.model == "plate":
         return plate_gradient_model(args.radius, v0=v0)
     profile = (_meshable_profile_from_config(Config.from_file(args.config))
                if args.config else reference_trench_profile())
-    z_lo, z_hi = parse_quantity(args.fem_z_min), parse_quantity(args.fem_z_max)
+    z_lo = _flag_value(parse_quantity, args.fem_z_min, "--fem-z-min")
+    z_hi = _flag_value(parse_quantity, args.fem_z_max, "--fem-z-max")
     if not 0.0 < z_lo < z_hi:
         raise ConfigError("--fem-z-min and --fem-z-max need 0 < min < max, "
                           f"got {args.fem_z_min} and {args.fem_z_max}")
@@ -199,16 +190,13 @@ def _gradient_model_for(args):
 
 
 def _cmd_calibrate(args) -> int:
-    if args.check:
-        return _run_check("calibrate")
     samples = read_frequency_shift_samples(args.input)
     if args.find_v0:
         v0 = find_residual_voltage(samples)
         print(f"residual voltage V0 = {v0:.6f} V")
         return 0
-    model = _gradient_model_for(args)
-    fit = fit_calibration(samples, model,
-                          lever_b=parse_quantity(args.lever_b),
+    lever_b = _flag_value(parse_quantity, args.lever_b, "--lever-b")
+    fit = fit_calibration(samples, _gradient_model_for(args), lever_b=lever_b,
                           use_voltage_differences=args.voltage_differences)
     print(fit.report())
     if args.out:
@@ -222,8 +210,6 @@ def _cmd_calibrate(args) -> int:
 
 
 def _cmd_pipeline(args) -> int:
-    if args.check:
-        return _run_check("pipeline" if not args.all_checks else "all")
     config = Config.from_file(args.config)
     written = run_pipeline(config, out_dir=args.out)
     for path in written:
@@ -334,12 +320,15 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if not getattr(args, "check", False):
+    if not args.check:
         if args.command == "calibrate" and not args.input:
             parser.error("calibrate requires --input (or --check)")
         if args.command in ("grating", "pipeline") and not args.config:
             parser.error(f"{args.command} requires --config (or --check)")
     try:
+        if args.check:  # each subcommand names its checks.SUITES entry
+            return _run_check("all" if getattr(args, "all_checks", False)
+                              else args.command)
         return args.fn(args)
     except (ConfigError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -264,6 +264,9 @@ def _meshing_profile(profile: GratingProfile) -> GratingProfile:
     # near-vertical walls: mesh with a minimal ramp so the terrain map
     # stays single-valued; geometry perturbation O(1e-4) period
     min_ramp = profile.period * _MIN_RAMP
+    if 0.0 < profile.depth < min_ramp:
+        raise ValueError(f"depth = {profile.depth:.6g} m is under the FEM "
+                         f"cell's minimum of 1e-4 * period = {min_ramp:.6g} m")
     if _is_flat(profile) or profile.p3 * profile.period >= min_ramp:
         return profile
     if profile.period - profile.top_width < 2.0 * min_ramp:

@@ -39,6 +39,14 @@ with -dM/dz = R1 kappa e^{-kappa z} R2 e^{-kappa z}
 commute), kappa the diagonal of vacuum decay rates per diffraction order,
 and the normalization pinned by the planar ideal-mirror limit exactly as
 in ``planar``.  Evenness in k_x and k_y is folded into the prefactor.
+
+The integral is assembled from one node function of (xi, k_x),
+``_node_contribution``, which returns the k_y-summed trace for every z;
+the inputs all nodes share are bound to it once with ``functools.partial``.
+``map``, or a process pool's order-preserving ``map``, evaluates it over
+the xi-major node list, and the weighted contributions are added one by
+one in node order.  The sum thus sees the same operands in the same order
+for any worker count, so the result does not depend on that count.
 """
 
 from __future__ import annotations
@@ -46,6 +54,7 @@ from __future__ import annotations
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 import scipy.linalg as sla
@@ -262,59 +271,18 @@ def _climb(r: Array, below, above, d: Array, context: str) -> Array:
     return np.transpose(x_t, (0, 2, 1)) * d
 
 
-def _reflection_stack(q: float, kn: Array, ky: Array,
-                      slabs_bottom_up: list[tuple[float | None, float, float]],
-                      substrate_eps: float | None,
-                      substrate_pc: bool, context: str):
-    """Upward-looking reflection matrix of the full stack, x-mode basis.
-
-    ``slabs_bottom_up``: (eps_solid, slot_frac, thickness) per finite
-    layer from the substrate up; the list excludes the two half-spaces.
-    Returns (R, scale_vac, kappa_vac) with R in scaled vacuum-mode
-    amplitudes.
-    """
-    # Field blocks for every finite layer, bottom to top, then vacuum.
-    layers = [_field_blocks(_layer_modes(q, kn, eps, frac, context), q, kn, ky)
-              for eps, frac, _h in slabs_bottom_up + [(None, 1.0, 0.0)]]
-    n1 = kn.size
-    d = np.concatenate([-np.ones(n1), np.ones(n1)])
-    if substrate_pc:
-        # Vanishing tangential E on the conductor: W (c+ + D c-) = 0.
-        r = np.broadcast_to(np.diag(-d), layers[0][0].shape)
-    else:
-        # The substrate carries no upward wave: climb from r = 0.
-        substrate = _field_blocks(
-            _layer_modes(q, kn, substrate_eps, 0.0, context), q, kn, ky)
-        r = _climb(np.zeros(layers[0][0].shape), substrate, layers[0], d,
-                   context)
-
-    # March upward: propagate through each slab, then cross its top.
-    for (_eps, _frac, h), below, above in zip(slabs_bottom_up, layers,
-                                              layers[1:]):
-        phi = np.exp(-below[4] * h)  # (nky, 2 n1)
-        r = _climb(phi[:, :, None] * r * phi[:, None, :], below, above, d,
-                   context)
-
-    *_blocks, kappa_vac, scale_vac = layers[-1]
-    return r, scale_vac, kappa_vac
-
-
-def _sp_conversion(q: float, kn: Array, ky: Array, kap: Array):
+def _sp_conversion(q: float, kn: Array, ky: Array, k_t: Array, kap: Array):
     """Conversion matrix from vacuum x-mode to (s, p) amplitudes.
 
     Per order the map is a 2x2 block [[a, b], [-b, a]] acting on
     (TE-to-x, TM-to-x) amplitudes of upward waves; rows are flux-weighted
     by sqrt(kappa_n) so the resulting reflection operator is
     passivity-normalized.  Downward waves map through C- = -C+^T, and
-    C+ C+^T = (a^2 + b^2) I.  ``kap`` holds the vacuum decay rates
-    (nky, n1).  Returns (C+, a^2 + b^2) with shapes (nky, 2 n1, 2 n1) and
-    (nky, 2 n1).
+    C+ C+^T = (a^2 + b^2) I.  ``k_t`` and ``kap`` hold the transverse
+    wavevectors and the vacuum decay rates (nky, n1).  Returns (C+,
+    a^2 + b^2) with shapes (nky, 2 n1, 2 n1) and (nky, 2 n1).
     """
     n1 = kn.size
-    k_t = np.sqrt(kn[None, :] ** 2 + ky[:, None] ** 2)
-    if np.any(k_t == 0.0):
-        raise ValueError("(k_x, k_y) = (0, 0) has no (s, p) decomposition; "
-                         "use a nonzero transverse wavevector")
     w = np.sqrt(kap)
     a = -kap * kn[None, :] / k_t * w
     b = q * ky[:, None] / k_t * w
@@ -331,34 +299,58 @@ def _reflection_batch(profile: GratingProfile, model: DielectricModel,
                       n_slices: int):
     """Flux-normalized (s,p) reflection matrices for a batch of k_y.
 
-    Returns (R_sp, kappa_vac) with shapes (nky, 2 n1, 2 n1), (nky, 2 n1);
-    kappa_vac repeats the vacuum decay rates for the TE and TM halves.
+    Returns (R_sp, kappa_vac, k_t, context): R_sp of shape
+    (nky, 2 n1, 2 n1); kappa_vac (nky, 2 n1) repeats the vacuum decay
+    rates for the TE and TM halves; k_t (nky, n1) holds the transverse
+    wavevector of each order; context names (xi, k_x) in error messages.
     """
     context = f"xi={xi:.4e} rad/s, k_x={k_x:.4e} 1/m"
     q = xi / C_LIGHT
     g = 2.0 * math.pi / profile.period
     n = np.arange(-orders, orders + 1)
     kn = k_x + n * g
+    k_t = np.sqrt(kn[None, :] ** 2 + ky[:, None] ** 2)
+    if np.any(k_t == 0.0):
+        raise ValueError("(k_x, k_y) = (0, 0) has no (s, p) decomposition; "
+                         "use a nonzero transverse wavevector")
 
     pc = is_perfect_conductor(model)
     eps_solid = None if pc else float(model.epsilon(xi))
-    slabs = staircase(profile, n_slices)
+    slabs = list(reversed(staircase(profile, n_slices)))  # bottom-up
     if pc and slabs:
         raise ValueError(
             "a corrugated perfect conductor has no finite permittivity for "
             "the modal expansion; use get_material('conductor_proxy')")
-    layer_list = [(eps_solid, s.slot_width / profile.period, s.thickness)
-                  for s in reversed(slabs)]  # bottom-up
 
-    r_x, scale_vac, kappa_vac = _reflection_stack(
-        q, kn, ky, layer_list, eps_solid, pc, context)
+    # Field blocks for every slab, bottom to top, then vacuum (slot 1.0).
+    fracs = [s.slot_width / profile.period for s in slabs] + [1.0]
+    layers = [_field_blocks(_layer_modes(q, kn, eps_solid, f, context),
+                            q, kn, ky) for f in fracs]
+    d = np.concatenate([-np.ones(kn.size), np.ones(kn.size)])
+    if pc:
+        # Vanishing tangential E on the conductor: W (c+ + D c-) = 0.
+        r = np.broadcast_to(np.diag(-d), layers[0][0].shape)
+    else:
+        # The substrate carries no upward wave: climb from r = 0.
+        substrate = _field_blocks(
+            _layer_modes(q, kn, eps_solid, 0.0, context), q, kn, ky)
+        r = _climb(np.zeros(layers[0][0].shape), substrate, layers[0], d,
+                   context)
+
+    # March upward: propagate through each slab, then cross its top.
+    for slab, below, above in zip(slabs, layers, layers[1:]):
+        phi = np.exp(-below[4] * slab.thickness)  # (nky, 2 n1)
+        r = _climb(phi[:, :, None] * r * phi[:, None, :], below, above, d,
+                   context)
 
     # Undo the vacuum column scaling: rows by scale, columns by 1/scale.
-    r_raw = scale_vac[:, :, None] * r_x / scale_vac[:, None, :]
+    *_blocks, kappa_vac, scale_vac = layers[-1]
+    r_raw = scale_vac[:, :, None] * r / scale_vac[:, None, :]
 
     # R_sp = C+ R C-^{-1} = -C+ R C+ / (a^2 + b^2).
-    c_plus, norm2 = _sp_conversion(q, kn, ky, kappa_vac[:, :kn.size])
-    return -(c_plus @ r_raw @ c_plus) / norm2[:, None, :], kappa_vac
+    c_plus, norm2 = _sp_conversion(q, kn, ky, k_t, kappa_vac[:, :kn.size])
+    r_sp = -(c_plus @ r_raw @ c_plus) / norm2[:, None, :]
+    return r_sp, kappa_vac, k_t, context
 
 
 def grating_reflection(profile: GratingProfile, model: DielectricModel,
@@ -383,9 +375,9 @@ def grating_reflection(profile: GratingProfile, model: DielectricModel,
         raise ValueError(f"k_x outside first Brillouin zone [{-bz:.4e}, {bz:.4e}]")
     if k_y < 0.0:
         raise ValueError("k_y must be >= 0")
-    r_sp, _ = _reflection_batch(profile, model, xi, k_x,
-                                np.array([k_y], dtype=float),
-                                spec.orders, spec.n_slices)
+    r_sp, *_ = _reflection_batch(profile, model, xi, k_x,
+                                 np.array([k_y], dtype=float),
+                                 spec.orders, spec.n_slices)
     return ReflectionOperator(matrix=r_sp[0], xi=xi, k_x=k_x, k_y=k_y,
                               orders=spec.orders, period=profile.period)
 
@@ -429,19 +421,16 @@ def _trace_over_z(r_sp: Array, kappa_vac: Array, r1_diag: Array,
     return tr @ ky_w
 
 
-def _node_contribution(args) -> tuple[int, Array]:
+def _node_contribution(xi: float, k_x: float, *, profile: GratingProfile,
+                       model_grating: DielectricModel,
+                       model_plane: DielectricModel, ky_nodes: Array,
+                       ky_w: Array, z_grid: Array, orders: int,
+                       n_slices: int) -> Array:
     """One (xi, k_x) node: k_y-batched reflection plus z-grid traces."""
-    (idx, profile, model_grating, model_plane, xi, k_x, ky_nodes, ky_w,
-     z_grid, orders, n_slices) = args
-    r_sp, kappa_vac = _reflection_batch(profile, model_grating, xi, k_x,
-                                        ky_nodes, orders, n_slices)
-    n = np.arange(-orders, orders + 1)
-    kn = k_x + n * 2.0 * math.pi / profile.period
-    k_t = np.sqrt(kn[None, :] ** 2 + ky_nodes[:, None] ** 2)  # (nky, n1)
-    r_te, r_tm = fresnel_te_tm(model_plane, xi, k_t)
-    r1_diag = np.concatenate([r_te, r_tm], axis=1)            # (nky, 2 n1)
-    context = f"xi={xi:.4e} rad/s, k_x={k_x:.4e} 1/m"
-    return idx, _trace_over_z(r_sp, kappa_vac, r1_diag, z_grid, ky_w, context)
+    r_sp, kappa_vac, k_t, context = _reflection_batch(
+        profile, model_grating, xi, k_x, ky_nodes, orders, n_slices)
+    r1_diag = np.concatenate(fresnel_te_tm(model_plane, xi, k_t), axis=1)
+    return _trace_over_z(r_sp, kappa_vac, r1_diag, z_grid, ky_w, context)
 
 
 def casimir_pressure_grating_grid(profile: GratingProfile,
@@ -453,9 +442,9 @@ def casimir_pressure_grating_grid(profile: GratingProfile,
     """Grating-plane Casimir pressure (Pa, negative) on a separation grid.
 
     The modal eigenproblems depend only on (xi, k_x), so one reflection
-    table is reused across the whole z grid.  Each (xi, k_x) node is an
-    independent task; reduction is an ordered sum over nodes regardless
-    of worker count, so results are deterministic.
+    table is reused across the whole z grid.  ``workers`` > 1 maps the
+    nodes over a process pool of at most one process per node; the result
+    is the same bit for bit.
     """
     spec = spec or TruncationSpec()
     z_arr = np.atleast_1d(np.asarray(z_grid, dtype=float))
@@ -464,29 +453,22 @@ def casimir_pressure_grating_grid(profile: GratingProfile,
     (q_nodes, q_w), (kx_nodes, kx_w), (ky_nodes, ky_w) = _quad_nodes(
         z_arr, profile.period, spec.quadrature)
 
-    tasks = []
-    idx = 0
-    for iq, qv in enumerate(q_nodes):
-        for ik, kxv in enumerate(kx_nodes):
-            weight = q_w[iq] * C_LIGHT * kx_w[ik]
-            tasks.append(((idx, profile, model_grating, model_plane,
-                           qv * C_LIGHT, kxv, ky_nodes, ky_w, z_arr,
-                           spec.orders, spec.n_slices), weight))
-            idx += 1
-
-    partials: list[Array | None] = [None] * len(tasks)
+    # Nodes xi-major; each weight is (q_w c) kx_w.
+    xi = np.repeat(q_nodes * C_LIGHT, kx_nodes.size)
+    k_x = np.tile(kx_nodes, q_nodes.size)
+    weights = np.outer(q_w * C_LIGHT, kx_w).ravel()
+    node = partial(_node_contribution, profile=profile,
+                   model_grating=model_grating, model_plane=model_plane,
+                   ky_nodes=ky_nodes, ky_w=ky_w, z_grid=z_arr,
+                   orders=spec.orders, n_slices=spec.n_slices)
     if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            for i, contrib in pool.map(_node_contribution,
-                                       [t[0] for t in tasks], chunksize=4):
-                partials[i] = contrib
+        with ProcessPoolExecutor(max_workers=min(workers, xi.size)) as pool:
+            contribs = list(pool.map(node, xi, k_x, chunksize=4))
     else:
-        for args, _w in tasks:
-            i, contrib = _node_contribution(args)
-            partials[i] = contrib
+        contribs = map(node, xi, k_x)
 
     acc = np.zeros(z_arr.size)
-    for (args, weight), contrib in zip(tasks, partials):
+    for weight, contrib in zip(weights, contribs):
         acc += weight * contrib
     return -(HBAR / (2.0 * math.pi**3)) * acc
 

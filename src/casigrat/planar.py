@@ -101,15 +101,15 @@ def casimir_pressure_planar(material_a: DielectricModel,
                             rtol: float = 1e-6) -> float:
     """Casimir pressure (Pa, negative = attractive) between two half-spaces.
 
-    The rule from ``quad`` is refined (node counts doubled, twice if
-    needed) until two successive evaluations agree to ``rtol``; the finest
+    The rule from ``quad`` is refined (node counts doubled, up to three
+    times) until two successive evaluations agree to ``rtol``; the finest
     value is returned.  Raises NumericalError if refinement stalls.
     """
     if not z > 0.0:
         raise ValueError("separation z must be positive")
     quad = quad or QuadratureSpec()
     prev = _pressure_once(material_a, material_b, z, quad)
-    for factor in (2, 4):
+    for factor in (2, 4, 8):
         cur = _pressure_once(material_a, material_b, z, quad.scaled(factor))
         resid = abs(cur - prev) / max(abs(cur), 1e-300)
         if resid <= rtol:

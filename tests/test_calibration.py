@@ -16,7 +16,6 @@ from hypothesis import strategies as st
 
 from casigrat import (
     CalibrationFit,
-    DistanceModel,
     FitError,
     FrequencyShiftSample,
     average_calibration_fits,
@@ -327,11 +326,7 @@ def test_synthesis_validation(series_model):
                                     voltages=VOLTS, z_piezo=[200e-9])
 
 
-def test_distance_model_and_sample_validation():
-    dm = DistanceModel(z0=800e-9, z_piezo=300e-9, theta=1e-6, lever_b=LEVER)
-    assert dm.gap == pytest.approx(800e-9 - 300e-9 - LEVER * 1e-6)
-    with pytest.raises(ValueError):
-        DistanceModel(z0=100e-9, z_piezo=200e-9)
+def test_sample_validation():
     with pytest.raises(ValueError):
         FrequencyShiftSample(1e-7, 0.0, math.nan, 0.1)
 

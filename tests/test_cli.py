@@ -76,6 +76,14 @@ def test_planar_pressure_and_gradient(tmp_path):
         2.0 * np.pi * 50e-6 * np.abs(curve.values), rel=1e-12)
 
 
+def test_planar_conductor_against_drude(tmp_path):
+    out = tmp_path / "p.csv"
+    assert main(["planar", "--material-a", "perfect_conductor",
+                 "--material-b", "gold_drude", "--z", "200:500:100nm",
+                 "--out", str(out)]) == 0
+    assert ForceCurve.from_csv(out).values.size == 4
+
+
 def test_pfa_writes_gradient_and_share(tmp_path):
     out = tmp_path / "pfa.csv"
     assert main(["pfa", "--z", "150:250:50nm", "--out", str(out)]) == 0
@@ -154,9 +162,18 @@ def test_pipeline_rerun_byte_identical(tmp_path):
 
 
 @pytest.mark.parametrize("argv, summary", [
-    (["pfa", "--check"], "checks passed"),
+    (["materials", "--check"], "gold leads doped silicon at low frequency"),
+    (["planar", "--check"], "attraction decays with separation"),
+    (["pfa", "--check"], "un-etched profile reduces to the flat law"),
+    (["grating", "--check"],
+     "un-etched grating reproduces the ideal planar pin"),
+    (["electrostatics", "--check"],
+     "matched potentials give exactly zero force"),
+    (["calibrate", "--check"], "residual-voltage vertex recovery"),
+    (["pipeline", "--check"], "rerun is byte-identical"),
     (["pipeline", "--check", "--all-checks"], "16/16 checks passed"),
-], ids=["pfa", "all"])
+], ids=["materials", "planar", "pfa", "grating", "electrostatics",
+        "calibrate", "pipeline", "all"])
 def test_check_flag_runs_suite(capsys, argv, summary):
     assert main(argv) == 0
     out = capsys.readouterr().out
@@ -198,6 +215,23 @@ def test_usage_errors_exit_2(tmp_path, capsys):
                  "--fem-z-min", "500nm", "--fem-z-max", "100nm"]) == 2
     err = capsys.readouterr().err
     assert "--fem-z-min" in err and "--fem-z-max" in err
+    for flag, value in (("--v0", "abc"), ("--lever-b", "3furlongs"),
+                        ("--fem-z-min", "abc"), ("--fem-z-max", "3furlongs")):
+        assert main(["calibrate", "--input", str(sweep), "--model", "fem",
+                     f"{flag}={value}"]) == 2
+        assert f"{flag}: " in capsys.readouterr().err
+    tiny_depth = tmp_path / "tiny_depth.cfg"
+    tiny_depth.write_text("[pipeline]\ntask = electrostatic_gradient\n"
+                          "[geometry]\nperiod = 400nm\ntop_width = 200nm\n"
+                          "floor_width = 200nm\nwall_angle = 90deg\n"
+                          "depth = 1e-320m\n")
+    for argv in (["pipeline", "--config", str(tiny_depth)],
+                 ["electrostatics", "--config", str(tiny_depth)],
+                 ["calibrate", "--input", str(sweep), "--model", "fem",
+                  "--config", str(tiny_depth)]):
+        assert main(argv + ["--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert "[geometry]" in err and "depth" in err
     for argv in (["pfa", "--radius=0um"],
                  ["planar", "--gradient", "--radius=0um"],
                  ["calibrate", "--input", str(sweep), "--radius=0um"],

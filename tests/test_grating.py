@@ -423,12 +423,41 @@ def test_truncation_plateau(trench):
 def test_worker_count_does_not_change_result(trench):
     gold = get_material("gold_drude")
     si = get_material("silicon_doped")
-    spec = TruncationSpec(2, 2, GratingQuadrature(6, 4, 6))
-    z = np.array([150e-9])
-    serial = casimir_pressure_grating_grid(trench, si, gold, z, spec, workers=1)
-    parallel = casimir_pressure_grating_grid(trench, si, gold, z, spec,
-                                             workers=2)
-    assert serial[0] == parallel[0]
+    # 25 nodes are not a multiple of the pool's chunk size of 4
+    for quad, z in ((GratingQuadrature(6, 4, 6), [150e-9]),
+                    (GratingQuadrature(5, 5, 6), [100e-9, 150e-9, 250e-9])):
+        spec = TruncationSpec(2, 2, quad)
+        serial = casimir_pressure_grating_grid(trench, si, gold, z, spec,
+                                               workers=1)
+        parallel = casimir_pressure_grating_grid(trench, si, gold, z, spec,
+                                                 workers=2)
+        assert serial.tolist() == parallel.tolist()
+
+
+def test_pool_has_at_most_one_process_per_node(trench, monkeypatch):
+    import casigrat.grating
+
+    sizes = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables, chunksize=1):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(casigrat.grating, "ProcessPoolExecutor", SerialPool)
+    gold = get_material("gold_drude")
+    si = get_material("silicon_doped")
+    spec = TruncationSpec(1, 1, GratingQuadrature(4, 4, 4))  # 16 nodes
+    casimir_pressure_grating_grid(trench, si, gold, [150e-9], spec, workers=64)
+    assert sizes == [16]
 
 
 @pytest.mark.parametrize("conductor", [False, True])

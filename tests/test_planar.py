@@ -17,6 +17,7 @@ from casigrat import (
     ideal_pressure,
     roughness_average,
 )
+from casigrat.planar import _pressure_once
 
 GOLD_WP = 9.0 * sc.elementary_charge / sc.hbar
 GOLD_GAMMA = 0.035 * sc.elementary_charge / sc.hbar
@@ -155,6 +156,14 @@ def test_quadrature_escalation_consistency(gold, silicon):
 def test_unattainable_tolerance_raises(gold):
     with pytest.raises(NumericalError):
         casimir_pressure_planar(gold, gold, 200e-9, QuadratureSpec(8, 8), rtol=0.0)
+
+
+@pytest.mark.parametrize("z", [400e-9, 500e-9, 600e-9])
+def test_conductor_against_drude_converges_on_third_doubling(gold, z):
+    # successive changes fall below 1e-6 only between the 4x and 8x rules
+    pc = get_material("perfect_conductor")
+    fine = _pressure_once(pc, gold, z, QuadratureSpec().scaled(16))
+    assert casimir_pressure_planar(pc, gold, z) == pytest.approx(fine, rel=1e-6)
 
 
 def test_invalid_separation(gold):
