@@ -61,7 +61,10 @@ def parse_quantity(text: str) -> float:
     if match is None:
         raise ConfigError(f"cannot parse quantity {text!r}")
     value, unit = match.groups()
-    return float(value) * _unit_scale(unit)
+    result = float(value) * _unit_scale(unit)
+    if not math.isfinite(result):
+        raise ConfigError(f"quantity {text!r} is not finite")
+    return result
 
 
 def parse_grid(text: str) -> Array:
@@ -83,6 +86,8 @@ def parse_grid(text: str) -> Array:
         scale = _unit_scale(match.group(2))
         start, stop = (float(p) * scale for p in parts[:2])
         step = float(match.group(1)) * scale
+        if not all(map(math.isfinite, (start, stop, step))):
+            raise ConfigError(f"grid {text!r} holds a non-finite value")
         if not step > 0.0 or not stop > start:
             raise ConfigError(f"grid {text!r} needs stop > start, step > 0")
         n = (stop - start) / step

@@ -23,9 +23,14 @@ H = V (c+ - D c-) with D = diag(-I, I) (Moharam et al., JOSA A 12, 1068
 (1995); Rumpf, PIER B 35, 241 (2011)).  One reflection matrix R
 (c+ = R c-) is marched up from the substrate, propagated through each
 layer and carried across each interface as R <- (F + G)(F - G)^{-1} D,
-F = W_a^-1 W_b (R + D), G = V_a^-1 V_b (R - D).  The vacuum-side result
-is converted to the per-order (s, p) polarization basis, in which a flat
-surface reproduces the planar Fresnel coefficients on the diagonal.
+F = A (R + D), G = B (R - D) with A = W_a^-1 W_b and B = V_a^-1 V_b.
+W and V are block triangular, so A and B are too, and each of their
+blocks is a k_y-independent n1 x n1 product of the two layers' modal
+matrices times per-k_y diagonals of decay rates and k_y/q.  Each
+interface builds A + B and A - B from these products, and F - G, F + G
+follow with two batched matmuls.  The vacuum-side result is converted to
+the per-order (s, p) polarization basis, in which a flat surface
+reproduces the planar Fresnel coefficients on the diagonal.
 
 The force between mirror 1 (planar, below at distance z) and mirror 2
 (the grating) follows from the round-trip operator
@@ -39,6 +44,11 @@ with -dM/dz = R1 kappa e^{-kappa z} R2 e^{-kappa z}
 commute), kappa the diagonal of vacuum decay rates per diffraction order,
 and the normalization pinned by the planar ideal-mirror limit exactly as
 in ``planar``.  Evenness in k_x and k_y is folded into the prefactor.
+The trace equals 2 tr[(1 - M')^{-1} kappa M'] for M' = R1 e^{-2 kappa z}
+R2, which is similar to M.  Far out in xi and k_y the loop operator is
+negligible: where ||M'||_F < 2^-26 the trace is taken from the Neumann
+sum 2 tr[kappa (M' + M'^2)], whose remainder lies below rounding, and
+only the other operators go through the batched linear solve.
 
 The integral is assembled from one node function of (xi, k_x),
 ``_node_contribution``, which returns the k_y-summed trace for every z;
@@ -74,6 +84,13 @@ Array = np.ndarray
 # Scaled-variable window y = 2 kappa z of the xi and k_y rules.
 _Y_SCALE = 1.0
 _Y_HI = 45.0
+
+# Loop operators M' (see _trace_over_z) with ||M'||_F below this skip the
+# solve for the two-term Neumann sum 2 tr[K (M' + M'^2)].  The remainder
+# 2 tr[K M'^3 (1 - M')^-1] is about sqrt(2 n1) ||M'||^2 < sqrt(2 n1) 2^-52
+# relative to kappa_max ||M'||_F, i.e. at the rounding level of the solve
+# it replaces.
+_NEUMANN_NORM = 2.0 ** -26
 
 
 class ModalError(NumericalError):
@@ -199,73 +216,109 @@ def _layer_modes(q: float, kn: Array, eps_solid: float | None,
 
 
 # --------------------------------------------------------------------------
-# Tangential field blocks and the reflection recursion
+# Interface matrices and the reflection recursion
 
 
-def _field_blocks(modes: _LayerModes, q: float, kn: Array, ky: Array):
-    """Upward-mode field matrices W = E(+), V = H(+) and their inverses.
+@dataclass
+class _Layer:
+    modes: _LayerModes
+    kappa: Array          # (nky, 2 n1) decay rates, TE then TM modes
+    scale: Array          # (nky, 2 n1) field column scale
 
-    Returns (W, V, W^-1, V^-1, kappa, scale), matrices of shape
-    (nky, 2 n1, 2 n1).  Rows of W, V stack (Ex, Ey) resp. (Hx, Hy) Fourier
-    orders, columns TE then TM modes, each scaled by ``scale`` (nky, 2 n1)
-    to tame dynamic range.  Downward modes flip the kappa-carrying blocks:
-    with D = diag(-I, I), E(-) = W D and H(-) = -V D.  Unscaled,
-    W = [[0, P], [Q, S]] and V = [[T, 0], [U, Y]] are block triangular and
-    Q, T are the orthonormal vec_te times diagonals, so the inverses need
-    one solve against the k_y-independent factors of P and Y.
+
+def _layer(modes: _LayerModes, q: float, kn: Array, ky: Array) -> _Layer:
+    """Decay rates and field column scale of one layer for every k_y.
+
+    The upward-mode fields are W = E(+) = [[0, P], [Q, S]] and
+    V = H(+) = [[T, 0], [U, Y]] (rows (Ex, Ey) resp. (Hx, Hy) orders,
+    columns TE then TM modes), with P = -X diag(beta^2/q),
+    Q = -vec_te diag(kappa_TE), S = -(k_y/q) E, T = vec_te diag(alpha^2/q),
+    U = (k_y/q) diag(k_n) vec_te and Y = -vec_tm diag(kappa_TM), where
+    X = ex_weight_tm and E = ey_weight_tm.  Each column of W and V is
+    scaled by 1 / max(|W column|, |V column|) to tame dynamic range; every
+    block is a fixed matrix times a non-negative factor, so the maxima come
+    from the fixed matrices' column maxima.
     """
-    n1 = kn.size
     kap_te = np.sqrt(modes.alpha2_te[None, :] + ky[:, None] ** 2)
     kap_tm = np.sqrt(modes.beta2_tm[None, :] + ky[:, None] ** 2)
-    ky_q = (ky / q)[:, None, None]
-    w, v, w_inv, v_inv = blocks = np.zeros((4, ky.size, 2 * n1, 2 * n1))
+    ky_q = (ky / q)[:, None]
 
-    # E blocks.
-    w[:, :n1, n1:] = -(modes.ex_weight_tm * modes.beta2_tm[None, :] / q)[None]
-    w[:, n1:, :n1] = -modes.vec_te[None] * kap_te[:, None, :]
-    w[:, n1:, n1:] = -ky_q * modes.ey_weight_tm[None]
-    # H blocks.
-    v[:, :n1, :n1] = (modes.vec_te * modes.alpha2_te[None, :] / q)[None]
-    v[:, n1:, :n1] = ky_q * (kn[:, None] * modes.vec_te)[None]
-    v[:, n1:, n1:] = -modes.vec_tm[None] * kap_tm[:, None, :]
+    def col_max(m):
+        return np.abs(m).max(axis=0)
 
-    # Inverses: W^-1 = [[-Q^-1 S P^-1, Q^-1], [P^-1, 0]] and
-    # V^-1 = [[T^-1, 0], [-Y^-1 U T^-1, Y^-1]], where S and U are k_y/q
-    # times k_y-independent matrices.
+    te_max = np.maximum(col_max(modes.vec_te) * kap_te, np.maximum(
+        col_max(modes.vec_te) * modes.alpha2_te / q,
+        ky_q * col_max(kn[:, None] * modes.vec_te)))
+    tm_max = np.maximum(col_max(modes.vec_tm) * kap_tm, np.maximum(
+        col_max(modes.ex_weight_tm) * modes.beta2_tm / q,
+        ky_q * col_max(modes.ey_weight_tm)))
+    col = np.concatenate([te_max, tm_max], axis=1)
+    return _Layer(modes, np.concatenate([kap_te, kap_tm], axis=1),
+                  1.0 / np.where(col > 0.0, col, 1.0))
+
+
+def _interface(below: _Layer, above: _Layer, q: float, kn: Array,
+               ky: Array):
+    """Scaled sum and difference of A = W_a^-1 W_b and B = V_a^-1 V_b.
+
+    Block triangularity makes A = [[A11, A12], [0, A22]] and
+    B = [[B11, 0], [B21, B22]] with, for E = ey_weight_tm and
+    G = vec_tm^-1,
+      A11 = diag(1/kappa_TE,a) vec_te,a^T vec_te,b diag(kappa_TE,b),
+      A12 = (k_y/q) diag(1/kappa_TE,a) vec_te,a^T (E_b - E_a A22),
+      A22 = P_a^-1 P_b,  B11 = T_a^-1 T_b,
+      B21 = -(k_y/q) diag(1/kappa_TM,a) G_a diag(k_n) (vec_te,b
+            - vec_te,a B11),
+      B22 = diag(1/kappa_TM,a) G_a vec_tm,b diag(kappa_TM,b),
+    each a k_y-independent n1 x n1 product times per-k_y diagonals.
+    Returns (A + B, A - B) with entry (i, j) times scale_b[j] / scale_a[i],
+    the interface matrices between the scaled fields, shape (nky, 2n1, 2n1).
+    """
+    mb, ma = below.modes, above.modes
+    n1 = kn.size
     x_inv, g_inv = np.linalg.solve(
-        np.stack([modes.ex_weight_tm, modes.vec_tm]), np.eye(n1)[None])
-    p_inv = w_inv[:, n1:, :n1] = -(q / modes.beta2_tm)[:, None] * x_inv
-    t_inv = v_inv[:, :n1, :n1] = (q / modes.alpha2_te)[:, None] * modes.vec_te.T
-    w_inv[:, :n1, n1:] = -modes.vec_te.T[None] / kap_te[:, :, None]
-    w_inv[:, :n1, :n1] = -ky_q * (modes.vec_te.T @ modes.ey_weight_tm
-                                  @ p_inv)[None] / kap_te[:, :, None]
-    v_inv[:, n1:, n1:] = -g_inv[None] / kap_tm[:, :, None]
-    v_inv[:, n1:, :n1] = ky_q * (g_inv @ (kn[:, None] * modes.vec_te)
-                                 @ t_inv)[None] / kap_tm[:, :, None]
+        np.stack([ma.ex_weight_tm, ma.vec_tm]), np.eye(n1)[None])
+    te_te = ma.vec_te.T @ mb.vec_te
+    a22 = ((x_inv @ mb.ex_weight_tm)
+           * (mb.beta2_tm[None, :] / ma.beta2_tm[:, None]))
+    b11 = te_te * (mb.alpha2_te[None, :] / ma.alpha2_te[:, None])
+    a12 = ma.vec_te.T @ (mb.ey_weight_tm - ma.ey_weight_tm @ a22)
+    b21 = g_inv @ (kn[:, None] * (mb.vec_te - ma.vec_te @ b11))
+    tm_tm = g_inv @ mb.vec_tm
 
-    col_max = np.maximum(np.abs(w).max(axis=1), np.abs(v).max(axis=1))
-    scale = 1.0 / np.where(col_max > 0.0, col_max, 1.0)  # (nky, 2 n1)
-    blocks[:2] *= scale[:, None, :]
-    blocks[2:] /= scale[:, :, None]
-    kappa = np.concatenate([kap_te, kap_tm], axis=1)  # (nky, 2 n1)
-    return w, v, w_inv, v_inv, kappa, scale
+    te, tm = slice(None, n1), slice(n1, None)
+    inv_te = 1.0 / above.kappa[:, te, None]
+    inv_tm = 1.0 / above.kappa[:, tm, None]
+    ky_q = (ky / q)[:, None, None]
+    a11 = inv_te * te_te * below.kappa[:, None, te]
+    b22 = inv_tm * tm_tm * below.kappa[:, None, tm]
+    plus = np.empty((ky.size, 2 * n1, 2 * n1))
+    minus = np.empty_like(plus)
+    plus[:, te, te], minus[:, te, te] = a11 + b11, a11 - b11
+    plus[:, te, tm] = minus[:, te, tm] = ky_q * inv_te * a12
+    plus[:, tm, te] = -ky_q * inv_tm * b21
+    minus[:, tm, te] = -plus[:, tm, te]
+    plus[:, tm, tm], minus[:, tm, tm] = a22 + b22, a22 - b22
+    ratio = below.scale[:, None, :] / above.scale[:, :, None]
+    return plus * ratio, minus * ratio
 
 
-def _climb(r: Array, below, above, d: Array, context: str) -> Array:
+def _climb(r: Array, plus: Array, minus: Array, d: Array,
+           context: str) -> Array:
     """Reflection just above an interface from the one just below it.
 
-    ``below`` and ``above`` are ``_field_blocks`` tuples; ``r`` maps
-    downward to upward amplitudes (c+ = r c-) in the layer below.
-    F = W_a^-1 W_b (r + D) and G = V_a^-1 V_b (r - D) are the above-layer
-    amplitude sums c+ + D c- and c+ - D c- per unit c- below.
+    ``plus`` and ``minus`` are the ``_interface`` matrices A + B and
+    A - B; ``r`` maps downward to upward amplitudes (c+ = r c-) in the
+    layer below.  F = A (r + D) and G = B (r - D) are the above-layer
+    amplitude sums c+ + D c- and c+ - D c- per unit c- below, so
+    F - G = (A - B) r + (A + B) D and F + G = (A + B) r + (A - B) D.
     """
-    w_b, v_b = below[0], below[1]
-    f = above[2] @ (w_b @ r + w_b * d)
-    g = above[3] @ (v_b @ r - v_b * d)
+    f_minus_g = minus @ r + plus * d
+    f_plus_g = plus @ r + minus * d
     try:
         # X (F - G) = F + G, as a solve on the transposes.
-        x_t = np.linalg.solve(np.transpose(f - g, (0, 2, 1)),
-                              np.transpose(f + g, (0, 2, 1)))
+        x_t = np.linalg.solve(np.transpose(f_minus_g, (0, 2, 1)),
+                              np.transpose(f_plus_g, (0, 2, 1)))
     except np.linalg.LinAlgError as exc:
         raise ModalError(f"interface solve failed at {context}: {exc}") from None
     return np.transpose(x_t, (0, 2, 1)) * d
@@ -322,29 +375,30 @@ def _reflection_batch(profile: GratingProfile, model: DielectricModel,
             "a corrugated perfect conductor has no finite permittivity for "
             "the modal expansion; use get_material('conductor_proxy')")
 
-    # Field blocks for every slab, bottom to top, then vacuum (slot 1.0).
+    # Every slab, bottom to top, then vacuum (slot 1.0).
     fracs = [s.slot_width / profile.period for s in slabs] + [1.0]
-    layers = [_field_blocks(_layer_modes(q, kn, eps_solid, f, context),
-                            q, kn, ky) for f in fracs]
+    layers = [_layer(_layer_modes(q, kn, eps_solid, f, context), q, kn, ky)
+              for f in fracs]
+    n2 = 2 * kn.size
     d = np.concatenate([-np.ones(kn.size), np.ones(kn.size)])
     if pc:
         # Vanishing tangential E on the conductor: W (c+ + D c-) = 0.
-        r = np.broadcast_to(np.diag(-d), layers[0][0].shape)
+        r = np.broadcast_to(np.diag(-d), (ky.size, n2, n2))
     else:
         # The substrate carries no upward wave: climb from r = 0.
-        substrate = _field_blocks(
-            _layer_modes(q, kn, eps_solid, 0.0, context), q, kn, ky)
-        r = _climb(np.zeros(layers[0][0].shape), substrate, layers[0], d,
-                   context)
+        substrate = _layer(_layer_modes(q, kn, eps_solid, 0.0, context),
+                           q, kn, ky)
+        r = _climb(np.zeros((ky.size, n2, n2)),
+                   *_interface(substrate, layers[0], q, kn, ky), d, context)
 
     # March upward: propagate through each slab, then cross its top.
     for slab, below, above in zip(slabs, layers, layers[1:]):
-        phi = np.exp(-below[4] * slab.thickness)  # (nky, 2 n1)
-        r = _climb(phi[:, :, None] * r * phi[:, None, :], below, above, d,
-                   context)
+        phi = np.exp(-below.kappa * slab.thickness)  # (nky, 2 n1)
+        r = _climb(phi[:, :, None] * r * phi[:, None, :],
+                   *_interface(below, above, q, kn, ky), d, context)
 
     # Undo the vacuum column scaling: rows by scale, columns by 1/scale.
-    *_blocks, kappa_vac, scale_vac = layers[-1]
+    kappa_vac, scale_vac = layers[-1].kappa, layers[-1].scale
     r_raw = scale_vac[:, :, None] * r / scale_vac[:, None, :]
 
     # R_sp = C+ R C-^{-1} = -C+ R C+ / (a^2 + b^2).
@@ -402,18 +456,30 @@ def _trace_over_z(r_sp: Array, kappa_vac: Array, r1_diag: Array,
 
     With K the diagonal of vacuum decay rates, -dM/dz = K M + M K, and
     since M commutes with (1-M)^{-1} the trace is 2 tr[(1-M)^{-1} K M].
-    Every (z, k_y) loop operator is solved in one batched call.
+    M' = R1 L^2 R2 = L M L^-1 has the same trace, as K commutes with L.
+    Loop operators with ||M'||_F < _NEUMANN_NORM take the Neumann sum
+    2 tr[K (M' + M'^2)]; the rest are solved in one batched call.
     """
-    lam = np.exp(-kappa_vac[None] * z_grid[:, None, None])  # (nz, nky, 2 n1)
-    m = (r1_diag * lam)[..., :, None] * r_sp * lam[..., None, :]
-    try:
-        sol = np.linalg.solve(np.eye(kappa_vac.shape[1]) - m,
-                              kappa_vac[:, :, None] * m)
-    except np.linalg.LinAlgError as exc:
-        zs = ", ".join(f"{z:.3e}" for z in z_grid)
-        raise ModalError(f"loop operator singular at {context}, "
-                         f"z in ({zs}): {exc}") from None
-    tr = 2.0 * np.einsum("zkii->zk", sol)
+    lam2 = np.exp(-2.0 * kappa_vac[None] * z_grid[:, None, None])
+    m = (r1_diag * lam2)[..., :, None] * r_sp  # (nz, nky, 2 n1, 2 n1)
+    kap = np.broadcast_to(kappa_vac, lam2.shape)
+    small = np.einsum("...ij,...ij->...", m, m) < _NEUMANN_NORM ** 2
+    tr = np.empty(small.shape)
+    m_s, k_s = m[small], kap[small]
+    tr[small] = (np.einsum("bi,bii->b", k_s, m_s)
+                 + np.einsum("bi,bij,bji->b", k_s, m_s, m_s))
+    big = ~small
+    if np.any(big):
+        m_b = m[big]
+        try:
+            sol = np.linalg.solve(np.eye(m.shape[-1]) - m_b,
+                                  kap[big][:, :, None] * m_b)
+        except np.linalg.LinAlgError as exc:
+            zs = ", ".join(f"{z:.3e}" for z in z_grid)
+            raise ModalError(f"loop operator singular at {context}, "
+                             f"z in ({zs}): {exc}") from None
+        tr[big] = np.einsum("bii->b", sol)
+    tr *= 2.0
     bad = ~np.all(np.isfinite(tr), axis=1)
     if np.any(bad):
         zs = ", ".join(f"{z:.3e}" for z in z_grid[bad])

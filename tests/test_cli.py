@@ -232,8 +232,11 @@ def test_usage_errors_exit_2(tmp_path, capsys):
         assert main(argv + ["--out", str(tmp_path / "out")]) == 2
         err = capsys.readouterr().err
         assert "[geometry]" in err and "depth" in err
+    assert main(["planar", "--z", "100:1e400:25nm"]) == 2
+    assert "--z" in capsys.readouterr().err
     for argv in (["pfa", "--radius=0um"],
                  ["planar", "--gradient", "--radius=0um"],
+                 ["planar", "--z", "100nm", "--gradient", "--radius=1e400um"],
                  ["calibrate", "--input", str(sweep), "--radius=0um"],
                  ["calibrate", "--input", str(sweep), "--model", "fem",
                   "--radius=-1um"]):

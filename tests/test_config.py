@@ -46,7 +46,8 @@ def test_parse_quantity_units():
 
 
 def test_parse_quantity_rejects_garbage():
-    for bad in ("fast", "98 nanometers", "nm", "1..2nm", "", "1e1e1"):
+    for bad in ("fast", "98 nanometers", "nm", "1..2nm", "", "1e1e1",
+                "1e400nm"):
         with pytest.raises(ConfigError):
             parse_quantity(bad)
     with pytest.raises(ConfigError, match="ambiguous"):
@@ -78,6 +79,9 @@ def test_parse_grid_rejects_bad_forms():
         parse_grid("600nm, 100nm")
     with pytest.raises(ConfigError):
         parse_grid("1:2:3:4nm")
+    for bad in ("100:1e400:25nm", "100:200:1e400nm"):
+        with pytest.raises(ConfigError, match="non-finite"):
+            parse_grid(bad)
 
 
 def test_parse_int_range():

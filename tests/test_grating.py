@@ -38,6 +38,7 @@ from casigrat import (
     rho_ratio,
     staircase,
 )
+from casigrat import grating
 from casigrat.constants import C_LIGHT
 from casigrat.planar import fresnel_te_tm
 
@@ -378,7 +379,141 @@ def test_argument_validation(trench):
 
 
 # --------------------------------------------------------------------------
-# Force assembly.
+# Interface matrices and the loop trace against dense references.
+
+
+def dense_fields(modes, q, kn, ky):
+    """Scaled upward-mode fields W = E(+), V = H(+), their inverses, scale.
+
+    Matrices have shape (nky, 2 n1, 2 n1): rows stack (Ex, Ey) resp.
+    (Hx, Hy) orders, columns TE then TM modes, each column scaled by
+    1 / max(|W column|, |V column|).  W = [[0, P], [Q, S]] and
+    V = [[T, 0], [U, Y]] are block triangular, so the inverses follow
+    block by block.
+    """
+    n1 = kn.size
+    kap_te = np.sqrt(modes.alpha2_te[None, :] + ky[:, None] ** 2)
+    kap_tm = np.sqrt(modes.beta2_tm[None, :] + ky[:, None] ** 2)
+    ky_q = (ky / q)[:, None, None]
+    w, v, w_inv, v_inv = blocks = np.zeros((4, ky.size, 2 * n1, 2 * n1))
+    w[:, :n1, n1:] = -(modes.ex_weight_tm * modes.beta2_tm[None, :] / q)[None]
+    w[:, n1:, :n1] = -modes.vec_te[None] * kap_te[:, None, :]
+    w[:, n1:, n1:] = -ky_q * modes.ey_weight_tm[None]
+    v[:, :n1, :n1] = (modes.vec_te * modes.alpha2_te[None, :] / q)[None]
+    v[:, n1:, :n1] = ky_q * (kn[:, None] * modes.vec_te)[None]
+    v[:, n1:, n1:] = -modes.vec_tm[None] * kap_tm[:, None, :]
+    # W^-1 = [[-Q^-1 S P^-1, Q^-1], [P^-1, 0]],
+    # V^-1 = [[T^-1, 0], [-Y^-1 U T^-1, Y^-1]]
+    p_inv = w_inv[:, n1:, :n1] = (-(q / modes.beta2_tm)[:, None]
+                                  * np.linalg.inv(modes.ex_weight_tm))
+    t_inv = v_inv[:, :n1, :n1] = (q / modes.alpha2_te)[:, None] * modes.vec_te.T
+    g_inv = np.linalg.inv(modes.vec_tm)
+    w_inv[:, :n1, n1:] = -modes.vec_te.T[None] / kap_te[:, :, None]
+    w_inv[:, :n1, :n1] = -ky_q * (modes.vec_te.T @ modes.ey_weight_tm
+                                  @ p_inv)[None] / kap_te[:, :, None]
+    v_inv[:, n1:, n1:] = -g_inv[None] / kap_tm[:, :, None]
+    v_inv[:, n1:, :n1] = ky_q * (g_inv @ (kn[:, None] * modes.vec_te)
+                                 @ t_inv)[None] / kap_tm[:, :, None]
+    col_max = np.maximum(np.abs(w).max(axis=1), np.abs(v).max(axis=1))
+    scale = 1.0 / np.where(col_max > 0.0, col_max, 1.0)
+    blocks[:2] *= scale[:, None, :]
+    blocks[2:] /= scale[:, :, None]
+    return w, v, w_inv, v_inv, scale
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(period=st.floats(200e-9, 800e-9), p1=st.floats(0.05, 0.9),
+       run_share=st.floats(0.0, 0.99), depth=st.floats(10e-9, 150e-9),
+       material=st.sampled_from(["silicon_doped", "gold_drude",
+                                 "conductor_proxy"]),
+       log_xi=st.floats(12.0, 16.5), kx_share=st.floats(-1.0, 1.0),
+       log_ky=st.floats(4.0, math.log10(3e8)), orders=st.integers(0, 8),
+       slices=st.integers(2, 4),
+       where=st.sampled_from(["substrate", "slab", "vacuum"]))
+def test_interface_matrices_match_dense_fields(period, p1, run_share, depth,
+                                               material, log_xi, kx_share,
+                                               log_ky, orders, slices, where):
+    # (A + B, A - B) from the modal products against the scaled dense
+    # W_a^-1 W_b +- V_a^-1 V_b, within 1e-12 of the largest entry plus the
+    # dense inverses' own residual |W_a^-1 W_a - I|, |V_a^-1 V_a - I|.
+    # That residual reaches 3e-11 at xi ~ 1e12 rad/s with |eps| ~ 1e12,
+    # where both forms round at that level.  The open width is a hair
+    # short of the period so that rounding cannot push top + floor past it.
+    run = 0.0 if run_share < 0.01 else run_share * min(
+        depth, 0.5 * (1.0 - p1) * period)
+    profile = GratingProfile(period=period, top_width=p1 * period,
+                             floor_width=(1.0 - p1) * (1.0 - 1e-12) * period
+                             - 2.0 * run,
+                             depth=depth, sidewall_angle_deg=90.0
+                             + math.degrees(math.atan(run / depth)))
+    xi = 10.0**log_xi
+    q = xi / C_LIGHT
+    kn = (kx_share + 2.0 * np.arange(-orders, orders + 1)) * math.pi / period
+    ky = 10.0 ** np.array([4.0, log_ky, math.log10(3e8)])
+    eps = float(get_material(material).epsilon(xi))
+    fracs = ([0.0] + [s.slot_width / period
+                      for s in reversed(staircase(profile, slices))] + [1.0])
+    i = {"substrate": 0, "slab": 1, "vacuum": len(fracs) - 2}[where]
+    modes_b, modes_a = (grating._layer_modes(q, kn, eps, f, "test")
+                        for f in fracs[i:i + 2])
+    below, above = (grating._layer(m, q, kn, ky) for m in (modes_b, modes_a))
+    plus, minus = grating._interface(below, above, q, kn, ky)
+
+    w_b, v_b, _, _, scale_b = dense_fields(modes_b, q, kn, ky)
+    w_a, v_a, w_inv_a, v_inv_a, scale_a = dense_fields(modes_a, q, kn, ky)
+    assert np.array_equal(below.scale, scale_b)
+    assert np.array_equal(above.scale, scale_a)
+    a, b = w_inv_a @ w_b, v_inv_a @ v_b
+    ident = np.eye(a.shape[-1])
+    residual = np.maximum(np.abs(w_inv_a @ w_a - ident),
+                          np.abs(v_inv_a @ v_a - ident)).max(axis=(1, 2))
+    largest = np.maximum(np.abs(a + b), np.abs(a - b)).max(axis=(1, 2))
+    for got, want in ((plus, a + b), (minus, a - b)):
+        err = np.abs(got - want).max(axis=(1, 2))
+        assert np.all(err <= 1e-12 * largest + 4.0 * residual)
+
+
+def _passive_loop(norms, z, n=10, seed=3):
+    """Synthetic (r_sp, kappa_vac, r1_diag) with ||M'||_F = norms at z."""
+    rng = np.random.default_rng(seed)
+    nky = len(norms)
+    kappa = rng.uniform(1e6, 1e8, (nky, n))
+    r1 = rng.uniform(-1.0, 1.0, (nky, n))
+    u, _ = np.linalg.qr(rng.standard_normal((nky, n, n)))
+    v, _ = np.linalg.qr(rng.standard_normal((nky, n, n)))
+    r_sp = u * rng.uniform(0.0, 1.0, (nky, 1, n)) @ v  # singular values <= 1
+    m = (r1 * np.exp(-2.0 * kappa * z))[:, :, None] * r_sp
+    r_sp *= (np.asarray(norms) / np.linalg.norm(m, axis=(1, 2)))[:, None, None]
+    return r_sp, kappa, r1
+
+
+@pytest.mark.parametrize("norms,z,share_small", [
+    # ||M'||_F at z[0] just below and above the threshold, and at 1e-3;
+    # the second separation shrinks every operator
+    ([0.5 * 2.0**-26, 2.0 * 2.0**-26, 1e-3], [1e-8, 3e-8], None),
+    ([1e-12, 0.5 * 2.0**-26, 0.9 * 2.0**-26], [1e-8, 3e-8], 1.0),
+    ([2.0 * 2.0**-26, 1e-3, 0.5], [1e-8], 0.0),
+])
+def test_loop_trace_neumann_branch(norms, z, share_small, monkeypatch):
+    z = np.array(z)
+    r_sp, kappa, r1 = _passive_loop(norms, z[0])
+    lam = np.exp(-kappa[None] * z[:, None, None])
+    m = (r1 * lam)[..., :, None] * r_sp * lam[..., None, :]  # M = R1 L R2 L
+    sol = np.linalg.solve(np.eye(kappa.shape[1]) - m, kappa[:, :, None] * m)
+    want = 2.0 * np.einsum("zkii->zk", sol)
+    norm = np.linalg.norm((r1 * lam * lam)[..., :, None] * r_sp, axis=(2, 3))
+    tol = 1e-14 * kappa.max(axis=1) * norm
+    small = np.mean(norm < 2.0**-26)
+    assert 0.0 < small < 1.0 if share_small is None else small == share_small
+
+    calls = []
+    solve = np.linalg.solve
+    monkeypatch.setattr(np.linalg, "solve",
+                        lambda *args: calls.append(1) or solve(*args))
+    # identity weights return the trace of every (z, k_y) operator
+    got = grating._trace_over_z(r_sp, kappa, r1, z, np.eye(len(norms)), "test")
+    assert np.all(np.abs(got - want) <= tol)
+    assert len(calls) == (small < 1.0)
 
 
 def test_fill_one_matches_planar_pressure():
@@ -460,20 +595,31 @@ def test_pool_has_at_most_one_process_per_node(trench, monkeypatch):
     assert sizes == [16]
 
 
-@pytest.mark.parametrize("conductor", [False, True])
-def test_grid_pressure_regression_pin(trench, conductor):
-    # literal values recorded from the (4 n1)-sized interface-solve kernel;
-    # the kernel must reproduce them to rounding
+@pytest.mark.parametrize("case", [False, True, "shipped"])
+def test_grid_pressure_regression_pin(trench, case):
+    # literal values the kernel must reproduce to rounding.  False (silicon
+    # trench) and True (perfect conductor) were recorded from the (4 n1)-
+    # sized interface-solve kernel; "shipped" from the dense W/V field
+    # kernel at the rho_ratio.cfg shape, where both the Neumann and the
+    # solve branch of the loop trace run
     gold = get_material("gold_drude")
-    if conductor:
+    si = get_material("silicon_doped")
+    spec = TruncationSpec(4, 2, GratingQuadrature(4, 4, 8))
+    z = [100e-9, 150e-9, 250e-9]
+    if case == "shipped":
+        profile, model = trench, si
+        spec = TruncationSpec(8, 4, GratingQuadrature(4, 4, 12))
+        z = [100e-9, 130e-9, 160e-9, 190e-9, 220e-9, 250e-9]
+        want = [-2.3421313097066117, -1.005426806544122, -0.5034622705530142,
+                -0.2769571943617971, -0.16270950981792132,
+                -0.10054683003061726]
+    elif case:
         profile, model = GratingProfile(LAM, LAM, 0.0, 0.0), PerfectConductor()
         want = [-7.537786771390838, -1.9436000834686278, -0.29623816009465037]
     else:
-        profile, model = trench, get_material("silicon_doped")
+        profile, model = trench, si
         want = [-2.358683360567413, -0.6302582527576783, -0.10112032315967324]
-    spec = TruncationSpec(4, 2, GratingQuadrature(4, 4, 8))
-    got = casimir_pressure_grating_grid(profile, model, gold,
-                                        [100e-9, 150e-9, 250e-9], spec)
+    got = casimir_pressure_grating_grid(profile, model, gold, z, spec)
     np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
 
 
