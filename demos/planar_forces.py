@@ -11,7 +11,6 @@ from casigrat import (
     RoughnessSpec,
     available_materials,
     casimir_pressure_planar,
-    epsilon_at_imaginary_frequency,
     flat_pressure_law,
     force_gradient_sphere_plane,
     get_material,
@@ -27,7 +26,7 @@ def main() -> None:
             continue
         model = get_material(name)
         try:
-            eps = float(epsilon_at_imaginary_frequency(model, 1e15))
+            eps = float(model.epsilon(1e15))
             print(f"  {name:18s} eps(i xi) = {eps:12.4f}")
         except ValueError as exc:
             print(f"  {name:18s} ({exc})")

@@ -14,7 +14,6 @@ from .calibration import (
     FitError,
     FrequencyShiftSample,
     GradientModel,
-    average_calibration_fits,
     fem_gradient_model,
     find_residual_voltage,
     fit_calibration,
@@ -23,7 +22,6 @@ from .calibration import (
     plate_gradient_model,
     predict_frequency_shift,
     read_frequency_shift_samples,
-    residual_voltage_drift_ok,
     series_gradient_model,
     synthesize_frequency_shifts,
     write_frequency_shift_samples,
@@ -70,7 +68,6 @@ from .materials import (
     PerfectConductor,
     Tabulated,
     available_materials,
-    epsilon_at_imaginary_frequency,
     get_material,
     intrinsic_silicon_table,
     load_tabulated_epsilon,
@@ -103,12 +100,11 @@ from .quadrature import QuadratureSpec
 __version__ = "0.1.0"
 
 __all__ = [
-    "CalibrationFit", "FitError", "FrequencyShiftSample",
-    "GradientModel", "average_calibration_fits", "fem_gradient_model",
-    "find_residual_voltage", "fit_calibration", "inertia_from_coefficient",
-    "oscillator_coefficient", "plate_gradient_model",
-    "predict_frequency_shift", "read_frequency_shift_samples",
-    "residual_voltage_drift_ok", "series_gradient_model",
+    "CalibrationFit", "FitError", "FrequencyShiftSample", "GradientModel",
+    "fem_gradient_model", "find_residual_voltage", "fit_calibration",
+    "inertia_from_coefficient", "oscillator_coefficient",
+    "plate_gradient_model", "predict_frequency_shift",
+    "read_frequency_shift_samples", "series_gradient_model",
     "synthesize_frequency_shifts", "write_frequency_shift_samples",
     "all_passed", "format_results", "run_checks",
     "Config", "ConfigError", "parse_grid", "parse_int_range",
@@ -123,9 +119,8 @@ __all__ = [
     "casimir_force_grating", "casimir_pressure_grating_grid", "convergence_sweep",
     "grating_reflection", "rho_ratio",
     "DielectricModel", "Drude", "DrudeLorentz", "DrudeParams", "EpsilonTable",
-    "PerfectConductor", "Tabulated", "available_materials",
-    "epsilon_at_imaginary_frequency", "get_material", "intrinsic_silicon_table",
-    "load_tabulated_epsilon",
+    "PerfectConductor", "Tabulated", "available_materials", "get_material",
+    "intrinsic_silicon_table", "load_tabulated_epsilon",
     "FlatForceLaw", "flat_pressure_law", "pfa_corrugated",
     "pfa_share_topbottom",
     "TASKS", "electrostatic_gradient_curves", "flat_force_gradient_curve",

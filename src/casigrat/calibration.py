@@ -312,18 +312,6 @@ def fit_calibration(samples: Sequence[FrequencyShiftSample],
                           n_samples=n, rss=rss, residuals=resid)
 
 
-def average_calibration_fits(fits: Sequence[CalibrationFit]):
-    """Mean coefficient and standoff over repeated fits, with standard
-    errors of the mean; averaging k sets shrinks the spread by sqrt(k)."""
-    if len(fits) < 2:
-        raise ValueError("need at least two fits to average")
-    coeffs = np.array([f.coeff for f in fits])
-    z0s = np.array([f.z0 for f in fits])
-    k = math.sqrt(len(fits))
-    return (float(coeffs.mean()), float(coeffs.std(ddof=1)) / k,
-            float(z0s.mean()), float(z0s.std(ddof=1)) / k)
-
-
 # --------------------------------------------------------------------------
 # residual voltage
 
@@ -353,14 +341,6 @@ def find_residual_voltage(samples: Sequence[FrequencyShiftSample]) -> float:
         raise FitError(f"parabola vertex {vertex:.4f} V lies outside the "
                        "sampled voltage range")
     return float(vertex)
-
-
-def residual_voltage_drift_ok(vertices: Sequence[float],
-                              tol: float = 3e-3) -> bool:
-    """True when vertex estimates agree within ``tol`` volts."""
-    if len(vertices) < 2:
-        raise ValueError("need at least two vertex estimates")
-    return float(np.ptp(np.asarray(vertices, dtype=float))) < tol
 
 
 # --------------------------------------------------------------------------

@@ -21,7 +21,7 @@ from .electrostatics import (MeshControl, SpherePlaneES, sphere_plane_force,
                              solve_corrugated_capacitor)
 from .geometry import GratingProfile, height_profile, reference_trench_profile
 from .grating import TruncationSpec, casimir_pressure_grating_grid
-from .materials import epsilon_at_imaginary_frequency, get_material
+from .materials import get_material
 from .pfa import FlatForceLaw, pfa_corrugated
 from .planar import casimir_pressure_planar, ideal_pressure
 
@@ -36,15 +36,15 @@ def check_materials() -> list[CheckResult]:
     out = []
     xi = np.geomspace(1e13, 1e17, 9)
     for name in ("gold_drude", "silicon_doped"):
-        eps = epsilon_at_imaginary_frequency(get_material(name), xi)
+        eps = get_material(name).epsilon(xi)
         ok = bool(np.all(eps > 1.0) and np.all(np.diff(eps) < 0.0))
         out.append(_result(f"{name} response decreasing and > 1", ok,
                            f"eps range [{eps.min():.3g}, {eps.max():.3g}]"))
     # below ~1e15 rad/s free carriers dominate and gold must lead;
     # higher up silicon's interband response takes over
     xi_low = np.geomspace(1e13, 1e15, 9)
-    gold = epsilon_at_imaginary_frequency(get_material("gold_drude"), xi_low)
-    si = epsilon_at_imaginary_frequency(get_material("silicon_doped"), xi_low)
+    gold = get_material("gold_drude").epsilon(xi_low)
+    si = get_material("silicon_doped").epsilon(xi_low)
     out.append(_result("gold leads doped silicon at low frequency",
                        bool(np.all(gold > si)), "pointwise on 9-node grid"))
     return out

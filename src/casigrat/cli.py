@@ -25,12 +25,11 @@ from .calibration import (FitError, fem_gradient_model, find_residual_voltage,
 from .config import Config, ConfigError, parse_grid, parse_int_range, parse_quantity
 from .curves import ForceCurve
 from .geometry import reference_trench_profile
-from .grating import convergence_sweep, TruncationSpec
-from .materials import (available_materials, epsilon_at_imaginary_frequency,
-                        get_material)
+from .grating import convergence_sweep
+from .materials import available_materials, get_material, is_perfect_conductor
 from .pfa import flat_pressure_law, pfa_corrugated, pfa_share_topbottom
-from .pipeline import (_material_from_config, _meshable_profile_from_config,
-                       _profile_from_config, electrostatic_gradient_curves,
+from .pipeline import (_meshable_profile_from_config, _profile_from_config,
+                       _rho_inputs, electrostatic_gradient_curves,
                        rho_ratio_curves, run_pipeline, worker_count)
 from .planar import NumericalError, casimir_pressure_planar
 
@@ -79,8 +78,11 @@ def _cmd_materials(args) -> int:
             print(name)
         return 0
     model = get_material(args.name)
+    if is_perfect_conductor(model):
+        raise ConfigError(f"--name: {args.name} has no finite permittivity "
+                          "to tabulate")
     xi = _flag_value(parse_grid, args.xi, "--xi")
-    eps = np.asarray(epsilon_at_imaginary_frequency(model, xi), dtype=float)
+    eps = np.asarray(model.epsilon(xi), dtype=float)
     _write_lines(Path(args.out), [
         f"# label: relative permittivity of {args.name} at imaginary "
         "frequency", "xi_rad_per_s,epsilon",
@@ -145,17 +147,13 @@ def _cmd_grating(args) -> int:
         if not z_ref > 0.0:
             raise ConfigError(f"[solver] sweep_z must be positive, got "
                               f"{z_ref} m")
-        _, model_g = _material_from_config(config, "grating", "silicon_doped")
-        _, model_p = _material_from_config(config, "plane", "gold_drude")
+        profile, (_, model_g), (_, model_p), spec = _rho_inputs(config)
     curves = rho_ratio_curves(config)
     for name in sorted(curves):
         _write_curve(curves[name], out_dir / f"rho_ratio_{name}.csv")
     if args.sweep_N:
-        spec = TruncationSpec(orders=orders[0],
-                              n_slices=config.integer("solver", "slices", 4))
-        rows = convergence_sweep(_profile_from_config(config), model_g,
-                                 model_p, z_ref, orders, spec,
-                                 workers=worker_count())
+        rows = convergence_sweep(profile, model_g, model_p, z_ref, orders,
+                                 spec, workers=worker_count())
         _write_lines(out_dir / "rho_ratio_convergence.csv", [
             "# label: pressure vs diffraction-order cutoff",
             f"# inputs: {config.digest()}", f"# z_nm: {z_ref * 1e9:.6g}",

@@ -38,8 +38,10 @@ _UNIT_SCALE = {
 # lowercasing everything except the M prefix
 _CASE_SENSITIVE = {"MHz": "mhz", "mHz": None, "Mv": None, "MV": None}
 
-_QUANTITY_RE = re.compile(
-    r"^\s*([+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)\s*([a-zA-Zµ]*)\s*$")
+_NUMBER = r"[+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?"
+_QUANTITY_RE = re.compile(rf"^\s*({_NUMBER})\s*([a-zA-Zµ]*)\s*$")
+_RANGE_RE = re.compile(
+    rf"^\s*({_NUMBER})\s*:\s*({_NUMBER})\s*:\s*({_NUMBER})\s*([a-zA-Zµ]*)\s*$")
 
 
 def _unit_scale(unit: str) -> float:
@@ -63,8 +65,12 @@ def parse_quantity(text: str) -> float:
     value, unit = match.groups()
     result = float(value) * _unit_scale(unit)
     if not math.isfinite(result):
-        raise ConfigError(f"quantity {text!r} is not finite")
+        raise ConfigError(f"quantity {text!r} is non-finite")
     return result
+
+
+# the range form is refused above this many points before it is allocated
+_MAX_GRID_POINTS = 100_000
 
 
 def parse_grid(text: str) -> Array:
@@ -77,20 +83,20 @@ def parse_grid(text: str) -> Array:
     """
     text = str(text).strip()
     if ":" in text:
-        parts = text.split(":")
-        if len(parts) != 3:
-            raise ConfigError(f"grid {text!r} must be start:stop:stepUNIT")
-        match = _QUANTITY_RE.match(parts[2])
+        match = _RANGE_RE.match(text)
         if match is None:
-            raise ConfigError(f"cannot parse grid step {parts[2]!r}")
-        scale = _unit_scale(match.group(2))
-        start, stop = (float(p) * scale for p in parts[:2])
-        step = float(match.group(1)) * scale
-        if not all(map(math.isfinite, (start, stop, step))):
-            raise ConfigError(f"grid {text!r} holds a non-finite value")
+            raise ConfigError(f"grid {text!r} must be start:stop:stepUNIT")
+        *numbers, unit = match.groups()
+        try:
+            start, stop, step = (parse_quantity(v + unit) for v in numbers)
+        except ConfigError as exc:
+            raise ConfigError(f"grid {text!r}: {exc}") from None
         if not step > 0.0 or not stop > start:
             raise ConfigError(f"grid {text!r} needs stop > start, step > 0")
         n = (stop - start) / step
+        if not n + 1.0 <= _MAX_GRID_POINTS:
+            raise ConfigError(f"grid {text!r} has {n + 1.0:.6g} points, more "
+                              f"than {_MAX_GRID_POINTS}")
         if abs(n - round(n)) > 1e-9 * max(1.0, abs(n)):
             raise ConfigError(f"grid {text!r}: step does not divide the span")
         values = np.linspace(start, stop, int(round(n)) + 1)
@@ -142,9 +148,6 @@ class Config:
         with open(path, "r", encoding="utf-8") as fh:
             return cls.from_text(fh.read())
 
-    def sections(self) -> tuple[str, ...]:
-        return tuple(self._parser.sections())
-
     def digest(self) -> str:
         """Hash of the normalized content, for output provenance."""
         lines = []
@@ -177,9 +180,7 @@ class Config:
     def grid(self, section: str, key: str, default=_REQUIRED) -> Array:
         raw = self._raw(section, key, default)
         if raw is None:
-            if isinstance(default, str):
-                return parse_grid(default)
-            return np.asarray(default, dtype=float)
+            return parse_grid(default)
         try:
             return parse_grid(raw)
         except ConfigError as exc:

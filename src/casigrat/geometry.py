@@ -153,14 +153,10 @@ def height_profile(profile: GratingProfile, x):
 
 @dataclass(frozen=True)
 class Slab:
-    """One staircase slice of the trench cross-section.
-
-    ``solid_fraction`` is the silicon fill of the slice; ``slot_width`` the
-    complementary vacuum opening.
-    """
+    """One staircase slice of the trench cross-section; ``slot_width`` is
+    its vacuum opening."""
 
     thickness: float
-    solid_fraction: float
     slot_width: float
 
 
@@ -179,7 +175,6 @@ def staircase(profile: GratingProfile, n_slices: int) -> list[Slab]:
     slabs = []
     for i in range(n_slices):
         w = float(profile.trench_width_at_depth((i + 0.5) * dt))
-        slabs.append(Slab(thickness=dt, solid_fraction=1.0 - w / profile.period,
-                          slot_width=w))
+        slabs.append(Slab(thickness=dt, slot_width=w))
     return slabs
 

@@ -143,11 +143,6 @@ class ReflectionOperator:
     """
 
     matrix: Array
-    xi: float
-    k_x: float
-    k_y: float
-    orders: int
-    period: float
 
     def max_singular_value(self) -> float:
         return float(np.linalg.svd(self.matrix, compute_uv=False)[0])
@@ -432,8 +427,7 @@ def grating_reflection(profile: GratingProfile, model: DielectricModel,
     r_sp, *_ = _reflection_batch(profile, model, xi, k_x,
                                  np.array([k_y], dtype=float),
                                  spec.orders, spec.n_slices)
-    return ReflectionOperator(matrix=r_sp[0], xi=xi, k_x=k_x, k_y=k_y,
-                              orders=spec.orders, period=profile.period)
+    return ReflectionOperator(matrix=r_sp[0])
 
 
 # --------------------------------------------------------------------------

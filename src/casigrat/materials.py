@@ -152,19 +152,6 @@ def is_perfect_conductor(model: DielectricModel) -> bool:
     return isinstance(model, PerfectConductor)
 
 
-def epsilon_at_imaginary_frequency(model: DielectricModel, xi):
-    """Evaluate eps(i xi) for any finite-permittivity model.
-
-    Parameters
-    ----------
-    model : DielectricModel
-        Material model.  Passing a PerfectConductor raises ValueError.
-    xi : float or array
-        Imaginary angular frequency in rad/s, strictly positive.
-    """
-    return model.epsilon(xi)
-
-
 def load_tabulated_epsilon(path) -> EpsilonTable:
     """Read a two-column (xi [rad/s], eps) text table.
 

@@ -10,6 +10,7 @@ identical configs give byte-identical CSV bodies.
 from __future__ import annotations
 
 import os
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -95,6 +96,17 @@ def _solver_count(config: Config, key: str, default: int,
     return n
 
 
+def _rho_inputs(config: Config):
+    """The rho recipe's geometry, (name, model) material pairs and
+    truncation; ``casigrat grating --sweep-N`` reads them here too."""
+    profile = _profile_from_config(config)
+    grating = _material_from_config(config, "grating", "silicon_doped")
+    plane = _material_from_config(config, "plane", "gold_drude")
+    spec = TruncationSpec(orders=_solver_count(config, "orders", 8, 0),
+                          n_slices=_solver_count(config, "slices", 4, 1))
+    return profile, grating, plane, spec
+
+
 def _base_metadata(config: Config, task: str) -> dict:
     return {"task": task, "inputs": config.digest()}
 
@@ -151,13 +163,9 @@ def rho_ratio_curves(config: Config) -> dict[str, ForceCurve]:
     CSV: the ingested gradient is divided by the proximity-force
     prediction 2 pi R |P_pfa| on its own grid.
     """
-    profile = _profile_from_config(config)
-    grating_mat, model_g = _material_from_config(config, "grating",
-                                                "silicon_doped")
-    plane_mat, model_p = _material_from_config(config, "plane", "gold_drude")
+    (profile, (grating_mat, model_g), (plane_mat, model_p),
+     spec) = _rho_inputs(config)
     z_grid = config.grid("grid", "z", "100:250:30nm")
-    spec = TruncationSpec(orders=_solver_count(config, "orders", 8, 0),
-                          n_slices=_solver_count(config, "slices", 4, 1))
     workers = worker_count()
     measured_path = config.string("measured", "gradient_csv", "")
     if measured_path:
@@ -176,9 +184,7 @@ def rho_ratio_curves(config: Config) -> dict[str, ForceCurve]:
                  "quadrature": f"{spec.quadrature.xi_nodes}x"
                                f"{spec.quadrature.kx_nodes}x"
                                f"{spec.quadrature.ky_nodes} nodes"})
-    curves = {"rho_theory": ForceCurve(theory.z, theory.values,
-                                       unit=theory.unit, label=theory.label,
-                                       metadata=meta)}
+    curves = {"rho_theory": replace(theory, metadata=meta)}
 
     if measured_path:
         law = flat_pressure_law(model_p, model_g, float(np.min(measured.z)),

@@ -129,8 +129,7 @@ def ideal_pressure(z: float) -> float:
 
 def force_gradient_sphere_plane(material_sphere: DielectricModel,
                                 material_plane: DielectricModel,
-                                z: float, radius: float,
-                                quad: QuadratureSpec | None = None) -> float:
+                                z: float, radius: float) -> float:
     """Sphere-plane force gradient F'(z) in N/m, proximity-force mapping.
 
     F'(z) = 2 pi R |P(z)| with P the plane-plane pressure; reported
@@ -142,8 +141,11 @@ def force_gradient_sphere_plane(material_sphere: DielectricModel,
     if z / radius > 0.05:
         warnings.warn(f"z/R = {z / radius:.3f} strains the proximity-force "
                       "mapping (valid for z << R)", stacklevel=2)
-    pressure = casimir_pressure_planar(material_sphere, material_plane, z, quad)
+    pressure = casimir_pressure_planar(material_sphere, material_plane, z)
     return 2.0 * math.pi * radius * abs(pressure)
+
+
+_TRUNCATION_SIGMAS = 3.0
 
 
 @dataclass(frozen=True)
@@ -170,23 +172,23 @@ class RoughnessSpec:
             raise ValueError("weights must sum to 1 within 1e-12")
 
     @classmethod
-    def gaussian(cls, rms: float, n_points: int = 21,
-                 truncation_sigmas: float = 3.0) -> "RoughnessSpec":
-        """Gaussian height distribution, truncated and renormalized."""
+    def gaussian(cls, rms: float, n_points: int = 21) -> "RoughnessSpec":
+        """Gaussian height distribution, truncated at 3 rms and
+        renormalized."""
         if not rms > 0.0:
             raise ValueError("rms must be positive")
         if n_points < 3 or n_points % 2 == 0:
             raise ValueError("n_points must be odd and >= 3")
-        h = np.linspace(-truncation_sigmas * rms, truncation_sigmas * rms, n_points)
+        h = np.linspace(-_TRUNCATION_SIGMAS * rms, _TRUNCATION_SIGMAS * rms,
+                        n_points)
         w = np.exp(-0.5 * (h / rms) ** 2)
         return cls(h, w / w.sum())
 
     @classmethod
     def combined_gaussian(cls, rms_a: float, rms_b: float,
-                          n_points: int = 21,
-                          truncation_sigmas: float = 3.0) -> "RoughnessSpec":
+                          n_points: int = 21) -> "RoughnessSpec":
         """Two independent rough surfaces combine in quadrature."""
-        return cls.gaussian(math.hypot(rms_a, rms_b), n_points, truncation_sigmas)
+        return cls.gaussian(math.hypot(rms_a, rms_b), n_points)
 
     @property
     def rms(self) -> float:

@@ -18,7 +18,6 @@ from casigrat import (
     CalibrationFit,
     FitError,
     FrequencyShiftSample,
-    average_calibration_fits,
     fem_gradient_model,
     find_residual_voltage,
     fit_calibration,
@@ -27,7 +26,6 @@ from casigrat import (
     plate_gradient_model,
     predict_frequency_shift,
     read_frequency_shift_samples,
-    residual_voltage_drift_ok,
     series_gradient_model,
     synthesize_frequency_shifts,
     write_frequency_shift_samples,
@@ -223,30 +221,6 @@ def test_single_voltage_many_distances_is_allowed(series_model):
     assert fit.coeff == pytest.approx(COEFF, rel=1e-6)
 
 
-def test_averaging_shrinks_spread(rng):
-    # six voltage sets per trial, as in a repeated calibration campaign;
-    # the set-averaged coefficient must scatter ~ sqrt(6) less
-    model = plate_gradient_model(RADIUS)
-    piezo = np.linspace(0.0, 500e-9, 8)
-    volt_sets = [(0.245 + 0.01 * k, 0.300 - 0.01 * k) for k in range(6)]
-    singles, means = [], []
-    for _ in range(24):
-        fits = []
-        for volts in volt_sets:
-            noisy = synthesize_frequency_shifts(
-                COEFF, Z0, model, voltages=volts, z_piezo=piezo,
-                noise_frac=0.01, rng=rng)
-            fits.append(fit_calibration(noisy, model))
-        coeff_mean, coeff_sem, z0_mean, _ = average_calibration_fits(fits)
-        assert coeff_sem > 0.0
-        singles.append(fits[0].coeff)
-        means.append(coeff_mean)
-    ratio = np.std(means) / np.std(singles)
-    assert 0.2 < ratio < 0.7  # ideal 1/sqrt(6) ~ 0.41
-    with pytest.raises(ValueError):
-        average_calibration_fits([])
-
-
 def test_vertex_symmetric_three_points_exact():
     volts = (-0.599, -0.499, -0.399)
     shifts = [-(v + 0.499) ** 2 + 0.05 for v in volts]
@@ -283,13 +257,6 @@ def test_vertex_error_modes():
             [FrequencyShiftSample(1e-7, 0.0, 0.1, 0.01),
              FrequencyShiftSample(1e-7, 0.0, 0.1, 0.01),
              FrequencyShiftSample(1e-7, 0.0, 0.2, 0.04)])
-
-
-def test_vertex_drift_flag():
-    assert residual_voltage_drift_ok([-0.499, -0.4975])
-    assert not residual_voltage_drift_ok([-0.499, -0.490])
-    with pytest.raises(ValueError):
-        residual_voltage_drift_ok([-0.499])
 
 
 def test_csv_roundtrip(tmp_path, noiseless_samples):

@@ -234,6 +234,12 @@ def test_usage_errors_exit_2(tmp_path, capsys):
         assert "[geometry]" in err and "depth" in err
     assert main(["planar", "--z", "100:1e400:25nm"]) == 2
     assert "--z" in capsys.readouterr().err
+    for z in ("100:abc:25nm", "0.5:1e300:1e-300m"):
+        assert main(["planar", "--z", z]) == 2
+        assert "--z" in capsys.readouterr().err
+    assert main(["materials", "--name", "perfect_conductor",
+                 "--out", str(tmp_path / "eps.csv")]) == 2
+    assert "--name" in capsys.readouterr().err
     for argv in (["pfa", "--radius=0um"],
                  ["planar", "--gradient", "--radius=0um"],
                  ["planar", "--z", "100nm", "--gradient", "--radius=1e400um"],

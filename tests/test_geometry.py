@@ -69,13 +69,14 @@ def test_height_profile_mean(trench):
 def test_staircase_vertical_single_slab_fill():
     slabs = staircase(vertical_profile(), 1)
     assert len(slabs) == 1
-    assert slabs[0].solid_fraction == pytest.approx(185.3 / 400.0, rel=1e-12)
+    fill = 1.0 - slabs[0].slot_width / 400e-9
+    assert fill == pytest.approx(185.3 / 400.0, rel=1e-12)
     assert slabs[0].thickness == pytest.approx(98e-9, rel=1e-12)
 
 
 def test_staircase_monotone_fill(trench):
     slabs = staircase(trench, 4)
-    fills = [s.solid_fraction for s in slabs]
+    fills = [1.0 - s.slot_width / trench.period for s in slabs]
     assert len(fills) == 4
     # The trench narrows with depth, so the silicon fill grows.
     assert all(b > a for a, b in zip(fills, fills[1:]))
