@@ -14,11 +14,13 @@ The cell's gap block, the x-periodic tensor grid between the ridge-top
 level y = 0 and the electrode, is split into right triangles, so its
 stiffness is exactly Ax (x) My + Mx (x) Ay (1-D stiffness A, lumped
 length M).  The solver eliminates it by block elimination: the column
-eigenmodes Ax v = lam Mx v are computed once per column layout, a sweep
-over the rows reduces each mode to a 2x2 map between y = 0 and the
-electrode, and the map onto the trench mouths becomes one dense block of
-a sparse system on the trench nodes.  That system is the only sparse
-factorisation per solve.
+eigenmodes Ax v = lam Mx v are computed once per column layout, and a
+sweep over the rows reduces each mode to a 2x2 map between y = 0 and the
+electrode.  The trench block below y = 0 depends on the gap only through
+its row count, so it is reduced onto the trench mouths once per mesh
+layout, by a banded Cholesky factorisation, and cached.  Each gap then
+solves one dense SPD system on the mouths; no solve builds a sparse
+matrix.
 
 Forces are signed along the surface normal, negative = attractive,
 matching the Casimir modules; force gradients dF/dz are then positive
@@ -32,8 +34,7 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
+import scipy.linalg as sla
 
 from .constants import EPS0
 from .geometry import GratingProfile, height_profile
@@ -301,6 +302,26 @@ def _column_positions(profile: GratingProfile, nx: int) -> Array:
     return np.concatenate(cols)[:-1]  # half-open [0, period)
 
 
+@functools.lru_cache(maxsize=16)
+def _columns(shape: GratingProfile, nx: int) -> tuple[Array, Array]:
+    # column abscissae of a meshing profile, the closing column at
+    # x = period included, and the etch depth under each; read-only
+    xs = np.append(_column_positions(shape, nx), shape.period)
+    h = height_profile(shape, np.minimum(xs, np.nextafter(shape.period,
+                                                          0.0)))
+    h[-1] = h[0]  # periodic closure is exact by construction
+    for arr in (xs, h):
+        arr.flags.writeable = False
+    return xs, h
+
+
+def _trench_rows(h: Array, gap: float, na: int) -> int:
+    # nb, the row intervals below y = 0, in proportion to depth / (depth +
+    # gap); 0 for a cell without trench columns
+    depth = float(h.max())
+    return max(3, round(na * depth / (depth + gap))) if depth > 0.0 else 0
+
+
 def build_trench_mesh(profile: GratingProfile, gap: float,
                       control: MeshControl | None = None) -> Mesh2D:
     """Triangulate one period of the capacitor in two structured blocks.
@@ -319,21 +340,24 @@ def build_trench_mesh(profile: GratingProfile, gap: float,
     """
     if not gap > 0.0:
         raise ValueError("gap must be positive")
-    control = control or MeshControl()
-    shape = _meshing_profile(profile)
-    xs = np.append(_column_positions(shape, control.nx), profile.period)
+    mesh = _cell_mesh(_meshing_profile(profile), gap,
+                      control or MeshControl())
+    mesh.validate()
+    return mesh
+
+
+def _cell_mesh(shape: GratingProfile, gap: float,
+               control: MeshControl) -> Mesh2D:
+    # the unvalidated mesh of build_trench_mesh, for a meshing profile
+    xs, h = _columns(shape, control.nx)
     n_cols = xs.size
-    h = height_profile(shape, np.minimum(xs, np.nextafter(profile.period,
-                                                          0.0)))
-    h[-1] = h[0]  # periodic closure is exact by construction
     na = control.ny
     y_up = gap * _graded_from_start(na)
     up_id = np.arange(n_cols * (na + 1)).reshape(n_cols, na + 1)
 
     deep = h > 0.0
     n_deep = np.count_nonzero(deep)
-    depth = float(h.max())
-    nb = max(3, round(na * depth / (depth + gap))) if n_deep else 0
+    nb = _trench_rows(h, gap, na)
     s = np.linspace(0.0, 1.0, nb + 1)
     rise = 1.0 - (1.0 - s) ** _GRADE_MU  # dense near the mouth y = 0
     low_id = np.repeat(up_id[:, :1], nb + 1, axis=1)  # all on the mouth
@@ -353,15 +377,13 @@ def build_trench_mesh(profile: GratingProfile, gap: float,
     dof_map = np.arange(nodes.shape[0])
     dof_map[up_id[-1]] = up_id[0]  # the closing column has no lower nodes
 
-    mesh = Mesh2D(nodes=nodes, triangles=tris[distinct],
+    return Mesh2D(nodes=nodes, triangles=tris[distinct],
                   bottom_nodes=low_id[:, 0].copy(),
                   top_nodes=up_id[:, na].copy(),
                   left_nodes=up_id[0].copy(),
                   right_nodes=up_id[-1].copy(),
                   dof_map=dof_map,
-                  period=profile.period)
-    mesh.validate()
-    return mesh
+                  period=shape.period)
 
 
 def _cell_triangles(ids: Array) -> Array:
@@ -435,6 +457,69 @@ def _end_row_schur(lam: Array, hy: Array) -> tuple[Array, Array, Array]:
     return sa - b, b, sd - b
 
 
+def _reduce_trench(mesh: Mesh2D) -> tuple[Array, Array, Array, Array]:
+    """(lam, schur, modes, weights): a trench layout, reduced for solves.
+
+    ``lam`` are the x-mode eigenvalues of ``_x_modes``.  ``schur`` is the
+    trench stiffness reduced onto the mouth nodes of the columns whose
+    grounded surface lies below y = 0 (the closing column folds onto
+    column 0): K_mm - K_mi K_ii^-1 K_im.  ``modes`` and ``weights`` are
+    the mouth rows of Mx V and of mx.  The trench interior is numbered
+    column by column, as ``build_trench_mesh`` numbers it, so its
+    stiffness is SPD with half-bandwidth nb and one banded Cholesky
+    factorisation eliminates it.  None of this depends on the gap, and
+    the arrays are read-only.
+    """
+    rows = mesh.left_nodes.size  # na + 1; upper node id = col * rows + row
+    n_up = mesh.top_nodes.size * rows
+    n = mesh.nodes.shape[0]
+    lam, mx, mv = _x_modes(np.diff(mesh.nodes[mesh.top_nodes, 0]).tobytes())
+    mouths = np.flatnonzero(mesh.bottom_nodes[:-1] >= n_up)
+    inner = np.ones(n - n_up, dtype=bool)
+    inner[mesh.bottom_nodes[mouths] - n_up] = False
+    unknown = np.concatenate([mouths * rows, n_up + np.flatnonzero(inner)])
+    pos = np.full(n, -1)
+    pos[unknown] = np.arange(unknown.size)
+
+    trench = mesh.triangles[mesh.triangles.max(axis=1) >= n_up]
+    dofs = pos[mesh.dof_map[trench]]
+    r = np.repeat(dofs, 3, axis=1).ravel()
+    c = np.tile(dofs, (1, 3)).ravel()
+    k = _element_stiffness(mesh.nodes, trench).ravel()
+    keep = (r >= 0) & (c >= 0)
+    r, c, k = r[keep], c[keep], k[keep]
+    m = mouths.size
+    n_in = unknown.size - m
+
+    def gather(sel: Array, flat: Array, shape: tuple[int, int]) -> Array:
+        return np.bincount(flat[sel], k[sel],
+                           minlength=shape[0] * shape[1]).reshape(shape)
+
+    schur = gather((r < m) & (c < m), r * m + c, (m, m))
+    if m:
+        k_im = gather((r >= m) & (c < m), (r - m) * m + c, (n_in, m))
+        # lower band storage: entry (i, j), i >= j, at [i - j, j]
+        lower = (c >= m) & (r >= c)
+        band = int((r - c)[lower].max())
+        chol = sla.cholesky_banded(
+            gather(lower, (r - c) * n_in + c - m, (band + 1, n_in)),
+            lower=True)
+        # K_ii = L L^T, so K_mi K_ii^-1 K_im = Y^T Y with Y = L^-1 K_im
+        y, _ = sla.lapack.dtbtrs(chol, k_im, uplo="L")
+        schur -= y.T @ y
+    out = (lam, schur, mv[mouths], mx[mouths])
+    for arr in out:
+        arr.flags.writeable = False
+    return out
+
+
+# Trench reductions by (meshing profile, MeshControl, nb).  A gap table
+# meets one layout per distinct nb (18 on the 48 gaps of
+# electrostatic_gradient.cfg); past the bound the oldest entry goes.
+_REDUCTIONS: dict = {}
+_MAX_REDUCTIONS = 64
+
+
 def solve_corrugated_capacitor(profile: GratingProfile, gap: float, V: float,
                                control: MeshControl | None = None,
                                return_mesh: bool = False):
@@ -445,53 +530,47 @@ def solve_corrugated_capacitor(profile: GratingProfile, gap: float, V: float,
     energy integral (eps0 / 2) Int |grad phi|^2 over one period, divided
     by the period.
 
-    The gap block above y = 0 is eliminated exactly: its stiffness is
+    Both blocks of the mesh are eliminated onto the trench mouths at
+    y = 0 (capacitance-matrix method: Buzbee, Dorr, George and Golub,
+    SIAM J. Numer. Anal. 8, 722 (1971)).  The gap block's stiffness is
     Ax (x) My + Mx (x) Ay, so in the x-modes of ``_x_modes`` it reduces
-    to a 2x2 map per mode between the rows y = 0 and y = gap.  What is
-    left is a sparse system on the trench nodes plus a dense
-    mouth-to-mouth block (Buzbee, Dorr, George and Golub, SIAM J. Numer.
-    Anal. 8, 722 (1971)).
+    to a 2x2 map per mode between the rows y = 0 and y = gap.  The
+    trench block depends on the gap only through its row count nb; its
+    banded Cholesky reduction (``_reduce_trench``) is cached per mesh
+    layout and shared by every gap with the same nb.  A gap then costs
+    the row sweep and one dense SPD solve on the mouths.  The mesh is
+    built and validated only on a cache miss and for
+    ``return_mesh=True``.
     """
-    mesh = build_trench_mesh(profile, gap, control)
-    n = mesh.nodes.shape[0]
-    rows = mesh.left_nodes.size  # na + 1; upper node id = col * rows + row
-    n_up = mesh.top_nodes.size * rows
-    lam, mx, mv = _x_modes(np.diff(mesh.nodes[mesh.top_nodes, 0]).tobytes())
-    s00, s01, s11 = _end_row_schur(lam,
-                                   np.diff(mesh.nodes[mesh.left_nodes, 1]))
-
-    # unknowns: the mouth nodes of the columns whose grounded surface
-    # lies below y = 0 (the closing column folds onto column 0), then the
-    # trench nodes not on that surface
-    mouths = np.flatnonzero(mesh.bottom_nodes[:-1] >= n_up)
-    inner = np.ones(n - n_up, dtype=bool)
-    inner[mesh.bottom_nodes[mouths] - n_up] = False
-    unknown = np.concatenate([mouths * rows, n_up + np.flatnonzero(inner)])
-    pos = np.full(n, -1)
-    pos[unknown] = np.arange(unknown.size)
-
-    # the trench triangles, plus the gap block as a dense mouth block
-    trench = mesh.triangles[mesh.triangles.max(axis=1) >= n_up]
-    dofs = pos[mesh.dof_map[trench]]
-    r = np.repeat(dofs, 3, axis=1).ravel()
-    c = np.tile(dofs, (1, 3)).ravel()
-    keep = (r >= 0) & (c >= 0)
-    gap_map = (mv[mouths] * s00) @ mv[mouths].T
-    i, j = np.indices(gap_map.shape).reshape(2, -1)
-    k_uu = sp.csc_matrix(
-        (np.concatenate([_element_stiffness(mesh.nodes, trench).ravel()[keep],
-                         gap_map.ravel()]),
-         (np.concatenate([r[keep], i]), np.concatenate([c[keep], j]))),
-        shape=(unknown.size, unknown.size))
-    rhs = np.zeros(unknown.size)
-    rhs[:mouths.size] = -s01[0] * V * mx[mouths]
+    if not gap > 0.0:
+        raise ValueError("gap must be positive")
+    control = control or MeshControl()
+    shape = _meshing_profile(profile)
+    key = (shape, control,
+           _trench_rows(_columns(shape, control.nx)[1], gap, control.ny))
+    reduction = _REDUCTIONS.get(key)
+    mesh = None
+    if return_mesh or reduction is None:
+        mesh = _cell_mesh(shape, gap, control)
+        mesh.validate()
     try:
-        u = spla.spsolve(k_uu, rhs, permc_spec="MMD_AT_PLUS_A")
-    except Exception as exc:  # pragma: no cover - solver backend failure
-        raise NumericalError(f"capacitor linear solve failed: {exc}") from exc
+        if reduction is None:
+            reduction = _reduce_trench(mesh)
+            if len(_REDUCTIONS) >= _MAX_REDUCTIONS:
+                del _REDUCTIONS[next(iter(_REDUCTIONS))]
+            _REDUCTIONS[key] = reduction
+        lam, schur, modes, weights = reduction
+        s00, s01, s11 = _end_row_schur(
+            lam, np.diff(gap * _graded_from_start(control.ny)))
+        rhs = -s01[0] * V * weights
+        u = sla.solve(schur + (modes * s00) @ modes.T, rhs, assume_a="pos",
+                      check_finite=False)
+    except sla.LinAlgError as exc:
+        raise NumericalError(f"capacitor cell solve failed at gap = "
+                             f"{gap:.6g} m for {profile}: {exc}") from exc
     if not np.all(np.isfinite(u)):
-        raise NumericalError("capacitor linear solve returned non-finite "
-                             "potentials")
+        raise NumericalError(f"capacitor cell solve returned non-finite "
+                             f"potentials at gap = {gap:.6g} m for {profile}")
     # u^T K u = s11(0) V^2 period - u . rhs: the electrode row enters
     # through the constant mode alone
     energy = 0.5 * EPS0 * (s11[0] * V * V - float(u @ rhs) / profile.period)

@@ -22,6 +22,7 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from hypothesis import given, settings
@@ -30,6 +31,7 @@ from hypothesis import strategies as st
 from casigrat import (
     EPS0,
     GratingProfile,
+    Mesh2D,
     MeshControl,
     NumericalError,
     SpherePlaneES,
@@ -40,6 +42,8 @@ from casigrat import (
     sphere_plane_force,
     sphere_plane_gradient,
 )
+from casigrat import electrostatics
+from casigrat.cli import main
 from casigrat.electrostatics import ALPHA_SERIES_MIN, _x_modes
 
 RADIUS = 151.7e-6
@@ -386,15 +390,30 @@ def test_block_elimination_matches_global_solve_on_trapezoids(
     assert got == pytest.approx(expected, rel=1e-7)
 
 
+# a V-groove whose floor width rounds to ~1e-23 m, and a floor or a
+# plateau far under the meshing ramp
+_V_PERIOD = 3.4058189129236817e-07
+SHORT_SEGMENTS = {
+    "v_groove": GratingProfile(_V_PERIOD, 0.05 * _V_PERIOD, 0.0, 246e-9),
+    "sub_ramp_floor": GratingProfile(400e-9, 200e-9, 4e-14, 30e-9),
+    "sub_ramp_plateau": GratingProfile(400e-9, 4e-14, 100e-9, 30e-9),
+}
+
+
 def test_short_segments_get_no_columns():
-    # a V-groove whose floor width rounds to ~1e-23 m, and a floor or a
-    # plateau far under the meshing ramp: no column spacing may collapse
-    period = 3.4058189129236817e-07
-    for prof in (GratingProfile(period, 0.05 * period, 0.0, 246e-9),
-                 GratingProfile(400e-9, 200e-9, 4e-14, 30e-9),
-                 GratingProfile(400e-9, 4e-14, 100e-9, 30e-9)):
+    # no column spacing may collapse
+    for prof in SHORT_SEGMENTS.values():
         mesh = build_trench_mesh(prof, 30e-9)
-        assert np.diff(mesh.nodes[mesh.top_nodes, 0]).min() > 1e-6 * period
+        assert np.diff(mesh.nodes[mesh.top_nodes, 0]).min() > \
+            1e-6 * prof.period
+
+
+@pytest.mark.parametrize("name", list(SHORT_SEGMENTS))
+def test_short_segments_match_global_solve(name):
+    for gap in (30e-9, 150e-9):
+        expected = global_solve_energy(SHORT_SEGMENTS[name], gap, VOLT)
+        got = solve_corrugated_capacitor(SHORT_SEGMENTS[name], gap, VOLT)
+        assert got == pytest.approx(expected, rel=1e-7)
 
 
 @pytest.mark.parametrize("name", ["flat", "vertical", "reference"])
@@ -440,6 +459,84 @@ def test_x_modes_are_cached_read_only(trench):
     # Mx-orthonormal: V^T Mx V = I with V = (Mx V) / mx
     np.testing.assert_allclose(mv.T @ (mv / mx[:, None]), np.eye(lam.size),
                                atol=1e-10)
+
+
+# the gaps fem_gradient_model tabulates for electrostatic_gradient.cfg
+TABLE_GAPS = np.geomspace(0.98 * 100e-9, 1.02 * 600e-9, 48)
+
+
+def _table(profile, gaps):
+    return np.array([solve_corrugated_capacitor(profile, g, 1.0)
+                     for g in gaps])
+
+
+def test_cell_table_independent_of_the_cache(trench, monkeypatch):
+    # the cached trench reductions must not depend on which gap filled
+    # them: the pipeline CSVs are compared byte for byte
+    monkeypatch.setattr(electrostatics, "_REDUCTIONS", {})
+    cold = _table(trench, TABLE_GAPS)
+    warm = _table(trench, TABLE_GAPS)
+    electrostatics._REDUCTIONS.clear()
+    reverse = _table(trench, TABLE_GAPS[::-1])[::-1]
+    assert np.all(cold == warm)
+    assert np.all(cold == reverse)
+
+
+def test_mesh_validated_once_per_layout(trench, monkeypatch):
+    layouts = {build_trench_mesh(trench, g).nodes.shape[0]
+               for g in TABLE_GAPS}  # the node count grows with nb
+    monkeypatch.setattr(electrostatics, "_REDUCTIONS", {})
+    validated = []
+    validate = Mesh2D.validate
+
+    def counting_validate(mesh):
+        validated.append(mesh)
+        validate(mesh)
+
+    monkeypatch.setattr(Mesh2D, "validate", counting_validate)
+    _table(trench, TABLE_GAPS)
+    assert len(validated) == len(layouts) == len(electrostatics._REDUCTIONS)
+    _table(trench, TABLE_GAPS)
+    assert len(validated) == len(layouts)
+    _, mesh = solve_corrugated_capacitor(trench, TABLE_GAPS[0], 1.0,
+                                         return_mesh=True)
+    assert len(validated) == len(layouts) + 1
+    assert mesh.n_triangles == build_trench_mesh(trench,
+                                                 TABLE_GAPS[0]).n_triangles
+
+
+def test_trench_reductions_are_read_only(trench, monkeypatch):
+    monkeypatch.setattr(electrostatics, "_REDUCTIONS", {})
+    solve_corrugated_capacitor(trench, 150e-9, VOLT)
+    (reduction,) = electrostatics._REDUCTIONS.values()
+    lam, schur, modes, weights = reduction
+    assert schur.shape == (weights.size, weights.size)
+    assert modes.shape == (weights.size, lam.size)
+    for arr in reduction:
+        assert not arr.flags.writeable
+
+
+def test_failed_factorisation_raises_numerical_error(trench, monkeypatch,
+                                                     tmp_path):
+    def not_positive(*args, **kwargs):
+        raise np.linalg.LinAlgError("leading minor not positive definite")
+
+    monkeypatch.setattr(electrostatics, "_REDUCTIONS", {})
+    monkeypatch.setattr(scipy.linalg, "cholesky_banded", not_positive)
+    with pytest.raises(NumericalError,
+                       match=r"gap = 1\.5e-07 m for GratingProfile\(period"):
+        solve_corrugated_capacitor(trench, 150e-9, VOLT)
+    assert electrostatics._REDUCTIONS == {}
+    cfg = tmp_path / "es.cfg"
+    cfg.write_text("[pipeline]\ntask = electrostatic_gradient\n"
+                   "[grid]\nz = 150:450:150nm\n[solver]\ntable_points = 10\n")
+    assert main(["pipeline", "--config", str(cfg),
+                 "--out", str(tmp_path / "out")]) == 1
+
+
+def test_non_finite_potentials_raise_numerical_error(trench):
+    with pytest.raises(NumericalError, match="non-finite.*gap = 1\\.5e-07 m"):
+        solve_corrugated_capacitor(trench, 150e-9, math.nan)
 
 
 def test_validate_rejects_inverted_triangles(trench):
