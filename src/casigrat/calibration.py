@@ -33,11 +33,7 @@ import numpy as np
 from scipy.optimize import minimize_scalar
 
 from .constants import EPS0
-from .electrostatics import (
-    SpherePlaneES,
-    solve_corrugated_capacitor,
-    sphere_plane_gradient,
-)
+from .electrostatics import _image_series, solve_corrugated_capacitor
 from .geometry import GratingProfile
 
 Array = np.ndarray
@@ -121,13 +117,16 @@ class GradientModel:
 
 
 def series_gradient_model(radius: float, v0: float = 0.0) -> GradientModel:
-    """Sphere-plane gradient from the exact image-charge series, summed
-    gap by gap: each gap sets its own truncation."""
+    """Sphere-plane gradient from the exact image-charge series.
+
+    All samples are summed in one call, each gap with its own truncation,
+    so every value equals ``sphere_plane_gradient`` at that gap and
+    voltage bit for bit.
+    """
 
     def fn(z: Array, volt: Array) -> Array:
-        return np.array([
-            sphere_plane_gradient(SpherePlaneES(R=radius, d=d, V=v, V0=v0))
-            for d, v in zip(z.ravel(), volt.ravel())]).reshape(z.shape)
+        return _image_series(radius, z.ravel(), (volt - v0).ravel(), None,
+                             True).reshape(z.shape)
 
     return GradientModel(fn=fn, z_min=1e-12, z_max=0.1 * radius,
                          label="series")
@@ -145,8 +144,9 @@ def fem_gradient_model(profile: GratingProfile, radius: float,
     """
     from scipy.interpolate import PchipInterpolator
 
-    if not 0.0 < z_min < z_max:
-        raise ValueError("need 0 < z_min < z_max")
+    if not (0.0 < z_min < z_max and math.isfinite(z_max)):
+        raise ValueError(f"need 0 < z_min < z_max < inf, got z_min = "
+                         f"{z_min!r} m, z_max = {z_max!r} m")
     if n_points < 8:
         raise ValueError("n_points must be >= 8")
     grid = np.geomspace(0.98 * z_min, 1.02 * z_max, n_points)

@@ -3,8 +3,8 @@
 Two force models:
 
 1. the exact sphere-plane series in the bispherical parameter
-   alpha = acosh(1 + d / R), summed until a geometric tail bound drops
-   below a relative threshold,
+   alpha = acosh(1 + d / R), summed for all gaps of an array together,
+   each until its geometric tail bound drops below a relative threshold,
 2. a first-order (P1) triangular finite-element solve of the Laplace
    problem in one period of the trench cell, whose field energy per unit
    area maps to the sphere force through the close-proximity rule
@@ -14,13 +14,15 @@ The cell's gap block, the x-periodic tensor grid between the ridge-top
 level y = 0 and the electrode, is split into right triangles, so its
 stiffness is exactly Ax (x) My + Mx (x) Ay (1-D stiffness A, lumped
 length M).  The solver eliminates it by block elimination: the column
-eigenmodes Ax v = lam Mx v are computed once per column layout, and a
-sweep over the rows reduces each mode to a 2x2 map between y = 0 and the
-electrode.  The trench block below y = 0 depends on the gap only through
-its row count, so it is reduced onto the trench mouths once per mesh
-layout, by a banded Cholesky factorisation, and cached.  Each gap then
-solves one dense SPD system on the mouths; no solve builds a sparse
-matrix.
+eigenmodes Ax v = lam Mx v are computed once per column layout, and each
+mode reduces to a 2x2 map between y = 0 and the electrode.  The rows
+are the same graded fractions of every gap, so that map has a closed
+partial-fraction form over the eigenpairs of the unit-gap row pencil,
+computed once per row count; a gap costs one small matrix product.  The
+trench block below y = 0 depends on the gap only through its row count,
+so it is reduced onto the trench mouths once per mesh layout, by a
+banded Cholesky factorisation, and cached.  Each gap then solves one
+dense SPD system on the mouths; no solve builds a sparse matrix.
 
 Forces are signed along the surface normal, negative = attractive,
 matching the Casimir modules; force gradients dF/dz are then positive
@@ -70,20 +72,20 @@ class SpherePlaneES:
             raise ValueError("radius R must be positive")
 
 
-def _series_terms(alpha: float, n: Array, gradient: bool = False) -> Array:
+def _series_terms(alpha: Array, coth_a: Array, n: Array,
+                  csch2_a: Array | None = None) -> Array:
+    # image orders n (a row) for every gap (a column of alpha and its
+    # coth); with csch2_a, the alpha-derivative of the terms.  The
     # e^{-n alpha} form: sinh(n alpha) overflows float64 past
     # n alpha ~ 710 while the terms themselves decay like n e^{-n alpha}
-    coth_a = 1.0 / math.tanh(alpha)
     na = n * alpha
     em = np.exp(-na)
     one_m = -np.expm1(-2.0 * na)  # 1 - e^{-2 n alpha}, no cancellation
     inv_sinh = 2.0 * em / one_m
     coth_na = (2.0 - one_m) / one_m
     term = (coth_a - n * coth_na) * inv_sinh
-    if not gradient:
+    if csch2_a is None:
         return term
-    # d(term)/d(alpha)
-    csch2_a = 1.0 / math.sinh(alpha) ** 2
     return ((-csch2_a + n * n * inv_sinh * inv_sinh) * inv_sinh
             - term * n * coth_na)
 
@@ -97,44 +99,66 @@ def _series_tail_bound(alpha: float, n_done: int) -> float:
     return 2.0 * coth_a * major / (1.0 - x * x)
 
 
-def _image_series(es: SpherePlaneES, n_max: int | None,
-                  gradient: bool) -> float:
-    # Force (gradient=False) or its gap derivative: the image sum in
-    # blocks of _BLOCK orders until the tail bound drops below _TAIL_RTOL
-    # of the running total, or n_max orders.
+def _image_series(radius: float, gaps: Array, dv: Array, n_max: int | None,
+                  gradient: bool) -> Array:
+    """Force (gradient=False) or its gap derivative for every gap and
+    voltage difference V - V0 (1-D arrays of one length).
+
+    The gaps are summed together in blocks of ``_BLOCK`` image orders; a
+    gap leaves the block once its tail bound drops below ``_TAIL_RTOL`` of
+    its running total, or after ``n_max`` orders.  Per-gap scalars come
+    from ``math`` and the block sums run along contiguous rows, so every
+    value is the one a single-gap call gives.
+    """
     if n_max is not None and n_max < 1:
         raise ValueError("n_max must be >= 1")
-    dv = es.V - es.V0
-    if dv == 0.0:
-        return 0.0
-    alpha = math.acosh(1.0 + es.d / es.R)
-    if alpha < ALPHA_SERIES_MIN:
-        plate = math.pi * EPS0 * es.R * dv * dv
-        return plate / (es.d * es.d) if gradient else -(plate / es.d)
-    total = 0.0
+    if not radius > 0.0:
+        raise ValueError("radius R must be positive")
+    if not np.all(gaps > 0.0):
+        raise ValueError("gap d must be positive")
+    out = np.zeros(gaps.shape)
+    alpha = np.array([math.acosh(1.0 + d / radius) for d in gaps])
+    plate = (dv != 0.0) & (alpha < ALPHA_SERIES_MIN)
+    # below the crossover the plate law pi eps0 R dv^2 / d is exact
+    law = math.pi * EPS0 * radius * dv[plate] * dv[plate]
+    out[plate] = (law / (gaps[plate] * gaps[plate]) if gradient
+                  else -(law / gaps[plate]))
+    live = np.flatnonzero((dv != 0.0) & ~plate)
+    a = alpha[live]
+    coth_a = np.array([1.0 / math.tanh(x) for x in a])
+    csch2_a = (np.array([1.0 / math.sinh(x) ** 2 for x in a]) if gradient
+               else None)
+    total = np.zeros(live.size)
+    active = np.arange(live.size)
     n_done = 0
-    while True:
+    while active.size:
         block = min(_BLOCK, n_max - n_done) if n_max is not None else _BLOCK
         n = np.arange(n_done + 1, n_done + block + 1, dtype=float)
-        total += float(_series_terms(alpha, n, gradient).sum())
+        terms = _series_terms(
+            a[active, None], coth_a[active, None], n,
+            None if csch2_a is None else csch2_a[active, None])
+        total[active] += terms.sum(axis=1)
         n_done += block
         if n_max is not None and n_done >= n_max:
             break
-        tail = _series_tail_bound(alpha, n_done)
-        if gradient:
-            # the differentiated tail decays with the same geometric
-            # rate, one extra power of n
-            tail *= n_done + 2
-        if tail < _TAIL_RTOL * max(abs(total), 1e-300):
-            break
-        if n_done > 10_000_000:
-            raise NumericalError(
-                f"sphere-plane series did not converge (alpha={alpha:.3e})")
-    pref = 2.0 * math.pi * EPS0 * dv * dv
+        # the differentiated tail decays with the same geometric rate,
+        # one extra power of n
+        grow = n_done + 2 if gradient else 1
+        active = np.array([i for i in active
+                           if not _series_tail_bound(a[i], n_done) * grow
+                           < _TAIL_RTOL * max(abs(total[i]), 1e-300)],
+                          dtype=int)
+        if active.size and n_done > 10_000_000:
+            raise NumericalError(f"sphere-plane series did not converge "
+                                 f"(alpha={a[active[0]]:.3e})")
+    pref = 2.0 * math.pi * EPS0 * dv[live] * dv[live]
     if gradient:
-        # d(alpha)/d(d) from cosh(alpha) = 1 + d/R.
-        return pref * total * (1.0 / (es.R * math.sinh(alpha)))
-    return pref * total
+        # d(alpha)/d(d) from cosh(alpha) = 1 + d/R
+        out[live] = pref * total * (1.0 / (radius * np.array(
+            [math.sinh(x) for x in a])))
+    else:
+        out[live] = pref * total
+    return out
 
 
 def sphere_plane_force(es: SpherePlaneES, n_max: int | None = None) -> float:
@@ -145,7 +169,8 @@ def sphere_plane_force(es: SpherePlaneES, n_max: int | None = None) -> float:
     For alpha below the declared crossover the small-gap plate law
     -pi eps0 R (V - V0)^2 / d replaces the series.
     """
-    return _image_series(es, n_max, gradient=False)
+    return float(_image_series(es.R, np.array([es.d]),
+                               np.array([es.V - es.V0]), n_max, False)[0])
 
 
 def sphere_plane_gradient(es: SpherePlaneES, n_max: int | None = None) -> float:
@@ -154,7 +179,8 @@ def sphere_plane_gradient(es: SpherePlaneES, n_max: int | None = None) -> float:
     Positive for the decaying attraction.  Uses the small-gap form
     +pi eps0 R (V - V0)^2 / d^2 below the series crossover.
     """
-    return _image_series(es, n_max, gradient=True)
+    return float(_image_series(es.R, np.array([es.d]),
+                               np.array([es.V - es.V0]), n_max, True)[0])
 
 
 # --------------------------------------------------------------------------
@@ -435,26 +461,67 @@ def _x_modes(hx_bytes: bytes) -> tuple[Array, Array, Array]:
     return lam, mx, mv
 
 
-def _end_row_schur(lam: Array, hy: Array) -> tuple[Array, Array, Array]:
-    """(s00, s01, s11): lam My + Ay on the rows y0 < ... < y_na, reduced
-    onto its end rows, for every x-mode lam.
+@functools.lru_cache(maxsize=8)
+def _row_pencil(ny: int) -> tuple[Array, Array, float, float]:
+    """(nu, p, m0, m1): the gap rows of unit height, ready for reduction.
 
-    A sweep upward adds one row interval at a time and eliminates the
-    row below it.  It carries the row sums sa = s00 + s01 and
-    sd = s11 + s01, which vanish at lam = 0, so every update adds
-    non-negative terms and no digit cancels on the graded rows.
+    With row spacings d_k = diff(_graded_from_start(ny)), the interior
+    rows carry the pencil Ay w = nu My w (1-D stiffness, lumped lengths).
+    LAPACK dpteqr solves it with high relative accuracy, as suits a
+    positive-definite tridiagonal (Demmel and Kahan, SIAM J. Sci. Stat.
+    Comput. 11, 873 (1990)), but its own Cholesky step still leaves
+    ~n eps on the lowest eigenvalues of the graded rows (6e-14 at 191
+    rows).  Each eigenvalue is therefore replaced by its Rayleigh quotient
+    Sum (w_{k+1} - w_k)^2 / d_k / Sum m_k w_k^2, a ratio of positive sums
+    stationary in w.  With a = -w(first interior row) / d_0 and
+    b = -w(last interior row) / d_last for My-normalised w, the columns of
+    ``p`` are pa = a (a + b) / nu, pd = b (a + b) / nu and pab = a b / nu,
+    all read-only; m0 and m1 are the lumped lengths of the two end rows.
+    Built once per row count.
     """
-    m = 0.5 * lam * hy[0]
-    sa = sd = m
-    b = np.full_like(lam, -1.0 / hy[0])
-    for h in hy[1:]:
-        m = 0.5 * lam * h
-        g = 1.0 / h
-        piv = sd - b + g + m
-        sa, sd, b = (((sa - b) * (sd + m) + sa * (g - b)) / piv,
-                     (sd * g + m * (2.0 * g + m + sd - b)) / piv,
-                     b * g / piv)
-    return sa - b, b, sd - b
+    d = np.diff(_graded_from_start(ny))
+    inv = 1.0 / d
+    m = 0.5 * (d[:-1] + d[1:])
+    root = np.sqrt(m)
+    nu, _, z, info = sla.lapack.dpteqr(
+        (inv[:-1] + inv[1:]) / m, -inv[1:-1] / (root[:-1] * root[1:]),
+        np.zeros((m.size, m.size)), compute_z=2)
+    if info:
+        raise NumericalError(f"dpteqr failed on the {ny}-row gap pencil "
+                             f"(info = {info})")
+    w = z / root[:, None]
+    edges = np.diff(w, axis=0, prepend=0.0, append=0.0)
+    energy = (edges * edges * inv[:, None]).sum(axis=0)
+    nu = energy / (m[:, None] * w * w).sum(axis=0)
+    a = -inv[0] * w[0]
+    b = -inv[-1] * w[-1]
+    p = np.column_stack([a * (a + b), b * (a + b), a * b]) / nu[:, None]
+    for arr in (nu, p):
+        arr.flags.writeable = False
+    return nu, p, 0.5 * d[0], 0.5 * d[-1]
+
+
+def _end_row_schur(lam: Array, gap: float,
+                   ny: int) -> tuple[Array, Array, Array]:
+    """(s00, s01, s11): lam My + Ay on the ny gap rows, graded toward
+    y = 0 and ending at y = gap, reduced onto its end rows for every
+    x-mode lam.
+
+    The map is 1 / gap times a function of mu = lam gap^2, whose partial
+    fractions run over the interior eigenpairs of ``_row_pencil``.  With
+    r = 1 / (nu + mu), the row sums sa = s00 + s01 = mu (m0 + r . pa)
+    and sd = s11 + s01 = mu (m1 + r . pd) carry their zero at mu = 0 as a
+    factor, and s01 = mu r . pab - 1, since Sum pab = 1 is -s01 at
+    mu = 0.  The pa are non-negative, so s00 = sa - s01 adds two positive
+    parts and no digit cancels on the graded rows; a mode with lam = 0
+    gets s00 = s11 = -s01 = 1 / gap exactly.
+    """
+    nu, p, m0, m1 = _row_pencil(ny)
+    mu = lam * (gap * gap)
+    q = (1.0 / (nu + mu[:, None])) @ p
+    s01 = mu * q[:, 2] - 1.0
+    return ((mu * (m0 + q[:, 0]) - s01) / gap, s01 / gap,
+            (mu * (m1 + q[:, 1]) - s01) / gap)
 
 
 def _reduce_trench(mesh: Mesh2D) -> tuple[Array, Array, Array, Array]:
@@ -534,16 +601,22 @@ def solve_corrugated_capacitor(profile: GratingProfile, gap: float, V: float,
     y = 0 (capacitance-matrix method: Buzbee, Dorr, George and Golub,
     SIAM J. Numer. Anal. 8, 722 (1971)).  The gap block's stiffness is
     Ax (x) My + Mx (x) Ay, so in the x-modes of ``_x_modes`` it reduces
-    to a 2x2 map per mode between the rows y = 0 and y = gap.  The
-    trench block depends on the gap only through its row count nb; its
-    banded Cholesky reduction (``_reduce_trench``) is cached per mesh
-    layout and shared by every gap with the same nb.  A gap then costs
-    the row sweep and one dense SPD solve on the mouths.  The mesh is
-    built and validated only on a cache miss and for
-    ``return_mesh=True``.
+    to a 2x2 map per mode between the rows y = 0 and y = gap, closed in
+    the unit-gap row eigenpairs of ``_row_pencil`` (cached per
+    ``control.ny``).  The trench block depends on the gap only through
+    its row count nb; its banded Cholesky reduction (``_reduce_trench``)
+    is cached per mesh layout and shared by every gap with the same nb.
+    A gap then costs one (modes x rows) matrix product and one dense SPD
+    solve on the mouths.  The mesh is built and validated only on a
+    cache miss and for ``return_mesh=True``.
+
+    A non-finite or non-positive gap, or a non-finite V, raises
+    ValueError before any mesh or cache work.
     """
-    if not gap > 0.0:
-        raise ValueError("gap must be positive")
+    if not (gap > 0.0 and math.isfinite(gap)):
+        raise ValueError(f"gap must be positive and finite, got {gap!r} m")
+    if not math.isfinite(V):
+        raise ValueError(f"V must be finite, got {V!r} V")
     control = control or MeshControl()
     shape = _meshing_profile(profile)
     key = (shape, control,
@@ -560,8 +633,7 @@ def solve_corrugated_capacitor(profile: GratingProfile, gap: float, V: float,
                 del _REDUCTIONS[next(iter(_REDUCTIONS))]
             _REDUCTIONS[key] = reduction
         lam, schur, modes, weights = reduction
-        s00, s01, s11 = _end_row_schur(
-            lam, np.diff(gap * _graded_from_start(control.ny)))
+        s00, s01, s11 = _end_row_schur(lam, gap, control.ny)
         rhs = -s01[0] * V * weights
         u = sla.solve(schur + (modes * s00) @ modes.T, rhs, assume_a="pos",
                       check_finite=False)

@@ -18,8 +18,7 @@ import numpy as np
 from .calibration import fem_gradient_model
 from .config import Config, ConfigError
 from .curves import ForceCurve
-from .electrostatics import (SpherePlaneES, _meshing_profile,
-                             sphere_plane_gradient)
+from .electrostatics import _image_series, _meshing_profile
 from .geometry import GratingProfile, reference_trench_profile
 from .grating import TruncationSpec, rho_ratio
 from .materials import get_material
@@ -212,9 +211,10 @@ def electrostatic_gradient_curves(config: Config) -> dict[str, ForceCurve]:
     v0 = config.quantity("voltage", "residual", 0.0)
     z_grid = config.grid("grid", "z", _DEFAULT_Z)
 
-    # a direct loop: series_gradient_model's 0.1 R limit rejects wide grids
-    flat_vals = np.array([sphere_plane_gradient(
-        SpherePlaneES(R=radius, d=z, V=volt, V0=v0)) for z in z_grid])
+    # the series itself, in one call: series_gradient_model's 0.1 R limit
+    # rejects wide grids
+    flat_vals = _image_series(radius, z_grid, np.full(z_grid.shape, volt - v0),
+                              None, True)
     model = fem_gradient_model(
         profile, radius, z_min=float(z_grid[0]), z_max=float(z_grid[-1]),
         n_points=_solver_count(config, "table_points", 48, 8), v0=v0)

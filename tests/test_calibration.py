@@ -98,6 +98,14 @@ def test_fem_gradient_model_behaves(trench):
         fem_gradient_model(trench, RADIUS, z_min=0.0, z_max=1e-7)
 
 
+@pytest.mark.parametrize("z_min, z_max", [(150e-9, math.inf),
+                                          (150e-9, math.nan),
+                                          (math.nan, 600e-9)])
+def test_fem_gradient_model_rejects_non_finite_window(trench, z_min, z_max):
+    with pytest.raises(ValueError, match=r"z_min < z_max < inf, got z_min"):
+        fem_gradient_model(trench, RADIUS, z_min=z_min, z_max=z_max)
+
+
 @pytest.fixture(scope="module")
 def array_models(trench):
     return {"series": series_gradient_model(RADIUS, v0=0.01),

@@ -171,7 +171,7 @@ def test_pipeline_rerun_byte_identical(tmp_path):
      "matched potentials give exactly zero force"),
     (["calibrate", "--check"], "residual-voltage vertex recovery"),
     (["pipeline", "--check"], "rerun is byte-identical"),
-    (["pipeline", "--check", "--all-checks"], "16/16 checks passed"),
+    (["pipeline", "--check", "--all-checks"], "17/17 checks passed"),
 ], ids=["materials", "planar", "pfa", "grating", "electrostatics",
         "calibrate", "pipeline", "all"])
 def test_check_flag_runs_suite(capsys, argv, summary):

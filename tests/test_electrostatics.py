@@ -25,7 +25,7 @@ import pytest
 import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from casigrat import (
@@ -43,6 +43,7 @@ from casigrat import (
     sphere_plane_gradient,
 )
 from casigrat import electrostatics
+from casigrat.checks import check_electrostatics
 from casigrat.cli import main
 from casigrat.electrostatics import ALPHA_SERIES_MIN, _x_modes
 
@@ -177,6 +178,82 @@ def test_sphere_plane_validation():
         SpherePlaneES(R=-1.0, d=1e-6, V=VOLT)
     with pytest.raises(ValueError):
         sphere_plane_force(SpherePlaneES(RADIUS, 1e-6, VOLT), n_max=0)
+
+
+def scalar_image_series(es, n_max, gradient):
+    """The one-gap image sum the library ran before it summed arrays:
+    blocks of 512 orders, each gap with its own stopping rule."""
+    dv = es.V - es.V0
+    if dv == 0.0:
+        return 0.0
+    alpha = math.acosh(1.0 + es.d / es.R)
+    if alpha < ALPHA_SERIES_MIN:
+        plate = math.pi * EPS0 * es.R * dv * dv
+        return plate / (es.d * es.d) if gradient else -(plate / es.d)
+    coth_a = 1.0 / math.tanh(alpha)
+    csch2_a = 1.0 / math.sinh(alpha) ** 2
+    total = 0.0
+    n_done = 0
+    while True:
+        block = min(512, n_max - n_done) if n_max is not None else 512
+        n = np.arange(n_done + 1, n_done + block + 1, dtype=float)
+        na = n * alpha
+        em = np.exp(-na)
+        one_m = -np.expm1(-2.0 * na)
+        inv_sinh = 2.0 * em / one_m
+        coth_na = (2.0 - one_m) / one_m
+        term = (coth_a - n * coth_na) * inv_sinh
+        if gradient:
+            term = ((-csch2_a + n * n * inv_sinh * inv_sinh) * inv_sinh
+                    - term * n * coth_na)
+        total += float(term.sum())
+        n_done += block
+        if n_max is not None and n_done >= n_max:
+            break
+        tail = electrostatics._series_tail_bound(alpha, n_done)
+        if gradient:
+            tail *= n_done + 2
+        if tail < 1e-10 * max(abs(total), 1e-300):
+            break
+    pref = 2.0 * math.pi * EPS0 * dv * dv
+    if gradient:
+        return pref * total * (1.0 / (es.R * math.sinh(alpha)))
+    return pref * total
+
+
+# gap / radius: under the plate-law crossover (d/R < 5e-9), just above it
+# (hundreds of 512-order blocks), and log-uniform from tens of blocks to
+# one
+_CROSSOVER = math.cosh(ALPHA_SERIES_MIN) - 1.0
+_GAP_RATIOS = st.one_of(st.floats(1e-12, 0.99 * _CROSSOVER),
+                        st.floats(1.01 * _CROSSOVER, 4.0 * _CROSSOVER),
+                        st.floats(-7.0, 1.0).map(lambda e: 10.0**e))
+_MIXED = [(0.5 * _CROSSOVER, 0.3, 0.0, False),
+          (1.5 * _CROSSOVER, 0.3, -0.1, False), (1e-6, 0.3, 0.1, False),
+          (2e-3, 0.2, 0.2, True), (0.1, -0.7, 0.4, False),
+          (3.0, 0.25, 0.0, False)]
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@example(rows=_MIXED, n_max=None, gradient=False)
+@example(rows=_MIXED, n_max=None, gradient=True)
+@example(rows=_MIXED, n_max=700, gradient=True)
+@given(rows=st.lists(st.tuples(_GAP_RATIOS, st.floats(-1.0, 1.0),
+                               st.floats(-0.5, 0.5), st.booleans()),
+                     min_size=1, max_size=6),
+       n_max=st.one_of(st.none(), st.integers(1, 1500)),
+       gradient=st.booleans())
+def test_array_series_matches_scalar_calls(rows, n_max, gradient):
+    es = [SpherePlaneES(R=RADIUS, d=ratio * RADIUS, V=v0 if same else v,
+                        V0=v0) for ratio, v, v0, same in rows]
+    got = electrostatics._image_series(
+        RADIUS, np.array([e.d for e in es]),
+        np.array([e.V - e.V0 for e in es]), n_max, gradient)
+    scalar = sphere_plane_gradient if gradient else sphere_plane_force
+    for value, e in zip(got, es):
+        expected = scalar_image_series(e, n_max, gradient)
+        assert value == expected  # bit for bit, not approximately
+        assert scalar(e, n_max) == expected
 
 
 # --------------------------------------------------------------------------
@@ -465,9 +542,91 @@ def test_x_modes_are_cached_read_only(trench):
 TABLE_GAPS = np.geomspace(0.98 * 100e-9, 1.02 * 600e-9, 48)
 
 
+def sweep_end_row_schur(lam, hy):
+    """(s00, s01, s11) of lam My + Ay on rows with spacings ``hy``, by the
+    row sweep the solver once ran: add one interval at a time and
+    eliminate the row below it, carrying the row sums sa = s00 + s01 and
+    sd = s11 + s01, which vanish at lam = 0, so no digit cancels."""
+    m = 0.5 * lam * hy[0]
+    sa = sd = m
+    b = np.full_like(lam, -1.0 / hy[0])
+    for h in hy[1:]:
+        m = 0.5 * lam * h
+        g = 1.0 / h
+        piv = sd - b + g + m
+        sa, sd, b = (((sa - b) * (sd + m) + sa * (g - b)) / piv,
+                     (sd * g + m * (2.0 * g + m + sd - b)) / piv,
+                     b * g / piv)
+    return sa - b, b, sd - b
+
+
+def _mode_eigenvalues(profile):
+    mesh = build_trench_mesh(profile, 150e-9)
+    return _x_modes(np.diff(mesh.nodes[mesh.top_nodes, 0]).tobytes())[0]
+
+
+@pytest.mark.parametrize("ny", [4, 11, 24, 48, 96, 192])
+def test_gap_block_matches_the_row_sweep(trench, ny):
+    lams = [_mode_eigenvalues(trench),
+            _mode_eigenvalues(SHORT_SEGMENTS["v_groove"]),
+            _mode_eigenvalues(SHORT_SEGMENTS["sub_ramp_floor"]),
+            np.concatenate([[0.0], np.geomspace(1e6, 1e22, 161)])]
+    for gap in np.geomspace(1e-9, 1e-5, 17):
+        hy = np.diff(gap * electrostatics._graded_from_start(ny))
+        for lam in lams:
+            s00, s01, s11 = electrostatics._end_row_schur(lam, gap, ny)
+            r00, r01, r11 = sweep_end_row_schur(lam, hy)
+            np.testing.assert_allclose(s00, r00, rtol=1e-13, atol=0.0)
+            np.testing.assert_allclose([s01[0], s11[0]], [r01[0], r11[0]],
+                                       rtol=1e-13, atol=0.0)
+            assert s00[0] == s11[0] == -s01[0] == 1.0 / gap
+
+
+def test_row_pencil_is_cached_read_only(trench, monkeypatch):
+    calls = []
+    dpteqr = scipy.linalg.lapack.dpteqr
+
+    def counting_dpteqr(*args, **kwargs):
+        calls.append(args[0].size)
+        return dpteqr(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg.lapack, "dpteqr", counting_dpteqr)
+    monkeypatch.setattr(electrostatics, "_REDUCTIONS", {})
+    electrostatics._row_pencil.cache_clear()
+    _table(trench, TABLE_GAPS)
+    assert calls == [MeshControl().ny - 1]
+    for gap in TABLE_GAPS[:5]:
+        solve_corrugated_capacitor(trench, gap, 1.0, MeshControl(37, 11))
+    assert calls == [MeshControl().ny - 1, 10]
+    pencil = electrostatics._row_pencil(MeshControl().ny)
+    for arr in pencil[:2]:
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[0] = 0.0
+
+
+def test_check_flags_row_eigenpairs_without_relative_accuracy(monkeypatch):
+    def absolute_accuracy_dpteqr(d, e, z, compute_z=2):
+        nu, w = np.linalg.eigh(np.diag(d) + np.diag(e, 1) + np.diag(e, -1))
+        return nu, e, w, 0
+
+    results = dict((name, ok) for name, ok, _ in check_electrostatics())
+    assert results["gap-row reduction matches dense elimination"]
+    monkeypatch.setattr(scipy.linalg.lapack, "dpteqr",
+                        absolute_accuracy_dpteqr)
+    electrostatics._row_pencil.cache_clear()
+    try:
+        results = dict((name, ok) for name, ok, _ in check_electrostatics())
+    finally:
+        electrostatics._row_pencil.cache_clear()
+    assert not results["gap-row reduction matches dense elimination"]
+
+
 def _table(profile, gaps):
     return np.array([solve_corrugated_capacitor(profile, g, 1.0)
                      for g in gaps])
+
+
 
 
 def test_cell_table_independent_of_the_cache(trench, monkeypatch):
@@ -534,9 +693,31 @@ def test_failed_factorisation_raises_numerical_error(trench, monkeypatch,
                  "--out", str(tmp_path / "out")]) == 1
 
 
-def test_non_finite_potentials_raise_numerical_error(trench):
+def test_non_finite_potentials_raise_numerical_error(trench, monkeypatch):
+    def nan_solve(a, b, **kwargs):
+        return np.full(np.shape(b), math.nan)
+
+    monkeypatch.setattr(scipy.linalg, "solve", nan_solve)
     with pytest.raises(NumericalError, match="non-finite.*gap = 1\\.5e-07 m"):
-        solve_corrugated_capacitor(trench, 150e-9, math.nan)
+        solve_corrugated_capacitor(trench, 150e-9, VOLT)
+
+
+@pytest.mark.parametrize("gap, volt, name", [
+    (math.inf, VOLT, "gap"), (math.nan, VOLT, "gap"), (-math.inf, VOLT, "gap"),
+    (150e-9, math.nan, "V"), (150e-9, math.inf, "V"),
+])
+def test_non_finite_inputs_raise_value_error(trench, monkeypatch, gap, volt,
+                                             name):
+    # refused before any mesh or cache work
+    def no_work(*args):
+        raise AssertionError("mesh work before input validation")
+
+    monkeypatch.setattr(electrostatics, "_REDUCTIONS", {})
+    monkeypatch.setattr(electrostatics, "_columns", no_work)
+    monkeypatch.setattr(electrostatics, "_cell_mesh", no_work)
+    with pytest.raises(ValueError, match=rf"^{name} must be .*finite, got"):
+        solve_corrugated_capacitor(trench, gap, volt)
+    assert electrostatics._REDUCTIONS == {}
 
 
 def test_validate_rejects_inverted_triangles(trench):
