@@ -63,8 +63,6 @@ from .materials import (
     DielectricModel,
     Drude,
     DrudeLorentz,
-    DrudeParams,
-    EpsilonTable,
     PerfectConductor,
     Tabulated,
     available_materials,
@@ -118,9 +116,9 @@ __all__ = [
     "GratingQuadrature", "ModalError", "ReflectionOperator", "TruncationSpec",
     "casimir_force_grating", "casimir_pressure_grating_grid", "convergence_sweep",
     "grating_reflection", "rho_ratio",
-    "DielectricModel", "Drude", "DrudeLorentz", "DrudeParams", "EpsilonTable",
-    "PerfectConductor", "Tabulated", "available_materials", "get_material",
-    "intrinsic_silicon_table", "load_tabulated_epsilon",
+    "DielectricModel", "Drude", "DrudeLorentz", "PerfectConductor", "Tabulated",
+    "available_materials", "get_material", "intrinsic_silicon_table",
+    "load_tabulated_epsilon",
     "FlatForceLaw", "flat_pressure_law", "pfa_corrugated",
     "pfa_share_topbottom",
     "TASKS", "electrostatic_gradient_curves", "flat_force_gradient_curve",

@@ -188,7 +188,10 @@ def _gradient_model_for(args):
 
 
 def _cmd_calibrate(args) -> int:
-    samples = read_frequency_shift_samples(args.input)
+    try:
+        samples = read_frequency_shift_samples(args.input)
+    except ValueError as exc:
+        raise ConfigError(f"--input {args.input}: {exc}") from None
     if args.find_v0:
         v0 = find_residual_voltage(samples)
         print(f"residual voltage V0 = {v0:.6f} V")

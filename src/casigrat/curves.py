@@ -77,8 +77,11 @@ class ForceCurve:
                 parts = line.split(",")
                 if len(parts) != 2:
                     raise ValueError(f"{path}:{lineno}: expected 'z_nm,value'")
-                z_col.append(float(parts[0]) * 1e-9)
-                v_col.append(float(parts[1]))
+                try:
+                    z_col.append(float(parts[0]) * 1e-9)
+                    v_col.append(float(parts[1]))
+                except ValueError as exc:
+                    raise ValueError(f"{path}:{lineno}: {exc}") from None
         unit = meta.pop("unit", "")
         label = meta.pop("label", "")
         return cls(np.asarray(z_col), np.asarray(v_col), unit=unit,

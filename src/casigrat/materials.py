@@ -3,21 +3,25 @@
 All Casimir kernels in this package evaluate permittivities at imaginary
 frequencies omega = i*xi with xi > 0 (in rad/s), where every causal
 dielectric function is real, greater than one, and monotonically
-decreasing in xi.  Four model families are supported:
+decreasing in xi.  Each of the four models is one frozen class that holds
+its own parameters and defines its own ``epsilon``:
 
-* ``PerfectConductor`` -- the ideal-mirror limit.  It has no finite
+* ``PerfectConductor()`` -- the ideal-mirror limit.  It has no finite
   permittivity; reflection code must branch on it instead of evaluating
   ``epsilon``.
-* ``Drude`` -- eps(i xi) = 1 + wp^2 / (xi (xi + gamma)).
-* ``DrudeLorentz`` -- a tabulated bound-electron background plus a Drude
-  free-carrier term, used for doped semiconductors.
-* ``Tabulated`` -- interpolation of a two-column (xi, eps) table, linear
-  in log(xi), held constant below the grid and continued above it with
-  (eps - 1) ~ 1/xi^2.
+* ``Drude(plasma_frequency, relaxation_rate)`` -- a free-electron metal,
+  eps(i xi) = 1 + wp^2 / (xi (xi + gamma)).
+* ``Tabulated(xi, eps)`` -- a two-column table, interpolated as a
+  monotone cubic in log-log, held constant below the grid and continued
+  above it with (eps - 1) ~ 1/xi^2.
+* ``DrudeLorentz(drude, intrinsic)`` -- a doped semiconductor: the
+  ``Tabulated`` bound-electron background plus the free-carrier term of
+  the ``Drude``.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from importlib import resources
 
@@ -33,9 +37,37 @@ class MaterialDataError(ValueError):
     """Raised when a tabulated material file is malformed."""
 
 
+def _on_positive_xi(method):
+    """Run ``method(self, x)`` on a float array x of the frequencies ``xi``
+    after checking xi > 0: a scalar xi gives a float, an array xi an array
+    of its shape."""
+
+    @functools.wraps(method)
+    def epsilon(self, xi):
+        x = np.asarray(xi, dtype=float)
+        if np.any(x <= 0.0):
+            raise ValueError("imaginary frequency xi must be strictly positive")
+        return method(self, x) if x.ndim else float(method(self, x.reshape(1))[0])
+
+    return epsilon
+
+
 @dataclass(frozen=True)
-class DrudeParams:
-    """Free-carrier Drude parameters, both in rad/s."""
+class PerfectConductor:
+    """Ideal mirror: |r_TE| = |r_TM| = 1 at all frequencies.
+
+    Represented as a limit flag.  ``epsilon`` is deliberately absent from
+    the numeric path: evaluating it raises.
+    """
+
+    def epsilon(self, xi):
+        raise ValueError("a perfect conductor has no finite permittivity; "
+                         "branch on is_perfect_conductor() instead")
+
+
+@dataclass(frozen=True)
+class Drude:
+    """Free-electron metal; plasma frequency and relaxation rate in rad/s."""
 
     plasma_frequency: float
     relaxation_rate: float
@@ -47,18 +79,17 @@ class DrudeParams:
             raise ValueError("relaxation_rate must be positive")
 
     @classmethod
-    def from_ev(cls, plasma_ev: float, relaxation_ev: float) -> "DrudeParams":
+    def from_ev(cls, plasma_ev: float, relaxation_ev: float) -> "Drude":
         """Build from photon energies in eV."""
         return cls(ev_to_rad_per_s(plasma_ev), ev_to_rad_per_s(relaxation_ev))
 
+    @_on_positive_xi
     def epsilon(self, xi):
-        xi_arr = _checked_xi(xi)
-        out = 1.0 + self.plasma_frequency**2 / (xi_arr * (xi_arr + self.relaxation_rate))
-        return out if np.ndim(xi) else float(out[0])
+        return 1.0 + self.plasma_frequency**2 / (xi * (xi + self.relaxation_rate))
 
 
 @dataclass(frozen=True)
-class EpsilonTable:
+class Tabulated:
     """Permittivity samples on a strictly increasing imaginary-frequency grid."""
 
     xi: Array
@@ -82,67 +113,31 @@ class EpsilonTable:
         object.__setattr__(self, "_spline",
                            PchipInterpolator(np.log(xi), np.log(eps)))
 
-    def __call__(self, xi):
+    @_on_positive_xi
+    def epsilon(self, xi):
         """Interpolate (monotone cubic in log-log); extrapolation rules:
         hold the first value below the grid, roll off as 1/xi^2 above."""
-        xi_in = _checked_xi(xi)
-        out = np.empty(xi_in.shape)
-        low = xi_in <= self.xi[0]
-        high = xi_in > self.xi[-1]
+        out = np.empty(xi.shape)
+        low = xi <= self.xi[0]
+        high = xi > self.xi[-1]
         mid = ~(low | high)
         out[low] = self.eps[0]
-        out[high] = 1.0 + (self.eps[-1] - 1.0) * (self.xi[-1] / xi_in[high]) ** 2
+        out[high] = 1.0 + (self.eps[-1] - 1.0) * (self.xi[-1] / xi[high]) ** 2
         if np.any(mid):
-            out[mid] = np.exp(self._spline(np.log(xi_in[mid])))
-        return out if np.ndim(xi) else float(out[0])
-
-
-class PerfectConductor:
-    """Ideal mirror: |r_TE| = |r_TM| = 1 at all frequencies.
-
-    Represented as a limit flag.  ``epsilon`` is deliberately absent from
-    the numeric path: evaluating it raises.
-    """
-
-    def epsilon(self, xi):
-        raise ValueError("a perfect conductor has no finite permittivity; "
-                         "branch on is_perfect_conductor() instead")
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return "PerfectConductor()"
-
-
-@dataclass(frozen=True)
-class Drude:
-    """Free-electron metal."""
-
-    params: DrudeParams
-
-    def epsilon(self, xi):
-        return self.params.epsilon(xi)
+            out[mid] = np.exp(self._spline(np.log(xi[mid])))
+        return out
 
 
 @dataclass(frozen=True)
 class DrudeLorentz:
     """Doped semiconductor: intrinsic background table plus free carriers."""
 
-    drude: DrudeParams
-    intrinsic: EpsilonTable
+    drude: Drude
+    intrinsic: Tabulated
 
+    @_on_positive_xi
     def epsilon(self, xi):
-        xi_arr = _checked_xi(xi)
-        out = self.intrinsic(xi_arr) + (self.drude.epsilon(xi_arr) - 1.0)
-        return out if np.ndim(xi) else float(out[0])
-
-
-@dataclass(frozen=True)
-class Tabulated:
-    """Purely tabulated response."""
-
-    table: EpsilonTable
-
-    def epsilon(self, xi):
-        return self.table(xi)
+        return self.intrinsic.epsilon(xi) + (self.drude.epsilon(xi) - 1.0)
 
 
 DielectricModel = PerfectConductor | Drude | DrudeLorentz | Tabulated
@@ -152,7 +147,7 @@ def is_perfect_conductor(model: DielectricModel) -> bool:
     return isinstance(model, PerfectConductor)
 
 
-def load_tabulated_epsilon(path) -> EpsilonTable:
+def load_tabulated_epsilon(path) -> Tabulated:
     """Read a two-column (xi [rad/s], eps) text table.
 
     Lines starting with ``#`` and blank lines are ignored.  Errors carry
@@ -176,17 +171,17 @@ def load_tabulated_epsilon(path) -> EpsilonTable:
                 raise MaterialDataError(f"{path}:{lineno}: {exc}") from None
     if len(xi_col) < 2:
         raise MaterialDataError(f"{path}: table needs at least two data rows")
-    return EpsilonTable(np.asarray(xi_col), np.asarray(eps_col))
+    return Tabulated(np.asarray(xi_col), np.asarray(eps_col))
 
 
-def intrinsic_silicon_table() -> EpsilonTable:
+def intrinsic_silicon_table() -> Tabulated:
     """The packaged intrinsic-silicon eps(i xi) table."""
     ref = resources.files("casigrat.data").joinpath("silicon_intrinsic_epsilon.txt")
     with resources.as_file(ref) as path:
         return load_tabulated_epsilon(path)
 
 
-# Registry of the materials used by the bundled pipelines.
+# The materials used by the bundled pipelines, by name.
 #   gold_drude      : Drude gold, wp = 9 eV, gamma = 35 meV
 #   silicon_doped   : intrinsic background + free carriers of the etched sample,
 #                     wp = 1.36e14 rad/s, gamma = 4.75e13 rad/s
@@ -194,36 +189,23 @@ def intrinsic_silicon_table() -> EpsilonTable:
 #                     stands in for the ideal conductor where a finite
 #                     permittivity is required (corrugated-layer expansions)
 #   silicon_intrinsic, perfect_conductor, vacuum : as named
-_GOLD = DrudeParams.from_ev(9.0, 0.035)
-_SILICON_CARRIERS = DrudeParams(1.36e14, 4.75e13)
-_CONDUCTOR_PROXY = DrudeParams.from_ev(1000.0, 0.001)
+_MATERIALS = {
+    "gold_drude": lambda: Drude.from_ev(9.0, 0.035),
+    "silicon_doped": lambda: DrudeLorentz(Drude(1.36e14, 4.75e13),
+                                          intrinsic_silicon_table()),
+    "silicon_intrinsic": intrinsic_silicon_table,
+    "conductor_proxy": lambda: Drude.from_ev(1000.0, 0.001),
+    "perfect_conductor": PerfectConductor,
+    "vacuum": lambda: Tabulated(np.array([1e11, 1e19]), np.array([1.0, 1.0])),
+}
 
 
 def available_materials() -> tuple[str, ...]:
-    return ("gold_drude", "silicon_doped", "silicon_intrinsic",
-            "conductor_proxy", "perfect_conductor", "vacuum")
+    return tuple(_MATERIALS)
 
 
 def get_material(name: str) -> DielectricModel:
     """Look up a named material model."""
-    if name == "gold_drude":
-        return Drude(_GOLD)
-    if name == "silicon_doped":
-        return DrudeLorentz(_SILICON_CARRIERS, intrinsic_silicon_table())
-    if name == "silicon_intrinsic":
-        return Tabulated(intrinsic_silicon_table())
-    if name == "conductor_proxy":
-        return Drude(_CONDUCTOR_PROXY)
-    if name == "perfect_conductor":
-        return PerfectConductor()
-    if name == "vacuum":
-        table = EpsilonTable(np.array([1e11, 1e19]), np.array([1.0, 1.0]))
-        return Tabulated(table)
-    raise KeyError(f"unknown material {name!r}; known: {available_materials()}")
-
-
-def _checked_xi(xi) -> Array:
-    arr = np.asarray(xi, dtype=float)
-    if np.any(arr <= 0.0):
-        raise ValueError("imaginary frequency xi must be strictly positive")
-    return np.atleast_1d(arr) if arr.ndim == 0 else arr
+    if name not in _MATERIALS:
+        raise KeyError(f"unknown material {name!r}; known: {available_materials()}")
+    return _MATERIALS[name]()

@@ -34,6 +34,8 @@ Array = np.ndarray
 # nodes of the coarse Gauss-Legendre sidewall rule; the fine rule has twice
 # as many and agrees with adaptive quadrature to ~1e-11 on gold/Si tables
 _WALL_NODES = 32
+# largest accepted error estimate of the sidewall rule, relative to the total
+_WALL_RTOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -106,15 +108,14 @@ def flat_pressure_law(material_a: DielectricModel,
                                    label="flat-pair pressure")
 
 
-def pfa_corrugated(law: FlatForceLaw, profile: GratingProfile, z,
-                   rtol: float = 1e-9):
+def pfa_corrugated(law: FlatForceLaw, profile: GratingProfile, z):
     """Proximity-force value for the trench array at separation(s) z.
 
     A scalar z gives a float, an array of z an array of the same shape;
     the law must cover [z, z + depth] at every z.  One law call feeds the
     sidewall integral on Gauss-Legendre rules of _WALL_NODES and twice as
     many nodes; the finer value is used, and NumericalError is raised where
-    the difference, weighted as in the total, exceeds ``rtol`` of it.
+    the difference, weighted as in the total, exceeds ``_WALL_RTOL`` of it.
     """
     z_arr = np.asarray(z, dtype=float)
     u_n, w_n = gauss_legendre(0.0, 1.0, _WALL_NODES)
@@ -126,12 +127,12 @@ def pfa_corrugated(law: FlatForceLaw, profile: GratingProfile, z,
     total = (profile.p1 * vals[:, 0] + profile.p2 * vals[:, 1]
              + 2.0 * profile.p3 * wall_2n)
     err = 2.0 * profile.p3 * np.abs(wall_2n - wall_n)
-    bad = np.flatnonzero(err > rtol * np.abs(total))
+    bad = np.flatnonzero(err > _WALL_RTOL * np.abs(total))
     if bad.size:
         i = bad[0]
         raise NumericalError(
             f"pfa sidewall rule unresolved at z = {z_arr.flat[i]:.3e} m: "
-            f"error estimate {err[i]:.3e} exceeds rtol = {rtol:.1e} of "
+            f"error estimate {err[i]:.3e} exceeds rtol = {_WALL_RTOL:.1e} of "
             f"the total {total[i]:.3e}")
     return total.reshape(z_arr.shape) if z_arr.ndim else float(total[0])
 

@@ -173,6 +173,12 @@ def rho_ratio_curves(config: Config) -> dict[str, ForceCurve]:
             measured = ForceCurve.from_csv(measured_path)
         except ValueError as exc:
             raise ConfigError(f"[measured] gradient_csv: {exc}") from exc
+        if not measured.z.size:
+            raise ConfigError(f"[measured] gradient_csv: {measured_path} "
+                              "has no data rows")
+        if not np.all(measured.z > 0.0):
+            raise ConfigError(f"[measured] gradient_csv: {measured_path}: "
+                              "separations z must be positive")
 
     theory = rho_ratio(profile, model_g, model_p, z_grid, spec,
                        workers=workers)

@@ -220,6 +220,16 @@ def test_usage_errors_exit_2(tmp_path, capsys):
         assert main(["calibrate", "--input", str(sweep), "--model", "fem",
                      f"{flag}={value}"]) == 2
         assert f"{flag}: " in capsys.readouterr().err
+    header = "z_piezo_nm,theta_rad,V_volt,delta_f_hz\n"
+    for name, text in (("columns", "z_piezo_nm,theta_rad\n100,0\n"),
+                       ("no_rows", header),
+                       ("nan", header + "100,0,0.3,nan\n200,0,0.3,-1.1\n"),
+                       ("word", header + "100,0,0.3,-1\n200,0,abc,-1.1\n")):
+        bad_input = tmp_path / f"{name}.csv"
+        bad_input.write_text(text)
+        for extra in ([], ["--find-v0"]):
+            assert main(["calibrate", "--input", str(bad_input)] + extra) == 2
+            assert f"--input {bad_input}" in capsys.readouterr().err
     tiny_depth = tmp_path / "tiny_depth.cfg"
     tiny_depth.write_text("[pipeline]\ntask = electrostatic_gradient\n"
                           "[geometry]\nperiod = 400nm\ntop_width = 200nm\n"
@@ -275,6 +285,15 @@ def test_usage_errors_exit_2(tmp_path, capsys):
     assert main(["pipeline", "--config", str(bad_measured),
                  "--out", str(tmp_path / "out")]) == 2
     assert "[measured] gradient_csv" in capsys.readouterr().err
+    for name, rows in (("no_rows", ""), ("zero_z", "0,1e-3\n100,2e-3\n")):
+        measured = tmp_path / f"{name}.csv"
+        measured.write_text(f"z_nm,value\n{rows}")
+        bad_measured.write_text("[pipeline]\ntask = rho_ratio\n[solver]\n"
+                                "orders = 1\n[measured]\n"
+                                f"gradient_csv = {measured}\n")
+        assert main(["pipeline", "--config", str(bad_measured),
+                     "--out", str(tmp_path / "out")]) == 2
+        assert "[measured] gradient_csv" in capsys.readouterr().err
     bad_rough = tmp_path / "bad_roughness.cfg"
     bad_rough.write_text("[pipeline]\ntask = flat_force_gradient\n"
                          "[roughness]\nn_points = 0\n")

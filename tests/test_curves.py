@@ -52,3 +52,10 @@ def test_malformed_csv(tmp_path):
     path.write_text("z_nm,value\n1.0,2.0,3.0\n")
     with pytest.raises(ValueError, match="bad.csv:2"):
         ForceCurve.from_csv(path)
+
+
+def test_non_numeric_row_names_its_line(tmp_path):
+    path = tmp_path / "words.csv"
+    path.write_text("# unit: N/m\nz_nm,value\n100,1e-3\n150,abc\n")
+    with pytest.raises(ValueError, match="words.csv:4: could not convert"):
+        ForceCurve.from_csv(path)
