@@ -33,7 +33,8 @@ import numpy as np
 from scipy.optimize import minimize_scalar
 
 from .constants import EPS0
-from .electrostatics import _image_series, solve_corrugated_capacitor
+from .electrostatics import (SpherePlaneES, solve_corrugated_capacitor,
+                             sphere_plane_gradient)
 from .geometry import GratingProfile
 
 Array = np.ndarray
@@ -117,16 +118,11 @@ class GradientModel:
 
 
 def series_gradient_model(radius: float, v0: float = 0.0) -> GradientModel:
-    """Sphere-plane gradient from the exact image-charge series.
-
-    All samples are summed in one call, each gap with its own truncation,
-    so every value equals ``sphere_plane_gradient`` at that gap and
-    voltage bit for bit.
-    """
+    """Sphere-plane gradient from the exact image-charge series: one
+    ``sphere_plane_gradient`` call per sample array."""
 
     def fn(z: Array, volt: Array) -> Array:
-        return _image_series(radius, z.ravel(), (volt - v0).ravel(), None,
-                             True).reshape(z.shape)
+        return sphere_plane_gradient(SpherePlaneES(radius, z, volt, v0))
 
     return GradientModel(fn=fn, z_min=1e-12, z_max=0.1 * radius,
                          label="series")
@@ -394,20 +390,24 @@ _CSV_FIELDS = ("z_piezo_nm", "theta_rad", "V_volt", "delta_f_hz")
 
 def read_frequency_shift_samples(path) -> list[FrequencyShiftSample]:
     """Load samples from CSV with columns z_piezo_nm, theta_rad, V_volt,
-    delta_f_hz; lines starting with '#' are skipped."""
+    delta_f_hz; lines starting with '#' are skipped, but counted in the
+    ``path:line:`` that prefixes the ValueError of a bad row."""
     with open(path, newline="") as fh:
-        rows = csv.DictReader(line for line in fh if not line.startswith("#"))
-        if rows.fieldnames is None or not set(_CSV_FIELDS) <= set(
-                name.strip() for name in rows.fieldnames):
-            raise ValueError(f"CSV must provide columns {_CSV_FIELDS}")
-        samples = []
-        for row in rows:
-            clean = {k.strip(): v for k, v in row.items() if k is not None}
-            samples.append(FrequencyShiftSample(
-                z_piezo=float(clean["z_piezo_nm"]) * 1e-9,
-                theta=float(clean["theta_rad"]),
-                volt=float(clean["V_volt"]),
-                delta_f=float(clean["delta_f_hz"])))
+        rows = [(n, row) for n, line in enumerate(fh, start=1)
+                if not line.startswith("#") for row in csv.reader([line]) if row]
+    header = [name.strip() for name in rows[0][1]] if rows else []
+    if not set(_CSV_FIELDS) <= set(header):
+        raise ValueError(f"CSV must provide columns {_CSV_FIELDS}")
+    samples = []
+    for n, row in rows[1:]:
+        try:
+            if len(row) != len(header):
+                raise ValueError(f"expected {len(header)} fields, got {len(row)}")
+            z_nm, theta, volt, delta_f = (float(row[header.index(name)])
+                                          for name in _CSV_FIELDS)
+            samples.append(FrequencyShiftSample(z_nm * 1e-9, theta, volt, delta_f))
+        except ValueError as exc:
+            raise ValueError(f"{path}:{n}: {exc}") from None
     if not samples:
         raise ValueError("CSV contains no data rows")
     return samples

@@ -3,8 +3,10 @@
 Two force models:
 
 1. the exact sphere-plane series in the bispherical parameter
-   alpha = acosh(1 + d / R), summed for all gaps of an array together,
-   each until its geometric tail bound drops below a relative threshold,
+   alpha = acosh(1 + d / R) for scalar or array gaps and voltages (a
+   float back for scalars, else an array of their broadcast shape), all
+   gaps summed together, each until its geometric tail bound drops below
+   a relative threshold,
 2. a first-order (P1) triangular finite-element solve of the Laplace
    problem in one period of the trench cell, whose field energy per unit
    area maps to the sphere force through the close-proximity rule
@@ -57,16 +59,16 @@ class SpherePlaneES:
     """Sphere-plane capacitor: radius R, gap d, potentials V and V0.
 
     V0 is the residual (contact-potential) voltage; the interaction is
-    driven by V - V0.
+    driven by V - V0.  d, V and V0 are scalars or broadcastable arrays.
     """
 
     R: float
-    d: float
-    V: float
-    V0: float = 0.0
+    d: float | Array
+    V: float | Array
+    V0: float | Array = 0.0
 
     def __post_init__(self) -> None:
-        if not self.d > 0.0:
+        if not np.all(np.asarray(self.d) > 0.0):
             raise ValueError("gap d must be positive")
         if not self.R > 0.0:
             raise ValueError("radius R must be positive")
@@ -99,10 +101,10 @@ def _series_tail_bound(alpha: float, n_done: int) -> float:
     return 2.0 * coth_a * major / (1.0 - x * x)
 
 
-def _image_series(radius: float, gaps: Array, dv: Array, n_max: int | None,
-                  gradient: bool) -> Array:
-    """Force (gradient=False) or its gap derivative for every gap and
-    voltage difference V - V0 (1-D arrays of one length).
+def _image_series(es: SpherePlaneES, n_max: int | None,
+                  gradient: bool) -> float | Array:
+    """Force (gradient=False) or its gap derivative at every broadcast
+    element of ``es``: a float if its fields are scalars.
 
     The gaps are summed together in blocks of ``_BLOCK`` image orders; a
     gap leaves the block once its tail bound drops below ``_TAIL_RTOL`` of
@@ -112,12 +114,11 @@ def _image_series(radius: float, gaps: Array, dv: Array, n_max: int | None,
     """
     if n_max is not None and n_max < 1:
         raise ValueError("n_max must be >= 1")
-    if not radius > 0.0:
-        raise ValueError("radius R must be positive")
-    if not np.all(gaps > 0.0):
-        raise ValueError("gap d must be positive")
+    d, v, v0 = np.broadcast_arrays(*(np.asarray(x, dtype=float)
+                                     for x in (es.d, es.V, es.V0)))
+    radius, gaps, dv = es.R, d.ravel(), (v - v0).ravel()
     out = np.zeros(gaps.shape)
-    alpha = np.array([math.acosh(1.0 + d / radius) for d in gaps])
+    alpha = np.array([math.acosh(1.0 + gap / radius) for gap in gaps])
     plate = (dv != 0.0) & (alpha < ALPHA_SERIES_MIN)
     # below the crossover the plate law pi eps0 R dv^2 / d is exact
     law = math.pi * EPS0 * radius * dv[plate] * dv[plate]
@@ -151,36 +152,35 @@ def _image_series(radius: float, gaps: Array, dv: Array, n_max: int | None,
         if active.size and n_done > 10_000_000:
             raise NumericalError(f"sphere-plane series did not converge "
                                  f"(alpha={a[active[0]]:.3e})")
-    pref = 2.0 * math.pi * EPS0 * dv[live] * dv[live]
-    if gradient:
-        # d(alpha)/d(d) from cosh(alpha) = 1 + d/R
-        out[live] = pref * total * (1.0 / (radius * np.array(
-            [math.sinh(x) for x in a])))
-    else:
-        out[live] = pref * total
-    return out
+    out[live] = 2.0 * math.pi * EPS0 * dv[live] * dv[live] * total
+    if gradient:  # d(alpha)/d(d) from cosh(alpha) = 1 + d/R
+        out[live] *= 1.0 / (radius * np.array([math.sinh(x) for x in a]))
+    return float(out[0]) if d.ndim == 0 else out.reshape(d.shape)
 
 
-def sphere_plane_force(es: SpherePlaneES, n_max: int | None = None) -> float:
-    """Exact series force (N, negative = attractive) on the sphere.
+def sphere_plane_force(es: SpherePlaneES,
+                       n_max: int | None = None) -> float | Array:
+    """Exact series force (N, negative = attractive) on the sphere: a
+    float for scalar fields, else an array of their broadcast shape whose
+    elements equal the scalar calls bit for bit.
 
     The sum over image orders stops once the geometric tail bound falls
     below 1e-10 of the accumulated value, or at ``n_max`` terms if given.
     For alpha below the declared crossover the small-gap plate law
     -pi eps0 R (V - V0)^2 / d replaces the series.
     """
-    return float(_image_series(es.R, np.array([es.d]),
-                               np.array([es.V - es.V0]), n_max, False)[0])
+    return _image_series(es, n_max, False)
 
 
-def sphere_plane_gradient(es: SpherePlaneES, n_max: int | None = None) -> float:
+def sphere_plane_gradient(es: SpherePlaneES,
+                          n_max: int | None = None) -> float | Array:
     """d(force)/d(gap) in N/m, by term-wise differentiation of the series.
 
-    Positive for the decaying attraction.  Uses the small-gap form
+    A float or an array as ``sphere_plane_force``.  Positive for the
+    decaying attraction.  Uses the small-gap form
     +pi eps0 R (V - V0)^2 / d^2 below the series crossover.
     """
-    return float(_image_series(es.R, np.array([es.d]),
-                               np.array([es.V - es.V0]), n_max, True)[0])
+    return _image_series(es, n_max, True)
 
 
 # --------------------------------------------------------------------------

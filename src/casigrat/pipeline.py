@@ -18,7 +18,7 @@ import numpy as np
 from .calibration import fem_gradient_model
 from .config import Config, ConfigError
 from .curves import ForceCurve
-from .electrostatics import _image_series, _meshing_profile
+from .electrostatics import SpherePlaneES, _meshing_profile, sphere_plane_gradient
 from .geometry import GratingProfile, reference_trench_profile
 from .grating import TruncationSpec, rho_ratio
 from .materials import get_material
@@ -217,10 +217,10 @@ def electrostatic_gradient_curves(config: Config) -> dict[str, ForceCurve]:
     v0 = config.quantity("voltage", "residual", 0.0)
     z_grid = config.grid("grid", "z", _DEFAULT_Z)
 
-    # the series itself, in one call: series_gradient_model's 0.1 R limit
-    # rejects wide grids
-    flat_vals = _image_series(radius, z_grid, np.full(z_grid.shape, volt - v0),
-                              None, True)
+    if z_grid.size < 2:
+        raise ConfigError("[grid] z: the FEM table needs two or more separations")
+    # not series_gradient_model: its domain stops at 0.1 R
+    flat_vals = sphere_plane_gradient(SpherePlaneES(radius, z_grid, volt, v0))
     model = fem_gradient_model(
         profile, radius, z_min=float(z_grid[0]), z_max=float(z_grid[-1]),
         n_points=_solver_count(config, "table_points", 48, 8), v0=v0)

@@ -221,15 +221,22 @@ def test_usage_errors_exit_2(tmp_path, capsys):
                      f"{flag}={value}"]) == 2
         assert f"{flag}: " in capsys.readouterr().err
     header = "z_piezo_nm,theta_rad,V_volt,delta_f_hz\n"
-    for name, text in (("columns", "z_piezo_nm,theta_rad\n100,0\n"),
-                       ("no_rows", header),
-                       ("nan", header + "100,0,0.3,nan\n200,0,0.3,-1.1\n"),
-                       ("word", header + "100,0,0.3,-1\n200,0,abc,-1.1\n")):
+    good = "100,0,0.3,-1\n"
+    for name, text, line in (
+            ("columns", "z_piezo_nm,theta_rad\n100,0\n", None),
+            ("no_rows", header, None),
+            ("nan", header + "100,0,0.3,nan\n200,0,0.3,-1.1\n", 2),
+            ("word", header + good + "200,0,abc,-1.1\n", 3),
+            ("short", header + good + "200,0,0.3\n", 3),
+            ("long", header + good + "200,0,0.3,-1.1,7\n", 3)):
         bad_input = tmp_path / f"{name}.csv"
         bad_input.write_text(text)
         for extra in ([], ["--find-v0"]):
             assert main(["calibrate", "--input", str(bad_input)] + extra) == 2
-            assert f"--input {bad_input}" in capsys.readouterr().err
+            err = capsys.readouterr().err
+            assert f"--input {bad_input}" in err
+            if line is not None:
+                assert f"{bad_input}:{line}" in err
     tiny_depth = tmp_path / "tiny_depth.cfg"
     tiny_depth.write_text("[pipeline]\ntask = electrostatic_gradient\n"
                           "[geometry]\nperiod = 400nm\ntop_width = 200nm\n"
@@ -319,6 +326,7 @@ def test_usage_errors_exit_2(tmp_path, capsys):
         assert flag in capsys.readouterr().err
     for task, grid in (("flat_force_gradient", "0:200:100nm"),
                        ("electrostatic_gradient", "-100:200:100nm"),
+                       ("electrostatic_gradient", "150nm"),
                        ("rho_ratio", "-50nm,100nm")):
         bad_grid = tmp_path / f"{task}_grid.cfg"
         bad_grid.write_text(f"[pipeline]\ntask = {task}\n[grid]\nz = {grid}\n")

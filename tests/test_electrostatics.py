@@ -246,14 +246,31 @@ _MIXED = [(0.5 * _CROSSOVER, 0.3, 0.0, False),
 def test_array_series_matches_scalar_calls(rows, n_max, gradient):
     es = [SpherePlaneES(R=RADIUS, d=ratio * RADIUS, V=v0 if same else v,
                         V0=v0) for ratio, v, v0, same in rows]
-    got = electrostatics._image_series(
-        RADIUS, np.array([e.d for e in es]),
-        np.array([e.V - e.V0 for e in es]), n_max, gradient)
     scalar = sphere_plane_gradient if gradient else sphere_plane_force
+    got = scalar(SpherePlaneES(RADIUS, np.array([e.d for e in es]),
+                               np.array([e.V for e in es]),
+                               np.array([e.V0 for e in es])), n_max)
+    assert got.shape == (len(es),)
     for value, e in zip(got, es):
         expected = scalar_image_series(e, n_max, gradient)
         assert value == expected  # bit for bit, not approximately
         assert scalar(e, n_max) == expected
+
+
+@pytest.mark.parametrize("fn", [sphere_plane_force, sphere_plane_gradient])
+def test_series_scalar_and_array_contract(fn):
+    # plate law, series; V = V0, V != V0
+    gaps = np.array([[1e-14], [1e-6], [3e-5]])  # (3, 1)
+    volts = np.array([[0.1, -0.7]])  # (1, 2)
+    got = fn(SpherePlaneES(RADIUS, gaps, volts, 0.1))
+    assert got.shape == (3, 2)
+    for i, j in np.ndindex(got.shape):
+        one = fn(SpherePlaneES(RADIUS, float(gaps[i, 0]), float(volts[0, j]),
+                               0.1))
+        assert type(one) is float
+        assert got[i, j] == one  # bit for bit
+    with pytest.raises(ValueError, match="gap d must be positive"):
+        SpherePlaneES(RADIUS, np.array([1e-6, 0.0, 2e-6]), VOLT)
 
 
 # --------------------------------------------------------------------------

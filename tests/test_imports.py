@@ -1,4 +1,5 @@
-"""Every name a casigrat module imports is referenced by that module."""
+"""Every name a casigrat module imports is referenced by that module, and
+private names cross module boundaries only where listed."""
 
 import ast
 from pathlib import Path
@@ -46,3 +47,31 @@ def test_module_has_no_unused_imports(path):
     unused = [name for name in unused_imports(path.read_text("utf-8"))
               if (path.name, name) not in KEPT]
     assert unused == []
+
+
+# (importing module, source module, private name): each entry is a
+# deliberate use of another module's internals
+PRIVATE_IMPORTS = [
+    ("checks", "electrostatics", "_end_row_schur"),
+    ("checks", "electrostatics", "_graded_from_start"),
+    ("cli", "pipeline", "_meshable_profile_from_config"),
+    ("cli", "pipeline", "_profile_from_config"),
+    ("cli", "pipeline", "_rho_inputs"),
+    ("pipeline", "electrostatics", "_meshing_profile"),
+]
+
+
+def private_imports(path: Path) -> list[tuple[str, str, str]]:
+    """Names starting with '_' that ``path`` imports from a sibling
+    module (``from .m import _name``)."""
+    tree = ast.parse(path.read_text("utf-8"))
+    return [(path.stem, node.module, alias.name)
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and node.level == 1
+            for alias in node.names if alias.name.startswith("_")]
+
+
+def test_private_imports_are_allowlisted():
+    found = sorted(entry for path in SRC.glob("*.py")
+                   for entry in private_imports(path))
+    assert found == PRIVATE_IMPORTS
