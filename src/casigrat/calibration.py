@@ -30,7 +30,6 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from .constants import EPS0
 from .electrostatics import (SpherePlaneES, solve_corrugated_capacitor,
@@ -234,6 +233,8 @@ def fit_calibration(samples: Sequence[FrequencyShiftSample],
     Returns a CalibrationFit; 1-sigma uncertainties come from the
     residual covariance at the optimum.
     """
+    from scipy.optimize import minimize_scalar
+
     if len(samples) < 3:
         raise FitError("need at least 3 samples")
     z_piezo, thetas, volts, shifts = _sample_columns(samples)

@@ -193,7 +193,10 @@ def _cmd_calibrate(args) -> int:
     except ValueError as exc:
         raise ConfigError(f"--input {args.input}: {exc}") from None
     if args.find_v0:
-        v0 = find_residual_voltage(samples)
+        try:  # every check of the vertex fit is a check of the samples
+            v0 = find_residual_voltage(samples)
+        except FitError as exc:
+            raise ConfigError(f"--input {args.input}: {exc}") from None
         print(f"residual voltage V0 = {v0:.6f} V")
         return 0
     lever_b = _flag_value(parse_quantity, args.lever_b, "--lever-b")

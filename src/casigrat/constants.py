@@ -7,12 +7,12 @@ across materials, force kernels, and the CLI.
 
 from __future__ import annotations
 
-import scipy.constants as _sc
-
-HBAR = _sc.hbar                 # J s
-C_LIGHT = _sc.c                 # m / s
-EPS0 = _sc.epsilon_0            # F / m
-E_CHARGE = _sc.elementary_charge  # C
+# CODATA 2022 values, equal to scipy.constants' (tests pin them); written
+# as literals so that importing the package loads no scipy module.
+HBAR = 1.0545718176461565e-34   # J s
+C_LIGHT = 299792458.0           # m / s
+EPS0 = 8.8541878188e-12         # F / m
+E_CHARGE = 1.602176634e-19      # C
 
 # One electron-volt of photon energy expressed as an angular frequency.
 EV_TO_RAD_PER_S = E_CHARGE / HBAR

@@ -38,7 +38,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-import scipy.linalg as sla
 
 from .constants import EPS0
 from .geometry import GratingProfile, height_profile
@@ -54,12 +53,13 @@ _TAIL_RTOL = 1e-10
 _BLOCK = 512
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SpherePlaneES:
     """Sphere-plane capacitor: radius R, gap d, potentials V and V0.
 
     V0 is the residual (contact-potential) voltage; the interaction is
-    driven by V - V0.  d, V and V0 are scalars or broadcastable arrays.
+    driven by V - V0.  d, V and V0 are scalars or broadcastable arrays,
+    so instances compare and hash by identity, not by field values.
     """
 
     R: float
@@ -479,6 +479,8 @@ def _row_pencil(ny: int) -> tuple[Array, Array, float, float]:
     all read-only; m0 and m1 are the lumped lengths of the two end rows.
     Built once per row count.
     """
+    import scipy.linalg as sla
+
     d = np.diff(_graded_from_start(ny))
     inv = 1.0 / d
     m = 0.5 * (d[:-1] + d[1:])
@@ -537,6 +539,8 @@ def _reduce_trench(mesh: Mesh2D) -> tuple[Array, Array, Array, Array]:
     factorisation eliminates it.  None of this depends on the gap, and
     the arrays are read-only.
     """
+    import scipy.linalg as sla
+
     rows = mesh.left_nodes.size  # na + 1; upper node id = col * rows + row
     n_up = mesh.top_nodes.size * rows
     n = mesh.nodes.shape[0]
@@ -613,6 +617,8 @@ def solve_corrugated_capacitor(profile: GratingProfile, gap: float, V: float,
     A non-finite or non-positive gap, or a non-finite V, raises
     ValueError before any mesh or cache work.
     """
+    import scipy.linalg as sla
+
     if not (gap > 0.0 and math.isfinite(gap)):
         raise ValueError(f"gap must be positive and finite, got {gap!r} m")
     if not math.isfinite(V):

@@ -67,7 +67,6 @@ from dataclasses import dataclass, replace
 from functools import partial
 
 import numpy as np
-import scipy.linalg as sla
 
 from .constants import C_LIGHT, HBAR
 from .curves import ForceCurve
@@ -165,6 +164,8 @@ class _LayerModes:
 
 def _toeplitz_pair(eps_solid: float, slot_frac: float, order_n: int):
     """Toeplitz matrices of eps(x) and 1/eps(x) for a centered vacuum slot."""
+    import scipy.linalg as sla
+
     j = np.arange(2 * order_n + 1)
     window = slot_frac * np.sinc(j * slot_frac)
     c_eps = (1.0 - eps_solid) * window
@@ -182,6 +183,8 @@ def _layer_modes(q: float, kn: Array, eps_solid: float | None,
     vacuum.  ``slot_frac`` is the vacuum opening fraction (0 = solid
     everywhere, 1 = vacuum everywhere).
     """
+    import scipy.linalg as sla
+
     n1 = kn.size
     ident = np.eye(n1)
     if eps_solid is None or slot_frac >= 1.0 or slot_frac <= 0.0:

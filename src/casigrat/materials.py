@@ -26,7 +26,6 @@ from dataclasses import dataclass
 from importlib import resources
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
 
 from .constants import ev_to_rad_per_s
 
@@ -96,6 +95,8 @@ class Tabulated:
     eps: Array
 
     def __post_init__(self) -> None:
+        from scipy.interpolate import PchipInterpolator
+
         xi = np.asarray(self.xi, dtype=float)
         eps = np.asarray(self.eps, dtype=float)
         object.__setattr__(self, "xi", xi)

@@ -22,7 +22,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from .geometry import GratingProfile
 from .materials import DielectricModel
@@ -70,6 +69,8 @@ class FlatForceLaw:
         smooth decay of a Lifshitz pressure closely between knots and
         gives the sidewall rule of ``pfa_corrugated`` a smooth integrand.
         """
+        from scipy.interpolate import CubicSpline
+
         z = np.asarray(z, dtype=float)
         values = np.asarray(values, dtype=float)
         if z.ndim != 1 or z.size < 4 or values.shape != z.shape:

@@ -237,6 +237,17 @@ def test_usage_errors_exit_2(tmp_path, capsys):
             assert f"--input {bad_input}" in err
             if line is not None:
                 assert f"{bad_input}:{line}" in err
+    # readable samples that admit no vertex fit: two voltages on a distance
+    # sweep (the shape of perfbench's es_calibration CSV), and two rows
+    two_volts = [f"{100 + 50 * k},0,{v},{-1 - 0.1 * k}\n"
+                 for v in (0.245, 0.3) for k in range(13)]
+    for name, text in (("two_volts", header + "".join(two_volts)),
+                       ("two_rows", header + good + "200,0,0.4,-1.1\n")):
+        bad_input = tmp_path / f"{name}.csv"
+        bad_input.write_text(text)
+        assert main(["calibrate", "--input", str(bad_input),
+                     "--find-v0"]) == 2
+        assert f"--input {bad_input}" in capsys.readouterr().err
     tiny_depth = tmp_path / "tiny_depth.cfg"
     tiny_depth.write_text("[pipeline]\ntask = electrostatic_gradient\n"
                           "[geometry]\nperiod = 400nm\ntop_width = 200nm\n"

@@ -273,6 +273,16 @@ def test_series_scalar_and_array_contract(fn):
         SpherePlaneES(RADIUS, np.array([1e-6, 0.0, 2e-6]), VOLT)
 
 
+def test_array_capacitor_compares_and_hashes_by_identity():
+    gaps = np.array([1e-6, 2e-6])
+    a = SpherePlaneES(RADIUS, gaps, VOLT)
+    b = SpherePlaneES(RADIUS, gaps.copy(), VOLT)
+    assert a == a
+    assert a != b
+    assert hash(a) == hash(a)
+    assert len({a, b}) == 2
+
+
 # --------------------------------------------------------------------------
 # oracle 2: mouth-matching spectral solution, vertical-wall trench
 

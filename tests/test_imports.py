@@ -1,12 +1,20 @@
-"""Every name a casigrat module imports is referenced by that module, and
-private names cross module boundaries only where listed."""
+"""Every name a casigrat module imports is referenced by that module,
+private names cross module boundaries only where listed, and importing the
+package loads no scipy module."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
+import scipy.constants
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "casigrat"
+from casigrat import constants
+
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "casigrat"
 
 # perfbench's tracer tests look the planar pressure up in every namespace
 # that binds it, so these two imports stay although the modules never call
@@ -75,3 +83,36 @@ def test_private_imports_are_allowlisted():
     found = sorted(entry for path in SRC.glob("*.py")
                    for entry in private_imports(path))
     assert found == PRIVATE_IMPORTS
+
+
+# a fresh interpreter: import the package, parse every shipped config and
+# load a Drude material, then list every scipy module that got loaded
+NO_SCIPY_CODE = """\
+import sys
+from pathlib import Path
+import casigrat
+for path in sorted(Path("configs").glob("*.cfg")):
+    casigrat.Config.from_file(path)
+casigrat.get_material("gold_drude")
+print(" ".join(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
+"""
+
+
+def test_import_loads_no_scipy():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", NO_SCIPY_CODE], cwd=ROOT,
+                          env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    loaded = proc.stdout.split()
+    assert loaded == [], f"scipy modules loaded: {' '.join(loaded)}"
+
+
+def test_literal_constants_equal_scipy():
+    assert constants.HBAR == scipy.constants.hbar
+    assert constants.C_LIGHT == scipy.constants.c
+    assert constants.EPS0 == scipy.constants.epsilon_0
+    assert constants.E_CHARGE == scipy.constants.elementary_charge
+    assert constants.EV_TO_RAD_PER_S == constants.E_CHARGE / constants.HBAR
