@@ -69,7 +69,8 @@ def parse_quantity(text: str) -> float:
     return result
 
 
-# the range form is refused above this many points before it is allocated
+# the range forms of parse_grid and parse_int_range are refused above this
+# many points before they are allocated
 _MAX_GRID_POINTS = 100_000
 
 
@@ -113,14 +114,18 @@ def parse_int_range(text: str) -> list[int]:
     """Parse ``4:14:2`` (inclusive) or a comma list to a list of ints."""
     text = str(text).strip()
     try:
-        if ":" in text:
-            parts = [int(p) for p in text.split(":")]
-            if len(parts) != 3 or parts[2] <= 0 or parts[1] < parts[0]:
-                raise ValueError
-            return list(range(parts[0], parts[1] + 1, parts[2]))
-        return [int(p) for p in text.split(",")]
+        if ":" not in text:
+            return [int(p) for p in text.split(",")]
+        start, stop, step = (int(p) for p in text.split(":"))
+        if step <= 0 or stop < start:
+            raise ValueError
     except ValueError:
         raise ConfigError(f"cannot parse integer range {text!r}") from None
+    count = (stop - start) // step + 1
+    if count > _MAX_GRID_POINTS:
+        raise ConfigError(f"integer range {text!r} has {count} values, more "
+                          f"than {_MAX_GRID_POINTS}")
+    return list(range(start, stop + 1, step))
 
 
 _REQUIRED = object()

@@ -9,6 +9,7 @@ with identical inputs is byte-identical.
 from __future__ import annotations
 
 import io
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -78,10 +79,13 @@ class ForceCurve:
                 if len(parts) != 2:
                     raise ValueError(f"{path}:{lineno}: expected 'z_nm,value'")
                 try:
-                    z_col.append(float(parts[0]) * 1e-9)
-                    v_col.append(float(parts[1]))
+                    z, v = float(parts[0]) * 1e-9, float(parts[1])
+                    if not (math.isfinite(z) and math.isfinite(v)):
+                        raise ValueError("z and value must be finite")
                 except ValueError as exc:
                     raise ValueError(f"{path}:{lineno}: {exc}") from None
+                z_col.append(z)
+                v_col.append(v)
         unit = meta.pop("unit", "")
         label = meta.pop("label", "")
         return cls(np.asarray(z_col), np.asarray(v_col), unit=unit,

@@ -241,7 +241,7 @@ class Mesh2D:
                       - (p[:, 2, 0] - p[:, 0, 0]) * (p[:, 1, 1] - p[:, 0, 1]))
 
     def validate(self) -> None:
-        if np.any(self.signed_areas() <= 0.0):
+        if not np.all(self.signed_areas() > 0.0):
             raise NumericalError("mesh contains inverted or degenerate "
                                  "triangles")
         if self.left_nodes.size != self.right_nodes.size or not np.allclose(
@@ -341,11 +341,13 @@ def _columns(shape: GratingProfile, nx: int) -> tuple[Array, Array]:
     return xs, h
 
 
-def _trench_rows(h: Array, gap: float, na: int) -> int:
+def _trench_rows(shape: GratingProfile, gap: float,
+                 control: MeshControl) -> int:
     # nb, the row intervals below y = 0, in proportion to depth / (depth +
     # gap); 0 for a cell without trench columns
-    depth = float(h.max())
-    return max(3, round(na * depth / (depth + gap))) if depth > 0.0 else 0
+    depth = float(_columns(shape, control.nx)[1].max())
+    return (max(3, round(control.ny * depth / (depth + gap)))
+            if depth > 0.0 else 0)
 
 
 def build_trench_mesh(profile: GratingProfile, gap: float,
@@ -364,17 +366,19 @@ def build_trench_mesh(profile: GratingProfile, gap: float,
     from every side.  The closing column at x = period duplicates the
     x = 0 layout and is folded onto it by ``dof_map``.
     """
-    if not gap > 0.0:
-        raise ValueError("gap must be positive")
-    mesh = _cell_mesh(_meshing_profile(profile), gap,
-                      control or MeshControl())
+    if not (gap > 0.0 and math.isfinite(gap)):
+        raise ValueError(f"gap must be positive and finite, got {gap!r} m")
+    control = control or MeshControl()
+    shape = _meshing_profile(profile)
+    mesh = _cell_mesh(shape, gap, control, _trench_rows(shape, gap, control))
     mesh.validate()
     return mesh
 
 
-def _cell_mesh(shape: GratingProfile, gap: float,
-               control: MeshControl) -> Mesh2D:
+def _cell_mesh(shape: GratingProfile, gap: float, control: MeshControl,
+               nb: int) -> Mesh2D:
     # the unvalidated mesh of build_trench_mesh, for a meshing profile
+    # with nb trench rows
     xs, h = _columns(shape, control.nx)
     n_cols = xs.size
     na = control.ny
@@ -383,7 +387,6 @@ def _cell_mesh(shape: GratingProfile, gap: float,
 
     deep = h > 0.0
     n_deep = np.count_nonzero(deep)
-    nb = _trench_rows(h, gap, na)
     s = np.linspace(0.0, 1.0, nb + 1)
     rise = 1.0 - (1.0 - s) ** _GRADE_MU  # dense near the mouth y = 0
     low_id = np.repeat(up_id[:, :1], nb + 1, axis=1)  # all on the mouth
@@ -436,15 +439,15 @@ def _element_stiffness(nodes: Array, triangles: Array) -> Array:
 
 
 @functools.lru_cache(maxsize=16)
-def _x_modes(hx_bytes: bytes) -> tuple[Array, Array, Array]:
-    """Modes of the periodic column layout with spacings ``hx``.
+def _x_modes(shape: GratingProfile, nx: int) -> tuple[Array, Array, Array]:
+    """Modes of the periodic column layout ``_columns(shape, nx)``.
 
     Solves Ax v = lam Mx v (1-D P1 stiffness, lumped lengths) with
     Mx-orthonormal v and returns (lam, mx, Mx V), built once per layout
     and read-only.  Mode 0 is set to the exact constant 1 / sqrt(period)
     with lam = 0, so a uniform potential couples to no other mode.
     """
-    hx = np.frombuffer(hx_bytes)
+    hx = np.diff(_columns(shape, nx)[0])
     inv = 1.0 / hx
     mx = 0.5 * (hx + np.roll(hx, 1))
     i = np.arange(hx.size)
@@ -526,7 +529,11 @@ def _end_row_schur(lam: Array, gap: float,
             (mu * (m1 + q[:, 1]) - s01) / gap)
 
 
-def _reduce_trench(mesh: Mesh2D) -> tuple[Array, Array, Array, Array]:
+# A gap table meets one trench layout per distinct nb (18 on the 48 gaps
+# of electrostatic_gradient.cfg).
+@functools.lru_cache(maxsize=64)
+def _reduce_trench(shape: GratingProfile, control: MeshControl,
+                   nb: int) -> tuple[Array, Array, Array, Array]:
     """(lam, schur, modes, weights): a trench layout, reduced for solves.
 
     ``lam`` are the x-mode eigenvalues of ``_x_modes``.  ``schur`` is the
@@ -536,15 +543,18 @@ def _reduce_trench(mesh: Mesh2D) -> tuple[Array, Array, Array, Array]:
     the mouth rows of Mx V and of mx.  The trench interior is numbered
     column by column, as ``build_trench_mesh`` numbers it, so its
     stiffness is SPD with half-bandwidth nb and one banded Cholesky
-    factorisation eliminates it.  None of this depends on the gap, and
-    the arrays are read-only.
+    factorisation eliminates it.  None of this depends on the gap, so the
+    cell is built and validated with a gap of one period; the arrays are
+    read-only.
     """
     import scipy.linalg as sla
 
+    mesh = _cell_mesh(shape, shape.period, control, nb)
+    mesh.validate()
     rows = mesh.left_nodes.size  # na + 1; upper node id = col * rows + row
     n_up = mesh.top_nodes.size * rows
     n = mesh.nodes.shape[0]
-    lam, mx, mv = _x_modes(np.diff(mesh.nodes[mesh.top_nodes, 0]).tobytes())
+    lam, mx, mv = _x_modes(shape, control.nx)
     mouths = np.flatnonzero(mesh.bottom_nodes[:-1] >= n_up)
     inner = np.ones(n - n_up, dtype=bool)
     inner[mesh.bottom_nodes[mouths] - n_up] = False
@@ -584,13 +594,6 @@ def _reduce_trench(mesh: Mesh2D) -> tuple[Array, Array, Array, Array]:
     return out
 
 
-# Trench reductions by (meshing profile, MeshControl, nb).  A gap table
-# meets one layout per distinct nb (18 on the 48 gaps of
-# electrostatic_gradient.cfg); past the bound the oldest entry goes.
-_REDUCTIONS: dict = {}
-_MAX_REDUCTIONS = 64
-
-
 def solve_corrugated_capacitor(profile: GratingProfile, gap: float, V: float,
                                control: MeshControl | None = None,
                                return_mesh: bool = False):
@@ -611,8 +614,8 @@ def solve_corrugated_capacitor(profile: GratingProfile, gap: float, V: float,
     its row count nb; its banded Cholesky reduction (``_reduce_trench``)
     is cached per mesh layout and shared by every gap with the same nb.
     A gap then costs one (modes x rows) matrix product and one dense SPD
-    solve on the mouths.  The mesh is built and validated only on a
-    cache miss and for ``return_mesh=True``.
+    solve on the mouths.  ``return_mesh=True`` also returns
+    ``build_trench_mesh`` of the same cell.
 
     A non-finite or non-positive gap, or a non-finite V, raises
     ValueError before any mesh or cache work.
@@ -625,20 +628,9 @@ def solve_corrugated_capacitor(profile: GratingProfile, gap: float, V: float,
         raise ValueError(f"V must be finite, got {V!r} V")
     control = control or MeshControl()
     shape = _meshing_profile(profile)
-    key = (shape, control,
-           _trench_rows(_columns(shape, control.nx)[1], gap, control.ny))
-    reduction = _REDUCTIONS.get(key)
-    mesh = None
-    if return_mesh or reduction is None:
-        mesh = _cell_mesh(shape, gap, control)
-        mesh.validate()
     try:
-        if reduction is None:
-            reduction = _reduce_trench(mesh)
-            if len(_REDUCTIONS) >= _MAX_REDUCTIONS:
-                del _REDUCTIONS[next(iter(_REDUCTIONS))]
-            _REDUCTIONS[key] = reduction
-        lam, schur, modes, weights = reduction
+        lam, schur, modes, weights = _reduce_trench(
+            shape, control, _trench_rows(shape, gap, control))
         s00, s01, s11 = _end_row_schur(lam, gap, control.ny)
         rhs = -s01[0] * V * weights
         u = sla.solve(schur + (modes * s00) @ modes.T, rhs, assume_a="pos",
@@ -653,7 +645,7 @@ def solve_corrugated_capacitor(profile: GratingProfile, gap: float, V: float,
     # through the constant mode alone
     energy = 0.5 * EPS0 * (s11[0] * V * V - float(u @ rhs) / profile.period)
     if return_mesh:
-        return energy, mesh
+        return energy, build_trench_mesh(profile, gap, control)
     return energy
 
 

@@ -51,6 +51,10 @@ class GratingProfile:
     sidewall_angle_deg: float = 90.0
 
     def __post_init__(self) -> None:
+        for name in ("period", "top_width", "floor_width", "depth"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got "
+                                 f"{getattr(self, name)!r} m")
         if not self.period > 0.0:
             raise ValueError("period must be positive")
         # top_width == period (with floor_width == 0) is the degenerate

@@ -76,13 +76,9 @@ from .pfa import flat_pressure_law, pfa_corrugated
 # casimir_pressure_planar stays bound here for perfbench's tracer tests
 from .planar import (NumericalError, casimir_pressure_planar,  # noqa: F401
                      fresnel_te_tm)
-from .quadrature import asinh_gauss_legendre, gauss_legendre
+from .quadrature import decay_rule, gauss_legendre
 
 Array = np.ndarray
-
-# Scaled-variable window y = 2 kappa z of the xi and k_y rules.
-_Y_SCALE = 1.0
-_Y_HI = 45.0
 
 # Loop operators M' (see _trace_over_z) with ||M'||_F below this skip the
 # solve for the two-term Neumann sum 2 tr[K (M' + M'^2)].  The remainder
@@ -100,11 +96,11 @@ class ModalError(NumericalError):
 class GratingQuadrature:
     """Node counts for the (xi, k_x, k_y) grid.
 
-    xi and k_y run on arcsinh-mapped Gauss-Legendre rules: linear near the
-    axis origin, where the product-grid integrand stays finite, and
-    logarithmic out to y = 2 kappa z ~ _Y_HI for the smallest requested z
-    (the transition sits at y ~ _Y_SCALE for the largest z).  k_x runs on
-    a plain Gauss-Legendre rule over half the Brillouin zone.
+    xi and k_y run on ``quadrature.decay_rule`` over the requested z range,
+    the rule of the planar pressure too: linear near the axis origin, where
+    the product-grid integrand stays finite, and logarithmic out to the
+    decay cutoff at the smallest z.  k_x runs on a plain Gauss-Legendre
+    rule over half the Brillouin zone.
     """
 
     xi_nodes: int = 40
@@ -439,10 +435,8 @@ def grating_reflection(profile: GratingProfile, model: DielectricModel,
 
 def _quad_nodes(z_grid: Array, period: float, quad: GratingQuadrature):
     z_min, z_max = float(z_grid.min()), float(z_grid.max())
-    scale = _Y_SCALE / (2.0 * z_max)
-    hi = _Y_HI / (2.0 * z_min)
-    q_nodes, q_w = asinh_gauss_legendre(scale, hi, quad.xi_nodes)
-    ky_nodes, ky_w = asinh_gauss_legendre(scale, hi, quad.ky_nodes)
+    q_nodes, q_w = decay_rule(z_min, z_max, quad.xi_nodes)
+    ky_nodes, ky_w = decay_rule(z_min, z_max, quad.ky_nodes)
     kx_nodes, kx_w = gauss_legendre(0.0, math.pi / period, quad.kx_nodes)
     return (q_nodes, q_w), (kx_nodes, kx_w), (ky_nodes, ky_w)
 

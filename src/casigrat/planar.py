@@ -12,9 +12,9 @@ half-spaces separated by a vacuum gap z is
 with p in {TE, TM} and r_p the imaginary-frequency Fresnel coefficients.
 Negative P means attraction.  The polar substitution xi = c kappa cos(t),
 k = kappa sin(t) turns this into a radial integral whose scaled decay
-variable is y = 2 kappa z, handled by the log-mapped rules in
-``quadrature``; for ideal mirrors it reproduces -pi^2 hbar c / (240 z^4)
-exactly, which pins the prefactor.
+variable is y = 2 kappa z, handled by ``quadrature.decay_rule`` (the rule
+of the grating integrals too); for ideal mirrors it reproduces
+-pi^2 hbar c / (240 z^4) exactly, which pins the prefactor.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ import numpy as np
 
 from .constants import C_LIGHT, HBAR
 from .materials import DielectricModel, is_perfect_conductor
-from .quadrature import QuadratureSpec, gauss_legendre, radial_rule
+from .quadrature import QuadratureSpec, decay_rule, gauss_legendre
 
 Array = np.ndarray
 
@@ -73,7 +73,7 @@ def fresnel_te_tm(model: DielectricModel, xi, k_perp):
 
 def _pressure_once(material_a: DielectricModel, material_b: DielectricModel,
                    z: float, quad: QuadratureSpec) -> float:
-    kappa, w_kappa = radial_rule(z, quad.xi_nodes)
+    kappa, w_kappa = decay_rule(z, z, quad.xi_nodes)
     ct, w_ct = gauss_legendre(0.0, 1.0, quad.k_nodes)
 
     # Polar grid: rows kappa, columns cos(theta).

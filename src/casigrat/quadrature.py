@@ -1,8 +1,10 @@
 """Gauss-Legendre quadrature helpers for the frequency/momentum integrals.
 
 Every Casimir integrand here decays exponentially in the scaled variable
-y = 2 kappa z, so the workhorse rule is Gauss-Legendre applied in
-log-space, which resolves both the power-law rise at small argument and
+y = 2 kappa z, so every such integral, planar and grating alike, runs on
+``decay_rule``: Gauss-Legendre under the map x = scale sinh(u), linear
+below y ~ Y_SCALE (no lost strip at the origin) and logarithmic out to
+y = Y_HI, which resolves both the power-law rise at small argument and
 the exponential tail with a few tens of nodes.
 """
 
@@ -15,11 +17,11 @@ import numpy as np
 
 Array = np.ndarray
 
-# Scaled-variable window for radial rules: below Y_LO the phase-space factor
-# suppresses the integrand polynomially, above Y_HI it is dead to double
-# precision (e^-60 ~ 9e-27).
-Y_LO = 1e-3
-Y_HI = 60.0
+# Scaled-variable window y = 2 kappa z of ``decay_rule``: linear below
+# Y_SCALE, logarithmic above it, cut at Y_HI where the integrand is dead to
+# double precision (e^-45 ~ 3e-20).
+Y_SCALE = 1.0
+Y_HI = 45.0
 
 
 @dataclass(frozen=True)
@@ -55,37 +57,25 @@ def gauss_legendre(a: float, b: float, n: int) -> tuple[Array, Array]:
     return mid + half * x, half * w
 
 
-def log_gauss_legendre(a: float, b: float, n: int) -> tuple[Array, Array]:
-    """Gauss-Legendre in log-space on [a, b], weights carry the Jacobian.
-
-    Exact for integrands of the form (polynomial in log x) / x; efficient
-    for smooth positive integrands spanning decades.
-    """
-    if not 0.0 < a < b:
-        raise ValueError("need 0 < a < b")
-    u, wu = gauss_legendre(np.log(a), np.log(b), n)
-    x = np.exp(u)
-    return x, wu * x
-
-
-def radial_rule(z: float, n: int) -> tuple[Array, Array]:
-    """Nodes/weights in kappa = sqrt(xi^2/c^2 + k^2) for separation z.
-
-    Covers y = 2 kappa z in [Y_LO, Y_HI] on a log-mapped rule.
-    """
-    if not z > 0.0:
-        raise ValueError("separation must be positive")
-    return log_gauss_legendre(Y_LO / (2.0 * z), Y_HI / (2.0 * z), n)
-
-
 def asinh_gauss_legendre(scale: float, upper: float, n: int) -> tuple[Array, Array]:
     """Gauss-Legendre on [0, upper] under the map x = scale * sinh(u).
 
     Suited to integrands that are finite at the origin but span decades:
-    the map is linear below ``scale`` (no lost endpoint strip, unlike a
-    log rule) and logarithmic above it.  Weights carry the Jacobian.
+    the map is linear below ``scale`` (no lost strip at the origin) and
+    logarithmic above it.  Weights carry the Jacobian.
     """
     if not 0.0 < scale < upper:
         raise ValueError("need 0 < scale < upper")
     u, wu = gauss_legendre(0.0, float(np.arcsinh(upper / scale)), n)
     return scale * np.sinh(u), wu * scale * np.cosh(u)
+
+
+def decay_rule(z_min: float, z_max: float, n: int) -> tuple[Array, Array]:
+    """Nodes/weights in a decay rate kappa for separations in [z_min, z_max].
+
+    The asinh map turns linear-to-logarithmic at y = 2 kappa z_max ~ Y_SCALE
+    and the rule ends at y = 2 kappa z_min = Y_HI.
+    """
+    if not 0.0 < z_min <= z_max:
+        raise ValueError("need 0 < z_min <= z_max")
+    return asinh_gauss_legendre(Y_SCALE / (2.0 * z_max), Y_HI / (2.0 * z_min), n)

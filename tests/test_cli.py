@@ -303,7 +303,10 @@ def test_usage_errors_exit_2(tmp_path, capsys):
     assert main(["pipeline", "--config", str(bad_measured),
                  "--out", str(tmp_path / "out")]) == 2
     assert "[measured] gradient_csv" in capsys.readouterr().err
-    for name, rows in (("no_rows", ""), ("zero_z", "0,1e-3\n100,2e-3\n")):
+    for name, rows, line in (
+            ("no_rows", "", None), ("zero_z", "0,1e-3\n100,2e-3\n", None),
+            ("nan_value", "100,1e-3\n150,nan\n", 3),
+            ("inf_z", "100,1e-3\ninf,2e-3\n", 3)):
         measured = tmp_path / f"{name}.csv"
         measured.write_text(f"z_nm,value\n{rows}")
         bad_measured.write_text("[pipeline]\ntask = rho_ratio\n[solver]\n"
@@ -311,7 +314,10 @@ def test_usage_errors_exit_2(tmp_path, capsys):
                                 f"gradient_csv = {measured}\n")
         assert main(["pipeline", "--config", str(bad_measured),
                      "--out", str(tmp_path / "out")]) == 2
-        assert "[measured] gradient_csv" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "[measured] gradient_csv" in err
+        if line is not None:
+            assert f"{measured}:{line}" in err
     bad_rough = tmp_path / "bad_roughness.cfg"
     bad_rough.write_text("[pipeline]\ntask = flat_force_gradient\n"
                          "[roughness]\nn_points = 0\n")
@@ -356,7 +362,7 @@ def test_sweep_inputs_checked_before_grating(tmp_path, monkeypatch, capsys):
                         unreachable)
     cfg = tmp_path / "small.cfg"
     cfg.write_text(SMALL_RHO_CFG)
-    for sweep in ("4:2:2", "x", "-2,4"):
+    for sweep in ("4:2:2", "x", "-2,4", "0:100000:1"):
         assert main(["grating", "--config", str(cfg), f"--sweep-N={sweep}",
                      "--out", str(tmp_path / "out")]) == 2
         assert "--sweep-N" in capsys.readouterr().err

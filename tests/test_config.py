@@ -98,6 +98,14 @@ def test_parse_int_range():
             parse_int_range(bad)
 
 
+def test_parse_int_range_refuses_oversized_range():
+    # one value over the bound: refused before the list is built, and cheap
+    # to build were it not
+    assert len(parse_int_range("1:100000:1")) == 100_000
+    with pytest.raises(ConfigError, match="100001 values, more than 100000"):
+        parse_int_range("0:100000:1")
+
+
 def test_config_typed_access():
     cfg = Config.from_text(SAMPLE)
     assert cfg.quantity("geometry", "period") == pytest.approx(400e-9)

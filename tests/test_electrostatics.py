@@ -550,14 +550,13 @@ def test_gap_block_is_a_tensor_product(name):
 
 
 def test_x_modes_are_cached_read_only(trench):
-    mesh = build_trench_mesh(trench, 150e-9)
-    key = np.diff(mesh.nodes[mesh.top_nodes, 0]).tobytes()
-    modes = _x_modes(key)
+    key = (electrostatics._meshing_profile(trench), MeshControl().nx)
+    modes = _x_modes(*key)
     for arr in modes:
         assert not arr.flags.writeable
         with pytest.raises(ValueError):
             arr[0] = 0.0
-    assert _x_modes(key) is modes
+    assert _x_modes(*key) is modes
     lam, mx, mv = modes
     assert lam[0] == 0.0 and np.all(lam[1:] > 0.0)
     # Mx-orthonormal: V^T Mx V = I with V = (Mx V) / mx
@@ -588,8 +587,8 @@ def sweep_end_row_schur(lam, hy):
 
 
 def _mode_eigenvalues(profile):
-    mesh = build_trench_mesh(profile, 150e-9)
-    return _x_modes(np.diff(mesh.nodes[mesh.top_nodes, 0]).tobytes())[0]
+    return _x_modes(electrostatics._meshing_profile(profile),
+                    MeshControl().nx)[0]
 
 
 @pytest.mark.parametrize("ny", [4, 11, 24, 48, 96, 192])
@@ -618,7 +617,7 @@ def test_row_pencil_is_cached_read_only(trench, monkeypatch):
         return dpteqr(*args, **kwargs)
 
     monkeypatch.setattr(scipy.linalg.lapack, "dpteqr", counting_dpteqr)
-    monkeypatch.setattr(electrostatics, "_REDUCTIONS", {})
+    electrostatics._reduce_trench.cache_clear()
     electrostatics._row_pencil.cache_clear()
     _table(trench, TABLE_GAPS)
     assert calls == [MeshControl().ny - 1]
@@ -656,13 +655,13 @@ def _table(profile, gaps):
 
 
 
-def test_cell_table_independent_of_the_cache(trench, monkeypatch):
+def test_cell_table_independent_of_the_cache(trench):
     # the cached trench reductions must not depend on which gap filled
     # them: the pipeline CSVs are compared byte for byte
-    monkeypatch.setattr(electrostatics, "_REDUCTIONS", {})
+    electrostatics._reduce_trench.cache_clear()
     cold = _table(trench, TABLE_GAPS)
     warm = _table(trench, TABLE_GAPS)
-    electrostatics._REDUCTIONS.clear()
+    electrostatics._reduce_trench.cache_clear()
     reverse = _table(trench, TABLE_GAPS[::-1])[::-1]
     assert np.all(cold == warm)
     assert np.all(cold == reverse)
@@ -671,7 +670,7 @@ def test_cell_table_independent_of_the_cache(trench, monkeypatch):
 def test_mesh_validated_once_per_layout(trench, monkeypatch):
     layouts = {build_trench_mesh(trench, g).nodes.shape[0]
                for g in TABLE_GAPS}  # the node count grows with nb
-    monkeypatch.setattr(electrostatics, "_REDUCTIONS", {})
+    electrostatics._reduce_trench.cache_clear()
     validated = []
     validate = Mesh2D.validate
 
@@ -681,7 +680,8 @@ def test_mesh_validated_once_per_layout(trench, monkeypatch):
 
     monkeypatch.setattr(Mesh2D, "validate", counting_validate)
     _table(trench, TABLE_GAPS)
-    assert len(validated) == len(layouts) == len(electrostatics._REDUCTIONS)
+    assert (len(validated) == len(layouts)
+            == electrostatics._reduce_trench.cache_info().currsize)
     _table(trench, TABLE_GAPS)
     assert len(validated) == len(layouts)
     _, mesh = solve_corrugated_capacitor(trench, TABLE_GAPS[0], 1.0,
@@ -691,10 +691,14 @@ def test_mesh_validated_once_per_layout(trench, monkeypatch):
                                                  TABLE_GAPS[0]).n_triangles
 
 
-def test_trench_reductions_are_read_only(trench, monkeypatch):
-    monkeypatch.setattr(electrostatics, "_REDUCTIONS", {})
+def test_trench_reductions_are_read_only(trench):
+    electrostatics._reduce_trench.cache_clear()
     solve_corrugated_capacitor(trench, 150e-9, VOLT)
-    (reduction,) = electrostatics._REDUCTIONS.values()
+    assert electrostatics._reduce_trench.cache_info().currsize == 1
+    shape, control = electrostatics._meshing_profile(trench), MeshControl()
+    reduction = electrostatics._reduce_trench(
+        shape, control, electrostatics._trench_rows(shape, 150e-9, control))
+    assert electrostatics._reduce_trench.cache_info().hits == 1
     lam, schur, modes, weights = reduction
     assert schur.shape == (weights.size, weights.size)
     assert modes.shape == (weights.size, lam.size)
@@ -707,12 +711,12 @@ def test_failed_factorisation_raises_numerical_error(trench, monkeypatch,
     def not_positive(*args, **kwargs):
         raise np.linalg.LinAlgError("leading minor not positive definite")
 
-    monkeypatch.setattr(electrostatics, "_REDUCTIONS", {})
+    electrostatics._reduce_trench.cache_clear()
     monkeypatch.setattr(scipy.linalg, "cholesky_banded", not_positive)
     with pytest.raises(NumericalError,
                        match=r"gap = 1\.5e-07 m for GratingProfile\(period"):
         solve_corrugated_capacitor(trench, 150e-9, VOLT)
-    assert electrostatics._REDUCTIONS == {}
+    assert electrostatics._reduce_trench.cache_info().currsize == 0
     cfg = tmp_path / "es.cfg"
     cfg.write_text("[pipeline]\ntask = electrostatic_gradient\n"
                    "[grid]\nz = 150:450:150nm\n[solver]\ntable_points = 10\n")
@@ -739,12 +743,15 @@ def test_non_finite_inputs_raise_value_error(trench, monkeypatch, gap, volt,
     def no_work(*args):
         raise AssertionError("mesh work before input validation")
 
-    monkeypatch.setattr(electrostatics, "_REDUCTIONS", {})
+    electrostatics._reduce_trench.cache_clear()
     monkeypatch.setattr(electrostatics, "_columns", no_work)
     monkeypatch.setattr(electrostatics, "_cell_mesh", no_work)
     with pytest.raises(ValueError, match=rf"^{name} must be .*finite, got"):
         solve_corrugated_capacitor(trench, gap, volt)
-    assert electrostatics._REDUCTIONS == {}
+    assert electrostatics._reduce_trench.cache_info().currsize == 0
+    if name == "gap":
+        with pytest.raises(ValueError, match="^gap must be .*finite, got"):
+            build_trench_mesh(trench, gap)
 
 
 def test_validate_rejects_inverted_triangles(trench):
@@ -754,6 +761,11 @@ def test_validate_rejects_inverted_triangles(trench):
     bad = dataclasses.replace(mesh, triangles=flipped)
     with pytest.raises(NumericalError, match="inverted"):
         bad.validate()
+    # a NaN area fails the check too
+    nodes = mesh.nodes.copy()
+    nodes[mesh.triangles[0, 0]] = math.nan
+    with pytest.raises(NumericalError, match="inverted"):
+        dataclasses.replace(mesh, nodes=nodes).validate()
 
 
 def test_energy_decreases_with_gap(trench):

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -38,6 +40,15 @@ def test_profile_validation():
         GratingProfile(period=1.0, top_width=0.6, floor_width=0.6, depth=0.1)
     with pytest.raises(ValueError):
         GratingProfile(period=1.0, top_width=0.4, floor_width=0.4, depth=-0.1)
+
+
+def test_profile_lengths_must_be_finite():
+    good = dict(period=400e-9, top_width=185.3e-9, floor_width=199.1e-9,
+                depth=98e-9)
+    for name in good:
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValueError, match=f"^{name} must be finite"):
+                GratingProfile(**{**good, name: bad})
 
 
 def test_height_profile_piecewise_values(trench):

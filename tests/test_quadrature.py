@@ -1,4 +1,3 @@
-import math
 
 import numpy as np
 import pytest
@@ -6,9 +5,8 @@ import pytest
 from casigrat.quadrature import (
     QuadratureSpec,
     asinh_gauss_legendre,
+    decay_rule,
     gauss_legendre,
-    log_gauss_legendre,
-    radial_rule,
 )
 
 
@@ -30,22 +28,10 @@ def test_gauss_legendre_callers_own_their_arrays():
     np.testing.assert_array_equal(w, 0.5 * ref_w)
 
 
-def test_log_rule_integrates_one_over_x_exactly():
-    x, w = log_gauss_legendre(1e-3, 1e3, 4)
-    assert w @ (1.0 / x) == pytest.approx(math.log(1e6), rel=1e-14)
-
-
-def test_log_rule_power_law():
-    x, w = log_gauss_legendre(1e-2, 1e2, 48)
-    got = w @ x**-0.5
-    expected = 2.0 * (math.sqrt(1e2) - math.sqrt(1e-2))
-    assert got == pytest.approx(expected, rel=1e-10)
-
-
-def test_radial_rule_gamma_integral():
+def test_decay_rule_gamma_integral():
     # Int kappa^3 exp(-2 kappa z) dkappa = 6 / (2z)^4.
     z = 150e-9
-    kappa, w = radial_rule(z, 64)
+    kappa, w = decay_rule(z, z, 64)
     got = w @ (kappa**3 * np.exp(-2.0 * kappa * z))
     assert got == pytest.approx(6.0 / (2.0 * z) ** 4, rel=1e-10)
 
@@ -86,6 +72,6 @@ def test_interval_validation():
     with pytest.raises(ValueError):
         gauss_legendre(1.0, 1.0, 8)
     with pytest.raises(ValueError):
-        log_gauss_legendre(-1.0, 1.0, 8)
+        decay_rule(0.0, 1.0, 8)
     with pytest.raises(ValueError):
-        radial_rule(0.0, 8)
+        decay_rule(2.0, 1.0, 8)
