@@ -25,7 +25,7 @@ from .calibration import (FitError, fem_gradient_model, find_residual_voltage,
 from .config import Config, ConfigError, parse_grid, parse_int_range, parse_quantity
 from .curves import ForceCurve
 from .geometry import reference_trench_profile
-from .grating import convergence_sweep
+from .grating import MAX_ORDERS, convergence_sweep
 from .materials import available_materials, get_material, is_perfect_conductor
 from .pfa import flat_pressure_law, pfa_corrugated, pfa_share_topbottom
 from .pipeline import (_meshable_profile_from_config, _profile_from_config,
@@ -140,14 +140,15 @@ def _cmd_grating(args) -> int:
     out_dir = Path(args.out)
     if args.sweep_N:  # read the sweep's inputs before the ratio curve runs
         orders = _flag_value(parse_int_range, args.sweep_N, "--sweep-N")
-        if min(orders) < 0:
-            raise ConfigError(f"--sweep-N: orders must be >= 0, got "
-                              f"{args.sweep_N!r}")
+        if min(orders) < 0 or max(orders) > MAX_ORDERS:
+            raise ConfigError(f"--sweep-N: orders must lie in [0, "
+                              f"{MAX_ORDERS}], got {args.sweep_N!r}")
         z_ref = config.quantity("solver", "sweep_z", 150e-9)
         if not z_ref > 0.0:
             raise ConfigError(f"[solver] sweep_z must be positive, got "
                               f"{z_ref} m")
         profile, (_, model_g), (_, model_p), spec = _rho_inputs(config)
+    out_dir.mkdir(parents=True, exist_ok=True)
     curves = rho_ratio_curves(config)
     for name in sorted(curves):
         _write_curve(curves[name], out_dir / f"rho_ratio_{name}.csv")
@@ -164,8 +165,9 @@ def _cmd_grating(args) -> int:
 def _cmd_electrostatics(args) -> int:
     config = (Config.from_file(args.config) if args.config else
               Config.from_text("[pipeline]\ntask = electrostatic_gradient\n"))
-    curves = electrostatic_gradient_curves(config)
     out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    curves = electrostatic_gradient_curves(config)
     for name in sorted(curves):
         _write_curve(curves[name], out_dir / f"electrostatic_{name}.csv")
     return 0
@@ -334,7 +336,9 @@ def main(argv=None) -> int:
             return _run_check("all" if getattr(args, "all_checks", False)
                               else args.command)
         return args.fn(args)
-    except (ConfigError, FileNotFoundError) as exc:
+    except (ConfigError, OSError) as exc:
+        if isinstance(exc, OSError) and exc.filename is None:
+            raise  # not about a path the user named
         print(f"error: {exc}", file=sys.stderr)
         return _USAGE_ERROR
     except (NumericalError, FitError, ValueError) as exc:

@@ -69,8 +69,9 @@ def parse_quantity(text: str) -> float:
     return result
 
 
-# the range forms of parse_grid and parse_int_range are refused above this
-# many points before they are allocated
+# the range forms of parse_grid and parse_int_range, and config integers
+# (every one counts points, orders or slices), are refused above this many
+# before anything is allocated
 _MAX_GRID_POINTS = 100_000
 
 
@@ -150,8 +151,11 @@ class Config:
 
     @classmethod
     def from_file(cls, path) -> "Config":
-        with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_text(fh.read())
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
+                return cls.from_text(fh.read())
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"{path} is not UTF-8 text: {exc}") from None
 
     def digest(self) -> str:
         """Hash of the normalized content, for output provenance."""
@@ -196,10 +200,14 @@ class Config:
         if raw is None:
             return default
         try:
-            return int(raw)
+            n = int(raw)
         except ValueError:
             raise ConfigError(
                 f"[{section}] {key}: not an integer: {raw!r}") from None
+        if n > _MAX_GRID_POINTS:
+            raise ConfigError(f"[{section}] {key}: {n} is more than "
+                              f"{_MAX_GRID_POINTS}")
+        return n
 
     def boolean(self, section: str, key: str, default=_REQUIRED) -> bool:
         raw = self._raw(section, key, default)

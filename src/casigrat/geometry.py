@@ -21,8 +21,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-Array = np.ndarray
-
 
 @dataclass(frozen=True)
 class GratingProfile:
@@ -103,20 +101,6 @@ class GratingProfile:
     def p3(self) -> float:
         return 0.5 * (1.0 - self.p1 - self.p2)
 
-    def trench_width_at_depth(self, d):
-        """Trench opening width at depth d below the top surface.
-
-        Linear in d: the opening narrows from period - top_width at the
-        surface to floor_width at the floor.
-        """
-        d = np.asarray(d, dtype=float)
-        if np.any(d < 0.0) or np.any(d > self.depth):
-            raise ValueError("depth coordinate outside [0, depth]")
-        if self.depth == 0.0:
-            return np.full_like(d, self.period - self.top_width)
-        frac = (self.depth - d) / self.depth
-        return self.floor_width + 2.0 * self.p3 * self.period * frac
-
 
 def reference_trench_profile() -> GratingProfile:
     """The measured trench-array sample targeted by the validation suite.
@@ -133,25 +117,16 @@ def height_profile(profile: GratingProfile, x):
     """Etch depth h(x) over one unit cell, x in [0, period).
 
     Layout: plateau (h = 0) on [0, top_width), descending ramp, floor
-    (h = depth), ascending ramp back to the period boundary.
+    (h = depth), ascending ramp back to the period boundary: the linear
+    interpolant through the cell's five corners.
     """
     x_arr = np.asarray(x, dtype=float)
     if np.any(x_arr < 0.0) or np.any(x_arr >= profile.period):
         raise ValueError("x must lie in [0, period)")
-    lam = profile.period
-    l1 = profile.top_width
-    l2 = profile.floor_width
-    ramp = profile.p3 * lam
-    t = profile.depth
-
-    h = np.zeros_like(x_arr)
-    if ramp > 0.0:
-        on_down = (x_arr >= l1) & (x_arr < l1 + ramp)
-        h = np.where(on_down, t * (x_arr - l1) / ramp, h)
-        on_up = x_arr >= l1 + ramp + l2
-        h = np.where(on_up, t * (lam - x_arr) / ramp, h)
-    on_floor = (x_arr >= l1 + ramp) & (x_arr < l1 + ramp + l2)
-    h = np.where(on_floor, t, h)
+    top, run = profile.top_width, profile.p3 * profile.period
+    h = np.interp(x_arr, [0.0, top, top + run, top + run + profile.floor_width,
+                          profile.period],
+                  [0.0, 0.0, profile.depth, profile.depth, 0.0])
     return h if np.ndim(x) else float(h)
 
 
@@ -176,9 +151,8 @@ def staircase(profile: GratingProfile, n_slices: int) -> list[Slab]:
     if profile.depth == 0.0:
         return []
     dt = profile.depth / n_slices
-    slabs = []
-    for i in range(n_slices):
-        w = float(profile.trench_width_at_depth((i + 0.5) * dt))
-        slabs.append(Slab(thickness=dt, slot_width=w))
-    return slabs
+    run2 = 2.0 * profile.p3 * profile.period
+    return [Slab(thickness=dt, slot_width=profile.floor_width + run2 * (
+                (profile.depth - (i + 0.5) * dt) / profile.depth))
+            for i in range(n_slices)]
 

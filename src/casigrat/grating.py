@@ -112,6 +112,11 @@ class GratingQuadrature:
             raise ValueError("need at least 4 nodes per axis")
 
 
+# Largest order cutoff N: a node's (n_z, n_ky, 4N+2, 4N+2) float64 loop
+# operators take 0.31 GB each at N = 100, 6 z and 40 k_y.
+MAX_ORDERS = 100
+
+
 @dataclass(frozen=True)
 class TruncationSpec:
     """Diffraction-order cutoff, staircase slicing, and quadrature."""
@@ -121,8 +126,9 @@ class TruncationSpec:
     quadrature: GratingQuadrature = GratingQuadrature()
 
     def __post_init__(self) -> None:
-        if self.orders < 0:
-            raise ValueError("orders must be >= 0")
+        if not 0 <= self.orders <= MAX_ORDERS:
+            raise ValueError(f"orders must lie in [0, {MAX_ORDERS}], got "
+                             f"{self.orders}")
         if self.n_slices < 1:
             raise ValueError("n_slices must be >= 1")
 

@@ -101,8 +101,12 @@ def _rho_inputs(config: Config):
     profile = _profile_from_config(config)
     grating = _material_from_config(config, "grating", "silicon_doped")
     plane = _material_from_config(config, "plane", "gold_drude")
-    spec = TruncationSpec(orders=_solver_count(config, "orders", 8, 0),
-                          n_slices=_solver_count(config, "slices", 4, 1))
+    orders = _solver_count(config, "orders", 8, 0)
+    n_slices = _solver_count(config, "slices", 4, 1)
+    try:  # TruncationSpec refuses orders above MAX_ORDERS
+        spec = TruncationSpec(orders=orders, n_slices=n_slices)
+    except ValueError as exc:
+        raise ConfigError(f"[solver] {exc}") from None
     return profile, grating, plane, spec
 
 
@@ -256,9 +260,9 @@ def run_pipeline(config: Config, out_dir="out") -> list[Path]:
     if task not in _TASK_FNS:
         raise ConfigError(f"unknown pipeline task {task!r}; "
                           f"choose from {TASKS}")
-    curves = _TASK_FNS[task](config)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
+    curves = _TASK_FNS[task](config)
     written = []
     for name in sorted(curves):
         path = out / f"{task}_{name}.csv"

@@ -3,6 +3,9 @@
 import numpy as np
 import pytest
 
+import casigrat.cli
+import casigrat.grating
+import casigrat.pipeline
 from casigrat.cli import main
 from casigrat.curves import ForceCurve
 
@@ -180,7 +183,11 @@ def test_check_flag_runs_suite(capsys, argv, summary):
     assert summary in out
 
 
-def test_usage_errors_exit_2(tmp_path, capsys):
+def unreachable(*args, **kwargs):
+    raise AssertionError("the computation ran")
+
+
+def test_usage_errors_exit_2(tmp_path, monkeypatch, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["bogus"])
     assert exc.value.code == 2
@@ -188,6 +195,42 @@ def test_usage_errors_exit_2(tmp_path, capsys):
         main(["calibrate"])  # missing --input
     assert exc.value.code == 2
     assert main(["pipeline", "--config", str(tmp_path / "missing.cfg")]) == 2
+    # a directory where a file is read, bytes that are not UTF-8, and an
+    # existing file where an output directory goes
+    a_dir = tmp_path / "a_dir"
+    a_dir.mkdir()
+    not_utf8 = tmp_path / "latin1.cfg"
+    not_utf8.write_bytes(b"[pipeline]\ntask = rho_ratio\n# d\xe9pth\n")
+    measured_dir = tmp_path / "measured_dir.cfg"
+    measured_dir.write_text("[pipeline]\ntask = rho_ratio\n[measured]\n"
+                            f"gradient_csv = {a_dir}\n")
+    for argv, named in ((["pipeline", "--config", str(a_dir)], a_dir),
+                        (["calibrate", "--input", str(a_dir)], a_dir),
+                        (["pipeline", "--config", str(measured_dir)], a_dir),
+                        (["pipeline", "--config", str(not_utf8)], not_utf8)):
+        with monkeypatch.context() as m:
+            m.setattr(casigrat.grating, "casimir_pressure_grating_grid",
+                      unreachable)
+            assert main(argv + ["--out", str(tmp_path / "out")]) == 2
+        assert str(named) in capsys.readouterr().err
+    a_file = tmp_path / "a_file"
+    a_file.write_text("")
+    rho_cfg, flat_cfg = tmp_path / "rho.cfg", tmp_path / "flat.cfg"
+    rho_cfg.write_text(SMALL_RHO_CFG)
+    flat_cfg.write_text(PC_FLAT_CFG)
+    for argv in (["electrostatics"], ["grating", "--config", str(rho_cfg)],
+                 ["pipeline", "--config", str(flat_cfg)]):
+        with monkeypatch.context() as m:  # the output path fails first
+            m.setattr(casigrat.cli, "electrostatic_gradient_curves",
+                      unreachable)
+            m.setattr(casigrat.cli, "rho_ratio_curves", unreachable)
+            m.setitem(casigrat.pipeline._TASK_FNS, "flat_force_gradient",
+                      unreachable)
+            assert main(argv + ["--out", str(a_file)]) == 2
+        assert str(a_file) in capsys.readouterr().err
+    assert main(["planar", "--z", "200nm", "--out",
+                 str(a_file / "p.csv")]) == 2
+    assert str(a_file) in capsys.readouterr().err
     assert main(["planar", "--z", "600:100:25nm"]) == 2
     bad_geometry = tmp_path / "bad_geometry.cfg"
     bad_geometry.write_text("[pipeline]\ntask = rho_ratio\n[geometry]\n"
@@ -289,11 +332,15 @@ def test_usage_errors_exit_2(tmp_path, capsys):
             ("electrostatic_gradient", "table_points = 4", "table_points"),
             ("flat_force_gradient", "table_points = 2", "table_points"),
             ("rho_ratio", "orders = -1", "orders"),
+            ("rho_ratio", "orders = 101", "orders"),
             ("rho_ratio", "slices = 0", "slices")):
         bad_solver = tmp_path / f"{task}_{key}.cfg"
         bad_solver.write_text(f"[pipeline]\ntask = {task}\n[solver]\n{line}\n")
-        assert main(["pipeline", "--config", str(bad_solver),
-                     "--out", str(tmp_path / "out")]) == 2
+        with monkeypatch.context() as m:
+            m.setattr(casigrat.grating, "casimir_pressure_grating_grid",
+                      unreachable)
+            assert main(["pipeline", "--config", str(bad_solver),
+                         "--out", str(tmp_path / "out")]) == 2
         assert f"[solver] {key}" in capsys.readouterr().err
     malformed = tmp_path / "malformed.csv"
     malformed.write_text("z_nm,value\n100,1e-3\n150,2e-3,7\n")
@@ -319,11 +366,12 @@ def test_usage_errors_exit_2(tmp_path, capsys):
         if line is not None:
             assert f"{measured}:{line}" in err
     bad_rough = tmp_path / "bad_roughness.cfg"
-    bad_rough.write_text("[pipeline]\ntask = flat_force_gradient\n"
-                         "[roughness]\nn_points = 0\n")
-    assert main(["pipeline", "--config", str(bad_rough),
-                 "--out", str(tmp_path / "out")]) == 2
-    assert "[roughness] n_points" in capsys.readouterr().err
+    for n_points in (0, 100_001):
+        bad_rough.write_text("[pipeline]\ntask = flat_force_gradient\n"
+                             f"[roughness]\nn_points = {n_points}\n")
+        assert main(["pipeline", "--config", str(bad_rough),
+                     "--out", str(tmp_path / "out")]) == 2
+        assert "[roughness] n_points" in capsys.readouterr().err
     for task, key in (("flat_force_gradient", "sphere"),
                       ("flat_force_gradient", "plane"),
                       ("rho_ratio", "grating")):
@@ -353,20 +401,16 @@ def test_usage_errors_exit_2(tmp_path, capsys):
 
 
 def test_sweep_inputs_checked_before_grating(tmp_path, monkeypatch, capsys):
-    import casigrat.grating
-
-    def unreachable(*args, **kwargs):
-        raise AssertionError("grating ran before the sweep inputs were read")
-
     monkeypatch.setattr(casigrat.grating, "casimir_pressure_grating_grid",
                         unreachable)
     cfg = tmp_path / "small.cfg"
     cfg.write_text(SMALL_RHO_CFG)
-    for sweep in ("4:2:2", "x", "-2,4", "0:100000:1"):
+    for sweep in ("4:2:2", "x", "-2,4", "0:100000:1", "2,101"):
         assert main(["grating", "--config", str(cfg), f"--sweep-N={sweep}",
                      "--out", str(tmp_path / "out")]) == 2
         assert "--sweep-N" in capsys.readouterr().err
     for line, key in (("[solver]\nsweep_z = -5nm", "[solver] sweep_z"),
+                      ("[solver]\norders = 101", "[solver] orders"),
                       ("[materials]\nplane = golld", "[materials] plane")):
         bad = tmp_path / "bad_sweep.cfg"
         bad.write_text("[pipeline]\ntask = rho_ratio\n" + line + "\n")

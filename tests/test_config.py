@@ -129,11 +129,14 @@ def test_config_defaults_and_required():
 
 
 def test_config_bad_values_name_the_key():
-    cfg = Config.from_text("[a]\nx = fast\nn = 1.5\nb = maybe\n")
+    cfg = Config.from_text("[a]\nx = fast\nn = 1.5\nb = maybe\n"
+                           "big = 100001\n")
     with pytest.raises(ConfigError, match=r"\[a\] x"):
         cfg.quantity("a", "x")
     with pytest.raises(ConfigError, match="not an integer"):
         cfg.integer("a", "n")
+    with pytest.raises(ConfigError, match=r"\[a\] big: 100001 is more than"):
+        cfg.integer("a", "big")
     with pytest.raises(ConfigError, match="not a boolean"):
         cfg.boolean("a", "b")
 

@@ -3,13 +3,19 @@ import math
 import numpy as np
 import pytest
 
-from casigrat import GratingProfile, height_profile, staircase
+from casigrat import (GratingProfile, height_profile,
+                      reference_trench_profile, staircase)
 
 
 def vertical_profile():
     # Vertical walls: plateau + floor exhaust the period, p3 = 0.
     return GratingProfile(period=400e-9, top_width=185.3e-9,
                           floor_width=214.7e-9, depth=98e-9)
+
+
+def v_groove_profile():
+    # No floor: the two 135-degree walls meet at the bottom, p2 = 0.
+    return GratingProfile(400e-9, 204e-9, 0.0, 98e-9, 135.0)
 
 
 def test_reference_fractions(trench):
@@ -52,13 +58,18 @@ def test_profile_lengths_must_be_finite():
 
 
 def test_height_profile_piecewise_values(trench):
-    lam, t = trench.period, trench.depth
-    assert height_profile(trench, 0.5 * trench.top_width) == 0.0
-    mid_floor = trench.top_width + trench.p3 * lam + 0.5 * trench.floor_width
-    assert height_profile(trench, mid_floor) == pytest.approx(t, rel=1e-12)
-    # Midpoint of the descending ramp sits at half depth.
-    mid_ramp = trench.top_width + 0.5 * trench.p3 * lam
-    assert height_profile(trench, mid_ramp) == pytest.approx(0.5 * t, rel=1e-9)
+    # the vertical and V-groove profiles each merge two of the five corners
+    for profile in (trench, vertical_profile(), v_groove_profile()):
+        t, run = profile.depth, profile.p3 * profile.period
+        assert height_profile(profile, 0.5 * profile.top_width) == 0.0
+        mid_floor = profile.top_width + run + 0.5 * profile.floor_width
+        assert height_profile(profile, mid_floor) == pytest.approx(
+            t, rel=1e-12)
+        # Midpoint of the descending ramp sits at half depth; a vertical
+        # wall is already at full depth where the plateau ends.
+        mid_ramp = profile.top_width + 0.5 * run
+        assert height_profile(profile, mid_ramp) == pytest.approx(
+            0.5 * t if run > 0.0 else t, rel=1e-9)
 
 
 def test_height_profile_domain(trench):
@@ -70,11 +81,11 @@ def test_height_profile_domain(trench):
 
 def test_height_profile_mean(trench):
     # Riemann-midpoint oracle: the mean etch depth is t (p2 + p3).
-    lam = trench.period
-    x = (np.arange(100_000) + 0.5) * lam / 100_000
-    mean = height_profile(trench, x).mean()
-    expected = trench.depth * (trench.p2 + trench.p3)
-    assert mean == pytest.approx(expected, rel=1e-9)
+    for profile in (trench, vertical_profile(), v_groove_profile()):
+        x = (np.arange(100_000) + 0.5) * profile.period / 100_000
+        mean = height_profile(profile, x).mean()
+        expected = profile.depth * (profile.p2 + profile.p3)
+        assert mean == pytest.approx(expected, rel=1e-9)
 
 
 def test_staircase_vertical_single_slab_fill():
@@ -115,9 +126,34 @@ def test_staircase_rejects_bad_count(trench):
         staircase(trench, 0)
 
 
-def test_trench_width_linear_in_depth(trench):
-    d = np.linspace(0.0, trench.depth, 11)
-    w = trench.trench_width_at_depth(d)
-    assert w[0] == pytest.approx(trench.period - trench.top_width, rel=1e-12)
-    assert w[-1] == pytest.approx(trench.floor_width, rel=1e-12)
-    assert np.allclose(np.diff(w, 2), 0.0, atol=1e-18)
+# slot widths, top slab first, pinned bit for bit
+STAIRCASE_WIDTHS = {
+    "trench": [
+        [2.069e-07],
+        [2.108e-07, 2.03e-07],
+        [2.1210000000000003e-07, 2.069e-07, 2.017e-07],
+        [2.1275000000000002e-07, 2.0885000000000002e-07,
+         2.0495000000000002e-07, 2.0105e-07]],
+    "v_groove": [
+        [9.799999999999999e-08],
+        [1.4699999999999998e-07, 4.8999999999999995e-08],
+        [1.6333333333333331e-07, 9.799999999999999e-08,
+         3.266666666666666e-08],
+        [1.715e-07, 1.2249999999999997e-07, 7.35e-08,
+         2.4499999999999984e-08]],
+}
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("name", sorted(STAIRCASE_WIDTHS))
+def test_staircase_widths_pinned(name, n):
+    profile = {"trench": reference_trench_profile(),
+               "v_groove": v_groove_profile()}[name]
+    widths = [s.slot_width for s in staircase(profile, n)]
+    assert widths == STAIRCASE_WIDTHS[name][n - 1]
+    # Linear in the slab index: the mid-depth opening of slab i runs from
+    # period - top_width at the surface to floor_width at the floor.
+    opening = profile.period - profile.top_width
+    mid_depth = (np.arange(n) + 0.5) / n
+    assert widths == pytest.approx(
+        opening + (profile.floor_width - opening) * mid_depth, rel=1e-12)

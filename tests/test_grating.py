@@ -371,6 +371,8 @@ def test_argument_validation(trench):
         grating_reflection(trench, si, 1e15, 0.0, -1e6)
     with pytest.raises(ValueError):
         TruncationSpec(-1, 1)
+    with pytest.raises(ValueError, match="orders must lie in"):
+        TruncationSpec(grating.MAX_ORDERS + 1, 1)
     with pytest.raises(ValueError):
         TruncationSpec(4, 0)
     with pytest.raises(ValueError):
