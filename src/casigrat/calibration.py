@@ -35,6 +35,7 @@ from .constants import EPS0
 from .electrostatics import (SpherePlaneES, solve_corrugated_capacitor,
                              sphere_plane_gradient)
 from .geometry import GratingProfile
+from .interpolate import pchip
 
 Array = np.ndarray
 
@@ -137,8 +138,6 @@ def fem_gradient_model(profile: GratingProfile, radius: float,
     close-proximity mapping F = -2 pi R (V - V0)^2 E1(z), so the gradient
     is -2 pi R (V - V0)^2 E1'(z) > 0.
     """
-    from scipy.interpolate import PchipInterpolator
-
     if not (0.0 < z_min < z_max and math.isfinite(z_max)):
         raise ValueError(f"need 0 < z_min < z_max < inf, got z_min = "
                          f"{z_min!r} m, z_max = {z_max!r} m")
@@ -147,7 +146,7 @@ def fem_gradient_model(profile: GratingProfile, radius: float,
     grid = np.geomspace(0.98 * z_min, 1.02 * z_max, n_points)
     energies = np.array([solve_corrugated_capacitor(profile, z, 1.0)
                          for z in grid])
-    slope = PchipInterpolator(grid, energies).derivative()
+    slope = pchip(grid, energies).derivative()
 
     def fn(z: Array, volt: Array) -> Array:
         dv = volt - v0

@@ -37,14 +37,20 @@ _USAGE_ERROR = 2
 _NUMERICAL_ERROR = 1
 
 
-def _write_curve(curve: ForceCurve, path: Path) -> None:
+def _out_file(text: str) -> Path:
+    """The output file ``text``, its directory made before anything is
+    computed, so that an unwritable path fails as a usage error at once."""
+    path = Path(text)
     path.parent.mkdir(parents=True, exist_ok=True)
+    return path
+
+
+def _write_curve(curve: ForceCurve, path: Path) -> None:
     curve.to_csv(path)
     print(f"wrote {path}")
 
 
 def _write_lines(path: Path, lines) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text("".join(f"{line}\n" for line in lines),
                     encoding="utf-8", newline="\n")
     print(f"wrote {path}")
@@ -82,8 +88,9 @@ def _cmd_materials(args) -> int:
         raise ConfigError(f"--name: {args.name} has no finite permittivity "
                           "to tabulate")
     xi = _flag_value(parse_grid, args.xi, "--xi")
+    out = _out_file(args.out)
     eps = np.asarray(model.epsilon(xi), dtype=float)
-    _write_lines(Path(args.out), [
+    _write_lines(out, [
         f"# label: relative permittivity of {args.name} at imaginary "
         "frequency", "xi_rad_per_s,epsilon",
         *(f"{x:.12e},{e:.12e}" for x, e in zip(xi, eps))])
@@ -94,6 +101,7 @@ def _cmd_planar(args) -> int:
     mat_a = get_material(args.material_a)
     mat_b = get_material(args.material_b)
     z_grid = _flag_value(parse_grid, args.z, "--z")
+    out = _out_file(args.out)
     values = np.array([casimir_pressure_planar(mat_a, mat_b, z)
                        for z in z_grid])
     meta = {"materials": f"{args.material_a}/{args.material_b}",
@@ -104,7 +112,7 @@ def _cmd_planar(args) -> int:
         meta["radius_um"] = f"{args.radius * 1e6:.6g}"
         unit, label = "N/m", "sphere-plane force gradient"
     _write_curve(ForceCurve(z_grid, values, unit=unit, label=label,
-                            metadata=meta), Path(args.out))
+                            metadata=meta), out)
     return 0
 
 
@@ -114,6 +122,7 @@ def _cmd_pfa(args) -> int:
     mat_a = get_material(args.material_sphere)
     mat_b = get_material(args.material_plane)
     z_grid = _flag_value(parse_grid, args.z, "--z")
+    out = _out_file(args.out)
     law = flat_pressure_law(mat_a, mat_b, float(z_grid[0]),
                             float(z_grid[-1]) + profile.depth)
     grad = 2.0 * np.pi * args.radius * np.abs(
@@ -123,7 +132,6 @@ def _cmd_pfa(args) -> int:
             "radius_um": f"{args.radius * 1e6:.6g}",
             "profile": f"period {profile.period * 1e9:.6g} nm, depth "
                        f"{profile.depth * 1e9:.6g} nm"}
-    out = Path(args.out)
     _write_curve(ForceCurve(z_grid, grad, unit="N/m",
                             label="proximity-force gradient over trench "
                                   "profile", metadata=meta), out)
@@ -202,11 +210,12 @@ def _cmd_calibrate(args) -> int:
         print(f"residual voltage V0 = {v0:.6f} V")
         return 0
     lever_b = _flag_value(parse_quantity, args.lever_b, "--lever-b")
+    out = _out_file(args.out) if args.out else None
     fit = fit_calibration(samples, _gradient_model_for(args), lever_b=lever_b,
                           use_voltage_differences=args.voltage_differences)
     print(fit.report())
-    if args.out:
-        _write_lines(Path(args.out), [
+    if out:
+        _write_lines(out, [
             "# calibration fit", f"# model: {args.model}",
             "quantity,value,sigma",
             f"coeff_m_per_N_s,{fit.coeff:.12e},{fit.coeff_sigma:.12e}",

@@ -12,8 +12,10 @@ its own parameters and defines its own ``epsilon``:
 * ``Drude(plasma_frequency, relaxation_rate)`` -- a free-electron metal,
   eps(i xi) = 1 + wp^2 / (xi (xi + gamma)).
 * ``Tabulated(xi, eps)`` -- a two-column table, interpolated as a
-  monotone cubic in log-log, held constant below the grid and continued
-  above it with (eps - 1) ~ 1/xi^2.
+  monotone cubic in log-log (``interpolate.pchip``: Fritsch-Butland
+  harmonic-mean slopes inside, a clamped three-point rule at the two ends),
+  held constant below the grid and continued above it with
+  (eps - 1) ~ 1/xi^2.
 * ``DrudeLorentz(drude, intrinsic)`` -- a doped semiconductor: the
   ``Tabulated`` bound-electron background plus the free-carrier term of
   the ``Drude``.
@@ -28,6 +30,7 @@ from importlib import resources
 import numpy as np
 
 from .constants import ev_to_rad_per_s
+from .interpolate import pchip
 
 Array = np.ndarray
 
@@ -87,16 +90,22 @@ class Drude:
         return 1.0 + self.plasma_frequency**2 / (xi * (xi + self.relaxation_rate))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Tabulated:
-    """Permittivity samples on a strictly increasing imaginary-frequency grid."""
+    """Permittivity samples on a strictly increasing imaginary-frequency grid.
+
+    Between the knots, log eps is a monotone cubic in log xi: each interior
+    knot takes the Fritsch-Butland weighted harmonic mean of its two secant
+    slopes (zero at a local extremum or a flat piece), each end knot the
+    one-sided three-point slope, clamped to zero against a sign flip and to
+    three times the end secant at a turn.  Instances compare and hash by
+    identity, since their fields are arrays.
+    """
 
     xi: Array
     eps: Array
 
     def __post_init__(self) -> None:
-        from scipy.interpolate import PchipInterpolator
-
         xi = np.asarray(self.xi, dtype=float)
         eps = np.asarray(self.eps, dtype=float)
         object.__setattr__(self, "xi", xi)
@@ -111,8 +120,7 @@ class Tabulated:
             raise MaterialDataError("eps(i xi) < 1 is unphysical for a passive dielectric")
         # Monotone cubic in log-log: C1 smooth (kink-free integrands for
         # fixed-order quadrature), overshoot-free, exact at the knots.
-        object.__setattr__(self, "_spline",
-                           PchipInterpolator(np.log(xi), np.log(eps)))
+        object.__setattr__(self, "_spline", pchip(np.log(xi), np.log(eps)))
 
     @_on_positive_xi
     def epsilon(self, xi):

@@ -24,6 +24,7 @@ from typing import Callable
 import numpy as np
 
 from .geometry import GratingProfile
+from .interpolate import not_a_knot
 from .materials import DielectricModel
 from .planar import NumericalError, casimir_pressure_planar
 from .quadrature import gauss_legendre
@@ -69,8 +70,6 @@ class FlatForceLaw:
         smooth decay of a Lifshitz pressure closely between knots and
         gives the sidewall rule of ``pfa_corrugated`` a smooth integrand.
         """
-        from scipy.interpolate import CubicSpline
-
         z = np.asarray(z, dtype=float)
         values = np.asarray(values, dtype=float)
         if z.ndim != 1 or z.size < 4 or values.shape != z.shape:
@@ -80,8 +79,7 @@ class FlatForceLaw:
         sign = np.sign(values[0])
         if sign == 0.0 or np.any(np.sign(values) != sign):
             raise ValueError("tabulated values must be nonzero and of one sign")
-        spline = CubicSpline(np.log(z), np.log(np.abs(values)),
-                             extrapolate=False)
+        spline = not_a_knot(np.log(z), np.log(np.abs(values)))
         return cls(fn=lambda zz: sign * np.exp(spline(np.log(zz))),
                    z_min=float(z[0]), z_max=float(z[-1]),
                    unit=unit, label=label)

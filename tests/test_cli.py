@@ -5,6 +5,7 @@ import pytest
 
 import casigrat.cli
 import casigrat.grating
+import casigrat.materials
 import casigrat.pipeline
 from casigrat.cli import main
 from casigrat.curves import ForceCurve
@@ -228,9 +229,19 @@ def test_usage_errors_exit_2(tmp_path, monkeypatch, capsys):
                       unreachable)
             assert main(argv + ["--out", str(a_file)]) == 2
         assert str(a_file) in capsys.readouterr().err
-    assert main(["planar", "--z", "200nm", "--out",
-                 str(a_file / "p.csv")]) == 2
-    assert str(a_file) in capsys.readouterr().err
+    shifts = tmp_path / "shifts.csv"
+    shifts.write_text("z_piezo_nm,theta_rad,V_volt,delta_f_hz\n"
+                      "100,0,0.3,-1\n200,0,0.3,-1.1\n300,0,0.3,-1.2\n")
+    for argv in (["planar", "--z", "200nm"], ["pfa", "--z", "200nm"],
+                 ["materials", "--name", "gold_drude"],
+                 ["calibrate", "--input", str(shifts)]):
+        with monkeypatch.context() as m:  # the output path fails first
+            m.setattr(casigrat.cli, "casimir_pressure_planar", unreachable)
+            m.setattr(casigrat.cli, "flat_pressure_law", unreachable)
+            m.setattr(casigrat.materials.Drude, "epsilon", unreachable)
+            m.setattr(casigrat.cli, "fit_calibration", unreachable)
+            assert main(argv + ["--out", str(a_file / "p.csv")]) == 2
+        assert str(a_file) in capsys.readouterr().err
     assert main(["planar", "--z", "600:100:25nm"]) == 2
     bad_geometry = tmp_path / "bad_geometry.cfg"
     bad_geometry.write_text("[pipeline]\ntask = rho_ratio\n[geometry]\n"

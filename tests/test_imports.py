@@ -1,6 +1,7 @@
 """Every name a casigrat module imports is referenced by that module,
 private names cross module boundaries only where listed, and importing the
-package loads no scipy module."""
+package, evaluating its materials and flat-force laws loads no scipy
+module."""
 
 import ast
 import os
@@ -85,29 +86,60 @@ def test_private_imports_are_allowlisted():
     assert found == PRIVATE_IMPORTS
 
 
-# a fresh interpreter: import the package, parse every shipped config and
-# load a Drude material, then list every scipy module that got loaded
+# a fresh interpreter: import the package, parse every shipped config,
+# build and evaluate every finite material and the flat-force laws, then
+# list every scipy module that got loaded
 NO_SCIPY_CODE = """\
 import sys
 from pathlib import Path
+import numpy as np
 import casigrat
 for path in sorted(Path("configs").glob("*.cfg")):
     casigrat.Config.from_file(path)
-casigrat.get_material("gold_drude")
+for name in casigrat.available_materials():
+    model = casigrat.get_material(name)
+    if not isinstance(model, casigrat.PerfectConductor):
+        model.epsilon(np.geomspace(1e10, 1e20, 41))
+z = np.geomspace(100e-9, 400e-9, 8)
+casigrat.FlatForceLaw.from_table(z, -(z ** -4.0))(z)
+casigrat.flat_pressure_law(casigrat.get_material("gold_drude"),
+                           casigrat.get_material("silicon_doped"),
+                           100e-9, 200e-9, n_points=8)(150e-9)
+print(" ".join(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
+"""
+
+# the same for the capacitor-cell gradient model, which loads scipy.linalg
+FEM_MODEL_CODE = """\
+import sys
+import casigrat
+model = casigrat.fem_gradient_model(casigrat.reference_trench_profile(),
+                                    50e-6, 100e-9, 200e-9, n_points=8)
+model(150e-9, 0.3)
 print(" ".join(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
 """
 
 
-def test_import_loads_no_scipy():
+def scipy_modules_loaded_by(code: str) -> list[str]:
+    """The scipy modules a fresh interpreter has loaded after ``code``."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
-    proc = subprocess.run([sys.executable, "-c", NO_SCIPY_CODE], cwd=ROOT,
+    proc = subprocess.run([sys.executable, "-c", code], cwd=ROOT,
                           env=env, capture_output=True, text=True,
                           timeout=120)
     assert proc.returncode == 0, proc.stderr
-    loaded = proc.stdout.split()
+    return proc.stdout.split()
+
+
+def test_import_loads_no_scipy():
+    loaded = scipy_modules_loaded_by(NO_SCIPY_CODE)
     assert loaded == [], f"scipy modules loaded: {' '.join(loaded)}"
+
+
+def test_fem_gradient_model_loads_no_scipy_interpolate():
+    loaded = scipy_modules_loaded_by(FEM_MODEL_CODE)
+    assert "scipy.linalg" in loaded
+    assert not [m for m in loaded if m.startswith("scipy.interpolate")]
 
 
 def test_literal_constants_equal_scipy():

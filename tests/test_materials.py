@@ -106,6 +106,13 @@ def test_load_tabulated_reports_line_number(tmp_path):
         load_tabulated_epsilon(path)
 
 
+def test_tables_compare_and_hash_by_identity():
+    a, b = get_material("silicon_doped"), get_material("silicon_doped")
+    assert a == a and a != b and a.drude == b.drude
+    assert a.intrinsic != b.intrinsic
+    assert len({a, b, a, a.intrinsic, b.intrinsic}) == 4
+
+
 def test_perfect_conductor_is_a_limit_flag(conductor):
     assert is_perfect_conductor(conductor)
     with pytest.raises(ValueError):
