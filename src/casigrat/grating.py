@@ -12,10 +12,12 @@ modal eigenproblems are symmetric (definite) ones:
   ``(q^2 I + Kx T[eps]^{-1} Kx) g = beta^2 T[1/eps] g``.
 
 ``T[.]`` is the Toeplitz matrix of Fourier coefficients over one period.
-A mode with eigenvalue ``s2`` decays vertically as ``exp(-kappa y)`` with
-``kappa = sqrt(s2 + k_y^2)``: at imaginary frequency nothing propagates,
-which is what makes scattering-matrix recursion with decaying-only
-factors unconditionally stable.
+The Cholesky factor L of the positive definite T[1/eps] = L L^T reduces
+the TM pencil to L^-1 (L^-1 A)^T y = beta^2 y with g = L^-T y, as LAPACK
+dsygv does.  A mode with eigenvalue ``s2`` decays vertically as
+``exp(-kappa y)`` with ``kappa = sqrt(s2 + k_y^2)``: at imaginary
+frequency nothing propagates, which is what makes scattering-matrix
+recursion with decaying-only factors unconditionally stable.
 
 Upward and downward modes differ only in the sign of their kappa-carrying
 field blocks, so each layer's fields take the W/V form E = W (c+ + D c-),
@@ -166,15 +168,14 @@ class _LayerModes:
 
 def _toeplitz_pair(eps_solid: float, slot_frac: float, order_n: int):
     """Toeplitz matrices of eps(x) and 1/eps(x) for a centered vacuum slot."""
-    import scipy.linalg as sla
-
     j = np.arange(2 * order_n + 1)
     window = slot_frac * np.sinc(j * slot_frac)
     c_eps = (1.0 - eps_solid) * window
     c_eps[0] += eps_solid
     c_inv = (1.0 - 1.0 / eps_solid) * window
     c_inv[0] += 1.0 / eps_solid
-    return sla.toeplitz(c_eps), sla.toeplitz(c_inv)
+    lag = np.abs(j[:, None] - j[None, :])
+    return c_eps[lag], c_inv[lag]
 
 
 def _layer_modes(q: float, kn: Array, eps_solid: float | None,
@@ -185,8 +186,6 @@ def _layer_modes(q: float, kn: Array, eps_solid: float | None,
     vacuum.  ``slot_frac`` is the vacuum opening fraction (0 = solid
     everywhere, 1 = vacuum everywhere).
     """
-    import scipy.linalg as sla
-
     n1 = kn.size
     ident = np.eye(n1)
     if eps_solid is None or slot_frac >= 1.0 or slot_frac <= 0.0:
@@ -198,14 +197,15 @@ def _layer_modes(q: float, kn: Array, eps_solid: float | None,
 
     t_eps, t_inv = _toeplitz_pair(eps_solid, slot_frac, (n1 - 1) // 2)
     try:
-        a_te = np.diag(kn * kn) + q * q * t_eps
-        alpha2, vec_te = sla.eigh(0.5 * (a_te + a_te.T))
-
-        inv_eps = sla.inv(t_eps)
+        alpha2, vec_te = np.linalg.eigh(np.diag(kn * kn) + q * q * t_eps)
+        inv_eps = np.linalg.inv(t_eps)
         inv_eps = 0.5 * (inv_eps + inv_eps.T)
         a_tm = q * q * ident + kn[:, None] * inv_eps * kn[None, :]
-        beta2, vec_tm = sla.eigh(0.5 * (a_tm + a_tm.T), 0.5 * (t_inv + t_inv.T))
-    except sla.LinAlgError as exc:
+        chol = np.linalg.cholesky(t_inv)
+        beta2, y = np.linalg.eigh(np.linalg.solve(
+            chol, np.linalg.solve(chol, 0.5 * (a_tm + a_tm.T)).T))
+        vec_tm = np.linalg.solve(chol.T, y)
+    except np.linalg.LinAlgError as exc:
         raise ModalError(f"modal eigenproblem failed at {context}: {exc}") from None
     if alpha2.min() <= 0.0 or beta2.min() <= 0.0:
         raise ModalError(f"non-positive modal eigenvalue at {context}; "

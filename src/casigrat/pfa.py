@@ -100,6 +100,9 @@ def flat_pressure_law(material_a: DielectricModel,
     separations from 0.98 z_min to 1.02 z_max and interpolated by
     ``FlatForceLaw.from_table``.
     """
+    if not 0.0 < z_min <= z_max:
+        raise ValueError(f"need 0 < z_min <= z_max, got z_min = {z_min:.4g} m, "
+                         f"z_max = {z_max:.4g} m")
     z = np.geomspace(0.98 * z_min, 1.02 * z_max, n_points)
     vals = np.array([casimir_pressure_planar(material_a, material_b, zi)
                      for zi in z])

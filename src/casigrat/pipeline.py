@@ -139,6 +139,11 @@ def flat_force_gradient_curve(config: Config) -> dict[str, ForceCurve]:
         except ValueError as exc:
             raise ConfigError(f"[roughness] {exc}") from exc
         pad = float(np.max(np.abs(spec.offsets)))
+        if z_grid[0] <= pad:
+            raise ConfigError(
+                f"[grid] z starts at {z_grid[0]:.4g} m, inside the [roughness] "
+                f"pad of {pad:.4g} m (the largest roughness offset); start "
+                "the grid above the pad or lower the rms values")
 
     n_table = _solver_count(config, "table_points", 48, 4)
     law = flat_pressure_law(mat_a, mat_b, float(z_grid[0]) - pad,

@@ -314,6 +314,17 @@ def test_usage_errors_exit_2(tmp_path, monkeypatch, capsys):
         assert main(argv + ["--out", str(tmp_path / "out")]) == 2
         err = capsys.readouterr().err
         assert "[geometry]" in err and "depth" in err
+    # a flat grid that starts inside the default roughness pad of
+    # 3 sqrt(4^2 + 0.6^2) nm = 12.1 nm
+    inside_pad = tmp_path / "inside_pad.cfg"
+    inside_pad.write_text("[pipeline]\ntask = flat_force_gradient\n"
+                          "[grid]\nz = 5:20:5nm\n")
+    with monkeypatch.context() as m:
+        m.setattr(casigrat.pipeline, "flat_pressure_law", unreachable)
+        assert main(["pipeline", "--config", str(inside_pad),
+                     "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "[grid] z" in err and "[roughness]" in err and "pad" in err
     assert main(["planar", "--z", "100:1e400:25nm"]) == 2
     assert "--z" in capsys.readouterr().err
     for z in ("100:abc:25nm", "0.5:1e300:1e-300m"):

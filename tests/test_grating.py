@@ -41,6 +41,7 @@ from casigrat import (
 from casigrat import grating
 from casigrat.constants import C_LIGHT
 from casigrat.planar import fresnel_te_tm
+from casigrat.quadrature import decay_rule
 
 LAM = 400e-9
 DEPTH = 98e-9
@@ -378,6 +379,42 @@ def test_argument_validation(trench):
     with pytest.raises(ValueError):
         GratingQuadrature(2, 8, 8)
     assert issubclass(ModalError, Exception)
+
+
+# --------------------------------------------------------------------------
+# The layer eigenproblems against scipy.linalg.
+
+
+@pytest.mark.parametrize("slot_frac", [0.3, 0.5, 0.9])
+@pytest.mark.parametrize("end", [0, -1], ids=["lowest_xi", "highest_xi"])
+def test_layer_modes_match_scipy_pencil(slot_frac, end):
+    # the xi ends of the rule for rho_ratio.cfg's 100-250 nm grid on
+    # silicon_doped, whose eps is largest (140) at the low end.  There the
+    # TM eigenvalues spread over 6e4, and scipy's own smallest one lies up
+    # to 3e-11 off a 40-digit reference, so they are compared relative to
+    # the largest.
+    q = decay_rule(100e-9, 250e-9, GratingQuadrature().xi_nodes)[0][end]
+    eps = float(get_material("silicon_doped").epsilon(q * C_LIGHT))
+    order_n = 8
+    kn = (0.3 + 2.0 * np.arange(-order_n, order_n + 1)) * math.pi / LAM
+    t_eps, t_inv = grating._toeplitz_pair(eps, slot_frac, order_n)
+    assert np.array_equal(t_eps, sla.toeplitz(t_eps[:, 0]))
+    assert np.array_equal(t_inv, sla.toeplitz(t_inv[:, 0]))
+
+    modes = grating._layer_modes(q, kn, eps, slot_frac, "test")
+    inv_eps = np.linalg.inv(t_eps)
+    a_tm = q * q * np.eye(kn.size) + np.outer(kn, kn) * (inv_eps + inv_eps.T) / 2
+    beta2 = sla.eigh((a_tm + a_tm.T) / 2, t_inv, eigvals_only=True)
+    assert np.abs(modes.beta2_tm - beta2).max() <= 1e-12 * beta2.max()
+    gram = modes.vec_tm.T @ t_inv @ modes.vec_tm
+    assert np.abs(gram - np.eye(kn.size)).max() <= 1e-12
+
+
+def test_indefinite_layer_raises_modal_error():
+    # a negative solid eps makes T[1/eps] indefinite: no Cholesky factor
+    kn = (0.3 + 2.0 * np.arange(-4, 5)) * math.pi / LAM
+    with pytest.raises(ModalError, match="eigenproblem failed at CTX"):
+        grating._layer_modes(1e6, kn, -2.0, 0.5, "CTX")
 
 
 # --------------------------------------------------------------------------

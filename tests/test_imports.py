@@ -1,7 +1,7 @@
 """Every name a casigrat module imports is referenced by that module,
-private names cross module boundaries only where listed, and importing the
-package, evaluating its materials and flat-force laws loads no scipy
-module."""
+private names and scipy modules are imported only where listed, and
+importing the package, evaluating its materials and flat-force laws and
+running the grating loads no scipy module."""
 
 import ast
 import os
@@ -86,9 +86,34 @@ def test_private_imports_are_allowlisted():
     assert found == PRIVATE_IMPORTS
 
 
+# (importing module, scipy module): only where numpy has no equivalent, the
+# banded LAPACK of the capacitor cell and the calibration's bounded fit
+SCIPY_IMPORTS = [
+    ("calibration", "scipy.optimize"),
+    ("electrostatics", "scipy.linalg"),
+]
+
+
+def scipy_imports(path: Path) -> set[tuple[str, str]]:
+    """The scipy modules ``path`` imports, as (module stem, scipy module)."""
+    tree = ast.parse(path.read_text("utf-8"))
+    names = [alias.name for node in ast.walk(tree)
+             if isinstance(node, ast.Import) for alias in node.names]
+    names += [node.module for node in ast.walk(tree)
+              if isinstance(node, ast.ImportFrom) and node.level == 0]
+    return {(path.stem, name) for name in names
+            if name.split(".")[0] == "scipy"}
+
+
+def test_scipy_imports_are_allowlisted():
+    found = sorted({entry for path in SRC.glob("*.py")
+                    for entry in scipy_imports(path)})
+    assert found == SCIPY_IMPORTS
+
+
 # a fresh interpreter: import the package, parse every shipped config,
-# build and evaluate every finite material and the flat-force laws, then
-# list every scipy module that got loaded
+# build and evaluate every finite material and the flat-force laws, run the
+# grating on a tiny truncation, then list every scipy module that got loaded
 NO_SCIPY_CODE = """\
 import sys
 from pathlib import Path
@@ -105,6 +130,13 @@ casigrat.FlatForceLaw.from_table(z, -(z ** -4.0))(z)
 casigrat.flat_pressure_law(casigrat.get_material("gold_drude"),
                            casigrat.get_material("silicon_doped"),
                            100e-9, 200e-9, n_points=8)(150e-9)
+trench = casigrat.reference_trench_profile()
+silicon = casigrat.get_material("silicon_doped")
+spec = casigrat.TruncationSpec(1, 2, casigrat.GratingQuadrature(4, 4, 4))
+casigrat.grating_reflection(trench, silicon, 1e15, 1e6, 1e6, spec)
+casigrat.casimir_pressure_grating_grid(trench, silicon,
+                                       casigrat.get_material("gold_drude"),
+                                       [100e-9, 150e-9], spec)
 print(" ".join(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
 """
 

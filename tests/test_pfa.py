@@ -109,6 +109,14 @@ def test_domain_error_when_law_too_short(trench):
         pfa_corrugated(law, trench, 100e-9)  # needs up to z + 98 nm
 
 
+@pytest.mark.parametrize("z_min, z_max", [(-7e-9, 32e-9), (0.0, 32e-9),
+                                          (200e-9, 100e-9)])
+def test_flat_pressure_law_needs_ordered_positive_bounds(gold, silicon,
+                                                         z_min, z_max):
+    with pytest.raises(ValueError, match="0 < z_min <= z_max"):
+        flat_pressure_law(gold, silicon, z_min, z_max)
+
+
 def test_law_from_table_exact_at_knots(gold_silicon_law):
     z0 = gold_silicon_law.z_min
     assert gold_silicon_law(z0) == pytest.approx(gold_silicon_law.fn(z0), rel=1e-14)
