@@ -4,7 +4,7 @@ Subcommands: materials, planar, pfa, grating, electrostatics, calibrate,
 pipeline.  Every subcommand accepts ``--check`` to run its module's
 self-check suite instead of computing.  Exit codes: 0 success, 1 numerical
 failure, 2 usage error.  The CASIGRAT_WORKERS environment variable sets
-the process count for grating z-grid fan-out.
+the thread count of the grating node map (default: the usable cores).
 
 Grids are unit-suffixed, e.g. ``--z 100:600:25nm``; order sweeps are
 inclusive integer ranges, e.g. ``--sweep-N 4:14:2``.

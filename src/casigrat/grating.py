@@ -55,16 +55,16 @@ only the other operators go through the batched linear solve.
 The integral is assembled from one node function of (xi, k_x),
 ``_node_contribution``, which returns the k_y-summed trace for every z;
 the inputs all nodes share are bound to it once with ``functools.partial``.
-``map``, or a process pool's order-preserving ``map``, evaluates it over
-the xi-major node list, and the weighted contributions are added one by
-one in node order.  The sum thus sees the same operands in the same order
-for any worker count, so the result does not depend on that count.
+A thread pool's order-preserving ``map`` evaluates it over the xi-major
+node list, numpy's linear algebra releasing the GIL, and the weighted
+contributions are added one by one in node order.  The sum sees the same
+operands in the same order for any worker count, which thus cannot change it.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from functools import partial
 
@@ -114,9 +114,10 @@ class GratingQuadrature:
             raise ValueError("need at least 4 nodes per axis")
 
 
-# Largest order cutoff N: a node's (n_z, n_ky, 4N+2, 4N+2) float64 loop
-# operators take 0.31 GB each at N = 100, 6 z and 40 k_y.
+# Largest order cutoff N and worker thread count: each worker holds a node's
+# (n_ky, 4N+2, 4N+2) float64 tables, 52 MB apiece at N = 100 and 40 k_y.
 MAX_ORDERS = 100
+MAX_WORKERS = 64
 
 
 @dataclass(frozen=True)
@@ -454,28 +455,27 @@ def _trace_over_z(r_sp: Array, kappa_vac: Array, r1_diag: Array,
     With K the diagonal of vacuum decay rates, -dM/dz = K M + M K, and
     since M commutes with (1-M)^{-1} the trace is 2 tr[(1-M)^{-1} K M].
     M' = R1 L^2 R2 = L M L^-1 has the same trace, as K commutes with L.
-    Loop operators with ||M'||_F < _NEUMANN_NORM take the Neumann sum
-    2 tr[K (M' + M'^2)]; the rest are solved in one batched call.
+    Per z, loop operators with ||M'||_F < _NEUMANN_NORM take the Neumann
+    sum 2 tr[K (M' + M'^2)]; the rest are solved in one batched call.
     """
-    lam2 = np.exp(-2.0 * kappa_vac[None] * z_grid[:, None, None])
-    m = (r1_diag * lam2)[..., :, None] * r_sp  # (nz, nky, 2 n1, 2 n1)
-    kap = np.broadcast_to(kappa_vac, lam2.shape)
-    small = np.einsum("...ij,...ij->...", m, m) < _NEUMANN_NORM ** 2
-    tr = np.empty(small.shape)
-    m_s, k_s = m[small], kap[small]
-    tr[small] = (np.einsum("bi,bii->b", k_s, m_s)
-                 + np.einsum("bi,bij,bji->b", k_s, m_s, m_s))
-    big = ~small
-    if np.any(big):
-        m_b = m[big]
-        try:
-            sol = np.linalg.solve(np.eye(m.shape[-1]) - m_b,
-                                  kap[big][:, :, None] * m_b)
-        except np.linalg.LinAlgError as exc:
-            zs = ", ".join(f"{z:.3e}" for z in z_grid)
-            raise ModalError(f"loop operator singular at {context}, "
-                             f"z in ({zs}): {exc}") from None
-        tr[big] = np.einsum("bii->b", sol)
+    tr = np.empty((z_grid.size, kappa_vac.shape[0]))
+    for t, z in zip(tr, z_grid):
+        m = (r1_diag * np.exp(-2.0 * kappa_vac * z))[..., :, None] * r_sp
+        small = np.einsum("...ij,...ij->...", m, m) < _NEUMANN_NORM ** 2
+        m_s, k_s = m[small], kappa_vac[small]
+        t[small] = (np.einsum("bi,bii->b", k_s, m_s)
+                    + np.einsum("bi,bij,bji->b", k_s, m_s, m_s))
+        big = ~small
+        if np.any(big):
+            m_b = m[big]
+            try:
+                sol = np.linalg.solve(np.eye(m.shape[-1]) - m_b,
+                                      kappa_vac[big][:, :, None] * m_b)
+            except np.linalg.LinAlgError as exc:
+                zs = ", ".join(f"{zz:.3e}" for zz in z_grid)
+                raise ModalError(f"loop operator singular at {context}, "
+                                 f"z in ({zs}): {exc}") from None
+            t[big] = np.einsum("bii->b", sol)
     tr *= 2.0
     bad = ~np.all(np.isfinite(tr), axis=1)
     if np.any(bad):
@@ -505,10 +505,13 @@ def casimir_pressure_grating_grid(profile: GratingProfile,
     """Grating-plane Casimir pressure (Pa, negative) on a separation grid.
 
     The modal eigenproblems depend only on (xi, k_x), so one reflection
-    table is reused across the whole z grid.  ``workers`` > 1 maps the
-    nodes over a process pool of at most one process per node; the result
-    is the same bit for bit.
+    table is reused across the whole z grid.  The nodes run on a pool of
+    ``workers`` threads, 1 to MAX_WORKERS and at most one per node; the
+    result is the same bit for bit for every count.
     """
+    if not 1 <= workers <= MAX_WORKERS:
+        raise ValueError(f"workers must lie in [1, {MAX_WORKERS}], got "
+                         f"{workers}")
     spec = spec or TruncationSpec()
     z_arr = np.atleast_1d(np.asarray(z_grid, dtype=float))
     if np.any(z_arr <= 0.0):
@@ -524,11 +527,8 @@ def casimir_pressure_grating_grid(profile: GratingProfile,
                    model_grating=model_grating, model_plane=model_plane,
                    ky_nodes=ky_nodes, ky_w=ky_w, z_grid=z_arr,
                    orders=spec.orders, n_slices=spec.n_slices)
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=min(workers, xi.size)) as pool:
-            contribs = list(pool.map(node, xi, k_x, chunksize=4))
-    else:
-        contribs = map(node, xi, k_x)
+    with ThreadPoolExecutor(max_workers=min(workers, xi.size)) as pool:
+        contribs = list(pool.map(node, xi, k_x))
 
     acc = np.zeros(z_arr.size)
     for weight, contrib in zip(weights, contribs):

@@ -20,7 +20,7 @@ from .config import Config, ConfigError
 from .curves import ForceCurve
 from .electrostatics import SpherePlaneES, _meshing_profile, sphere_plane_gradient
 from .geometry import GratingProfile, reference_trench_profile
-from .grating import TruncationSpec, rho_ratio
+from .grating import MAX_WORKERS, TruncationSpec, rho_ratio
 from .materials import get_material
 from .pfa import flat_pressure_law, pfa_corrugated
 # casimir_pressure_planar stays bound here for perfbench's tracer tests
@@ -34,15 +34,21 @@ _DEFAULT_Z = "100:600:25nm"
 
 
 def worker_count() -> int:
-    """Worker processes for the grating z-grid fan-out, from the
-    CASIGRAT_WORKERS environment variable (default 1)."""
-    raw = os.environ.get("CASIGRAT_WORKERS", "1")
+    """Worker threads for the grating node map, from the CASIGRAT_WORKERS
+    environment variable; unset, the cores this process may run on, at
+    most MAX_WORKERS."""
+    raw = os.environ.get("CASIGRAT_WORKERS")
+    if raw is None:
+        cores = (len(os.sched_getaffinity(0))
+                 if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1)
+        return min(cores, MAX_WORKERS)
     try:
         n = int(raw)
     except ValueError:
         raise ConfigError(f"CASIGRAT_WORKERS must be an integer, got {raw!r}")
-    if n < 1:
-        raise ConfigError("CASIGRAT_WORKERS must be >= 1")
+    if not 1 <= n <= MAX_WORKERS:
+        raise ConfigError(f"CASIGRAT_WORKERS must lie in [1, {MAX_WORKERS}], "
+                          f"got {n}")
     return n
 
 

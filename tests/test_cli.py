@@ -441,6 +441,18 @@ def test_sweep_inputs_checked_before_grating(tmp_path, monkeypatch, capsys):
         assert key in capsys.readouterr().err
 
 
+def test_worker_cap_exits_2_before_any_pool(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(casigrat.grating, "ThreadPoolExecutor", unreachable)
+    monkeypatch.setenv("CASIGRAT_WORKERS",
+                       str(casigrat.grating.MAX_WORKERS + 1))
+    cfg = tmp_path / "small.cfg"
+    cfg.write_text(SMALL_RHO_CFG)
+    for argv in (["pipeline", "--config", str(cfg)],
+                 ["grating", "--config", str(cfg), "--sweep-N", "2:4:2"]):
+        assert main(argv + ["--out", str(tmp_path / "out")]) == 2
+        assert "CASIGRAT_WORKERS" in capsys.readouterr().err
+
+
 def test_numerical_failures_exit_1(tmp_path):
     bad = tmp_path / "bad.csv"
     bad.write_text("z_piezo_nm,theta_rad,V_volt,delta_f_hz\n"

@@ -16,6 +16,7 @@ and through truncation/worker invariances.
 """
 
 import math
+import time
 
 import numpy as np
 import pytest
@@ -552,7 +553,8 @@ def test_loop_trace_neumann_branch(norms, z, share_small, monkeypatch):
     # identity weights return the trace of every (z, k_y) operator
     got = grating._trace_over_z(r_sp, kappa, r1, z, np.eye(len(norms)), "test")
     assert np.all(np.abs(got - want) <= tol)
-    assert len(calls) == (small < 1.0)
+    # one batched solve per separation with an operator at or above the bar
+    assert len(calls) == np.sum(np.any(norm >= 2.0**-26, axis=1))
 
 
 def test_fill_one_matches_planar_pressure():
@@ -623,15 +625,65 @@ def test_pool_has_at_most_one_process_per_node(trench, monkeypatch):
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, *iterables, chunksize=1):
+        def map(self, fn, *iterables):
             return map(fn, *iterables)
 
-    monkeypatch.setattr(casigrat.grating, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(casigrat.grating, "ThreadPoolExecutor", SerialPool)
     gold = get_material("gold_drude")
     si = get_material("silicon_doped")
     spec = TruncationSpec(1, 1, GratingQuadrature(4, 4, 4))  # 16 nodes
     casimir_pressure_grating_grid(trench, si, gold, [150e-9], spec, workers=64)
     assert sizes == [16]
+
+
+@pytest.mark.parametrize("workers", [0, -3, grating.MAX_WORKERS + 1])
+def test_worker_count_outside_range_raises_before_any_pool(trench, workers,
+                                                           monkeypatch):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a pool was opened")
+
+    monkeypatch.setattr(grating, "ThreadPoolExecutor", no_pool)
+    spec = TruncationSpec(1, 1, GratingQuadrature(4, 4, 4))
+    with pytest.raises(ValueError, match="workers"):
+        casimir_pressure_grating_grid(trench, get_material("silicon_doped"),
+                                      get_material("gold_drude"), [150e-9],
+                                      spec, workers=workers)
+
+
+@settings(max_examples=8, deadline=None, derandomize=True)
+@given(slot=st.floats(0.1, 0.9), orders=st.integers(1, 2),
+       slices=st.integers(1, 2),
+       z=st.lists(st.sampled_from([100e-9, 150e-9, 250e-9]), min_size=1,
+                  max_size=3, unique=True))
+def test_thread_count_does_not_change_any_bit(slot, orders, slices, z):
+    profile = GratingProfile(LAM, LAM * (1 - slot), LAM * slot, DEPTH)
+    spec = TruncationSpec(orders, slices, GratingQuadrature(4, 4, 4))
+    runs = [casimir_pressure_grating_grid(
+        profile, get_material("silicon_doped"), get_material("gold_drude"),
+        z, spec, workers=workers).tolist() for workers in (1, 2, 3)]
+    assert runs[0] == runs[1] == runs[2]
+
+
+def test_modal_error_at_first_node_stops_the_run(trench, monkeypatch):
+    quad = GratingQuadrature(10, 10, 4)  # 100 nodes, xi-major
+    (q, _), (kx, _), _ = grating._quad_nodes(np.array([150e-9]),
+                                             trench.period, quad)
+    calls = []
+
+    def node(xi, k_x, **kwargs):
+        calls.append((xi, k_x))
+        if (xi, k_x) == (q[0] * C_LIGHT, kx[0]):
+            raise ModalError("singular at the first node")
+        time.sleep(0.05)
+        return np.zeros(1)
+
+    monkeypatch.setattr(grating, "_node_contribution", node)
+    with pytest.raises(ModalError, match="first node"):
+        casimir_pressure_grating_grid(trench, get_material("silicon_doped"),
+                                      get_material("gold_drude"), [150e-9],
+                                      TruncationSpec(1, 1, quad), workers=2)
+    # the pool cancels the nodes not yet started
+    assert len(calls) < 10
 
 
 @pytest.mark.parametrize("case", [False, True, "shipped"])

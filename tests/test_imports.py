@@ -1,7 +1,8 @@
 """Every name a casigrat module imports is referenced by that module,
 private names and scipy modules are imported only where listed, and
 importing the package, evaluating its materials and flat-force laws and
-running the grating loads no scipy module."""
+running the grating loads no scipy module, and importing it loads no
+process pool."""
 
 import ast
 import os
@@ -151,8 +152,8 @@ print(" ".join(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
 """
 
 
-def scipy_modules_loaded_by(code: str) -> list[str]:
-    """The scipy modules a fresh interpreter has loaded after ``code``."""
+def modules_loaded_by(code: str) -> list[str]:
+    """The modules a fresh interpreter running ``code`` prints as loaded."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
@@ -164,12 +165,27 @@ def scipy_modules_loaded_by(code: str) -> list[str]:
 
 
 def test_import_loads_no_scipy():
-    loaded = scipy_modules_loaded_by(NO_SCIPY_CODE)
+    loaded = modules_loaded_by(NO_SCIPY_CODE)
     assert loaded == [], f"scipy modules loaded: {' '.join(loaded)}"
 
 
+# the grating's node pool is a thread pool: importing the package loads no
+# process pool machinery
+NO_PROCESS_POOL_CODE = """\
+import sys
+import casigrat
+print(" ".join(sorted(m for m in sys.modules if "multiprocessing" in m
+                      or m == "concurrent.futures.process")))
+"""
+
+
+def test_import_loads_no_process_pool():
+    loaded = modules_loaded_by(NO_PROCESS_POOL_CODE)
+    assert loaded == [], f"process pool modules loaded: {' '.join(loaded)}"
+
+
 def test_fem_gradient_model_loads_no_scipy_interpolate():
-    loaded = scipy_modules_loaded_by(FEM_MODEL_CODE)
+    loaded = modules_loaded_by(FEM_MODEL_CODE)
     assert "scipy.linalg" in loaded
     assert not [m for m in loaded if m.startswith("scipy.interpolate")]
 

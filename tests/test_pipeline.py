@@ -5,6 +5,7 @@ closed-form gradient; the un-etched grating pins the ratio recipe to 1;
 dual runs order idealized above real and trench below flat.
 """
 
+import os
 from pathlib import Path
 
 import numpy as np
@@ -19,6 +20,7 @@ from casigrat import (
     run_pipeline,
     worker_count,
 )
+from casigrat.grating import MAX_WORKERS
 from casigrat.planar import (RoughnessSpec, casimir_pressure_planar,
                              ideal_pressure, roughness_average)
 
@@ -192,7 +194,10 @@ def test_run_pipeline_rejects_unknown_task():
 
 def test_worker_count_env(monkeypatch):
     monkeypatch.delenv("CASIGRAT_WORKERS", raising=False)
-    assert worker_count() == 1
+    # unset, the count is the cores this process may run on
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 2, 5, 7},
+                        raising=False)
+    assert worker_count() == 4
     monkeypatch.setenv("CASIGRAT_WORKERS", "3")
     assert worker_count() == 3
     monkeypatch.setenv("CASIGRAT_WORKERS", "zero")
@@ -200,4 +205,16 @@ def test_worker_count_env(monkeypatch):
         worker_count()
     monkeypatch.setenv("CASIGRAT_WORKERS", "0")
     with pytest.raises(ConfigError):
+        worker_count()
+
+
+def test_worker_count_cap(monkeypatch):
+    monkeypatch.delenv("CASIGRAT_WORKERS", raising=False)
+    monkeypatch.setattr(os, "sched_getaffinity",
+                        lambda pid: set(range(MAX_WORKERS + 1)), raising=False)
+    assert worker_count() == MAX_WORKERS
+    monkeypatch.setenv("CASIGRAT_WORKERS", str(MAX_WORKERS))
+    assert worker_count() == MAX_WORKERS
+    monkeypatch.setenv("CASIGRAT_WORKERS", str(MAX_WORKERS + 1))
+    with pytest.raises(ConfigError, match="CASIGRAT_WORKERS"):
         worker_count()
