@@ -51,7 +51,6 @@ from .geometry import GratingProfile, Slab, height_profile, reference_trench_pro
 from .grating import (
     GratingQuadrature,
     ModalError,
-    ReflectionOperator,
     TruncationSpec,
     casimir_force_grating,
     casimir_pressure_grating_grid,
@@ -113,7 +112,7 @@ __all__ = [
     "corrugated_sphere_force", "mesh_statistics", "solve_corrugated_capacitor",
     "sphere_plane_force", "sphere_plane_gradient",
     "GratingProfile", "Slab", "height_profile", "reference_trench_profile", "staircase",
-    "GratingQuadrature", "ModalError", "ReflectionOperator", "TruncationSpec",
+    "GratingQuadrature", "ModalError", "TruncationSpec",
     "casimir_force_grating", "casimir_pressure_grating_grid", "convergence_sweep",
     "grating_reflection", "rho_ratio",
     "DielectricModel", "Drude", "DrudeLorentz", "PerfectConductor", "Tabulated",

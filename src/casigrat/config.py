@@ -136,7 +136,6 @@ _REQUIRED = object()
 class Config:
     """Parsed configuration with typed, unit-aware accessors."""
 
-    text: str
     _parser: configparser.ConfigParser
 
     @classmethod
@@ -147,7 +146,7 @@ class Config:
             parser.read_string(text)
         except configparser.Error as exc:
             raise ConfigError(f"bad config: {exc}") from exc
-        return cls(text=text, _parser=parser)
+        return cls(_parser=parser)
 
     @classmethod
     def from_file(cls, path) -> "Config":

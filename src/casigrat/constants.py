@@ -22,7 +22,3 @@ def ev_to_rad_per_s(energy_ev: float) -> float:
     """Convert a photon energy in eV to an angular frequency in rad/s."""
     return energy_ev * EV_TO_RAD_PER_S
 
-
-def rad_per_s_to_ev(omega: float) -> float:
-    """Convert an angular frequency in rad/s to a photon energy in eV."""
-    return omega / EV_TO_RAD_PER_S

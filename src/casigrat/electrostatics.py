@@ -101,19 +101,16 @@ def _series_tail_bound(alpha: float, n_done: int) -> float:
     return 2.0 * coth_a * major / (1.0 - x * x)
 
 
-def _image_series(es: SpherePlaneES, n_max: int | None,
-                  gradient: bool) -> float | Array:
+def _image_series(es: SpherePlaneES, gradient: bool) -> float | Array:
     """Force (gradient=False) or its gap derivative at every broadcast
     element of ``es``: a float if its fields are scalars.
 
     The gaps are summed together in blocks of ``_BLOCK`` image orders; a
     gap leaves the block once its tail bound drops below ``_TAIL_RTOL`` of
-    its running total, or after ``n_max`` orders.  Per-gap scalars come
-    from ``math`` and the block sums run along contiguous rows, so every
-    value is the one a single-gap call gives.
+    its running total.  Per-gap scalars come from ``math`` and the block
+    sums run along contiguous rows, so every value is the one a single-gap
+    call gives.
     """
-    if n_max is not None and n_max < 1:
-        raise ValueError("n_max must be >= 1")
     d, v, v0 = np.broadcast_arrays(*(np.asarray(x, dtype=float)
                                      for x in (es.d, es.V, es.V0)))
     radius, gaps, dv = es.R, d.ravel(), (v - v0).ravel()
@@ -133,15 +130,12 @@ def _image_series(es: SpherePlaneES, n_max: int | None,
     active = np.arange(live.size)
     n_done = 0
     while active.size:
-        block = min(_BLOCK, n_max - n_done) if n_max is not None else _BLOCK
-        n = np.arange(n_done + 1, n_done + block + 1, dtype=float)
+        n = np.arange(n_done + 1, n_done + _BLOCK + 1, dtype=float)
         terms = _series_terms(
             a[active, None], coth_a[active, None], n,
             None if csch2_a is None else csch2_a[active, None])
         total[active] += terms.sum(axis=1)
-        n_done += block
-        if n_max is not None and n_done >= n_max:
-            break
+        n_done += _BLOCK
         # the differentiated tail decays with the same geometric rate,
         # one extra power of n
         grow = n_done + 2 if gradient else 1
@@ -158,29 +152,27 @@ def _image_series(es: SpherePlaneES, n_max: int | None,
     return float(out[0]) if d.ndim == 0 else out.reshape(d.shape)
 
 
-def sphere_plane_force(es: SpherePlaneES,
-                       n_max: int | None = None) -> float | Array:
+def sphere_plane_force(es: SpherePlaneES) -> float | Array:
     """Exact series force (N, negative = attractive) on the sphere: a
     float for scalar fields, else an array of their broadcast shape whose
     elements equal the scalar calls bit for bit.
 
     The sum over image orders stops once the geometric tail bound falls
-    below 1e-10 of the accumulated value, or at ``n_max`` terms if given.
-    For alpha below the declared crossover the small-gap plate law
-    -pi eps0 R (V - V0)^2 / d replaces the series.
+    below 1e-10 of the accumulated value.  For alpha below the declared
+    crossover the small-gap plate law -pi eps0 R (V - V0)^2 / d replaces
+    the series.
     """
-    return _image_series(es, n_max, False)
+    return _image_series(es, False)
 
 
-def sphere_plane_gradient(es: SpherePlaneES,
-                          n_max: int | None = None) -> float | Array:
+def sphere_plane_gradient(es: SpherePlaneES) -> float | Array:
     """d(force)/d(gap) in N/m, by term-wise differentiation of the series.
 
     A float or an array as ``sphere_plane_force``.  Positive for the
     decaying attraction.  Uses the small-gap form
     +pi eps0 R (V - V0)^2 / d^2 below the series crossover.
     """
-    return _image_series(es, n_max, True)
+    return _image_series(es, True)
 
 
 # --------------------------------------------------------------------------
@@ -229,7 +221,6 @@ class Mesh2D:
     left_nodes: Array
     right_nodes: Array
     dof_map: Array
-    period: float
 
     @property
     def n_triangles(self) -> int:
@@ -411,8 +402,7 @@ def _cell_mesh(shape: GratingProfile, gap: float, control: MeshControl,
                   top_nodes=up_id[:, na].copy(),
                   left_nodes=up_id[0].copy(),
                   right_nodes=up_id[-1].copy(),
-                  dof_map=dof_map,
-                  period=shape.period)
+                  dof_map=dof_map)
 
 
 def _cell_triangles(ids: Array) -> Array:

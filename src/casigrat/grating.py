@@ -136,22 +136,6 @@ class TruncationSpec:
             raise ValueError("n_slices must be >= 1")
 
 
-@dataclass(frozen=True)
-class ReflectionOperator:
-    """Grating reflection matrix at one (xi, k_x, k_y) evaluation point.
-
-    ``matrix`` has dimension 2(2N+1), indexed [s-amplitudes of orders
-    -N..N, then p-amplitudes].  The basis is flux-weighted so that a flat
-    surface gives the planar Fresnel values on the diagonal and passive
-    surfaces have singular values <= 1.
-    """
-
-    matrix: Array
-
-    def max_singular_value(self) -> float:
-        return float(np.linalg.svd(self.matrix, compute_uv=False)[0])
-
-
 # --------------------------------------------------------------------------
 # Layer eigenproblems
 
@@ -410,8 +394,12 @@ def _reflection_batch(profile: GratingProfile, model: DielectricModel,
 
 def grating_reflection(profile: GratingProfile, model: DielectricModel,
                        xi: float, k_x: float, k_y: float,
-                       spec: TruncationSpec | None = None) -> ReflectionOperator:
-    """Reflection operator of the staircased grating at one (xi, k_x, k_y).
+                       spec: TruncationSpec | None = None) -> Array:
+    """Reflection matrix of the staircased grating at one (xi, k_x, k_y).
+
+    Rows and columns run over the s-amplitudes of orders -N..N, then the
+    p-amplitudes, flux-weighted: a flat surface gives the planar Fresnel
+    values on the diagonal, a passive one singular values <= 1.
 
     Parameters
     ----------
@@ -433,7 +421,7 @@ def grating_reflection(profile: GratingProfile, model: DielectricModel,
     r_sp, *_ = _reflection_batch(profile, model, xi, k_x,
                                  np.array([k_y], dtype=float),
                                  spec.orders, spec.n_slices)
-    return ReflectionOperator(matrix=r_sp[0])
+    return r_sp[0]
 
 
 # --------------------------------------------------------------------------

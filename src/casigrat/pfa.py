@@ -46,7 +46,6 @@ class FlatForceLaw:
     z_min: float
     z_max: float
     unit: str = ""
-    label: str = ""
 
     def __post_init__(self) -> None:
         if not (self.z_min > 0.0 and self.z_max > self.z_min):
@@ -61,8 +60,8 @@ class FlatForceLaw:
         return self.fn(z_arr) if z_arr.ndim else float(self.fn(z_arr))
 
     @classmethod
-    def from_table(cls, z: Array, values: Array, unit: str = "",
-                   label: str = "") -> "FlatForceLaw":
+    def from_table(cls, z: Array, values: Array,
+                   unit: str = "") -> "FlatForceLaw":
         """Cubic spline of log|F| against log z through sampled values.
 
         The values must be nonzero and of one sign.  A power law is a
@@ -81,13 +80,12 @@ class FlatForceLaw:
             raise ValueError("tabulated values must be nonzero and of one sign")
         spline = not_a_knot(np.log(z), np.log(np.abs(values)))
         return cls(fn=lambda zz: sign * np.exp(spline(np.log(zz))),
-                   z_min=float(z[0]), z_max=float(z[-1]),
-                   unit=unit, label=label)
+                   z_min=float(z[0]), z_max=float(z[-1]), unit=unit)
 
     @classmethod
     def from_callable(cls, fn: Callable[[Array], Array], z_min: float,
-                      z_max: float, unit: str = "", label: str = "") -> "FlatForceLaw":
-        return cls(fn=fn, z_min=z_min, z_max=z_max, unit=unit, label=label)
+                      z_max: float, unit: str = "") -> "FlatForceLaw":
+        return cls(fn=fn, z_min=z_min, z_max=z_max, unit=unit)
 
 
 def flat_pressure_law(material_a: DielectricModel,
@@ -106,8 +104,7 @@ def flat_pressure_law(material_a: DielectricModel,
     z = np.geomspace(0.98 * z_min, 1.02 * z_max, n_points)
     vals = np.array([casimir_pressure_planar(material_a, material_b, zi)
                      for zi in z])
-    return FlatForceLaw.from_table(z, vals, unit="Pa",
-                                   label="flat-pair pressure")
+    return FlatForceLaw.from_table(z, vals, unit="Pa")
 
 
 def pfa_corrugated(law: FlatForceLaw, profile: GratingProfile, z):

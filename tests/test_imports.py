@@ -1,4 +1,5 @@
 """Every name a casigrat module imports is referenced by that module,
+every public function or class is exported or used in the package,
 private names and scipy modules are imported only where listed, and
 importing the package, evaluating its materials and flat-force laws and
 running the grating loads no scipy module, and importing it loads no
@@ -13,6 +14,7 @@ from pathlib import Path
 import pytest
 import scipy.constants
 
+import casigrat
 from casigrat import constants
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -57,6 +59,41 @@ def test_module_has_no_unused_imports(path):
     unused = [name for name in unused_imports(path.read_text("utf-8"))
               if (path.name, name) not in KEPT]
     assert unused == []
+
+
+def unreferenced_public_defs(sources: dict[str, str],
+                             exported: set[str]) -> list[str]:
+    """``module:name`` of each public module-level function or class in
+    ``sources`` (module name -> source) that is neither in ``exported``
+    nor read, attributed or imported anywhere in ``sources``."""
+    trees = {name: ast.parse(source) for name, source in sources.items()}
+    read = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                read |= {alias.name for alias in node.names}
+    return [f"{module}:{node.name}" for module, tree in trees.items()
+            for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+            and not node.name.startswith("_")
+            and node.name not in exported | read]
+
+
+def test_scan_flags_an_unreferenced_public_def():
+    sources = {"a": "def f(): pass\ndef g(): pass\nclass C: pass\n"
+                    "def _h(): pass\n",
+               "b": "from .a import g\n"}
+    assert unreferenced_public_defs(sources, {"C"}) == ["a:f"]
+
+
+def test_public_defs_are_exported_or_used():
+    sources = {path.stem: path.read_text("utf-8")
+               for path in sorted(SRC.glob("*.py"))}
+    assert unreferenced_public_defs(sources, set(casigrat.__all__)) == []
 
 
 # (importing module, source module, private name): each entry is a

@@ -29,7 +29,7 @@ def profile_integral_oracle(law_fn, profile, z, n=100_000):
 def gold_silicon_law(gold, silicon):
     z = np.geomspace(80e-9, 450e-9, 28)
     p = np.array([casimir_pressure_planar(gold, silicon, zi) for zi in z])
-    return FlatForceLaw.from_table(z, p, unit="Pa", label="gold-silicon pressure")
+    return FlatForceLaw.from_table(z, p, unit="Pa")
 
 
 @pytest.fixture(scope="module")

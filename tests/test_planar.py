@@ -29,20 +29,19 @@ def brute_force_pressure(eps_a_fn, eps_b_fn, z):
     k = b/2z) so the adaptive rule sees order-one features."""
     s = 1.0 / (2.0 * z)
 
-    def fresnel(eps_fn, xi, k):
-        if eps_fn is None:  # ideal mirror
+    def fresnel(eps, xi, k):
+        if eps is None:  # ideal mirror
             return -1.0, 1.0
-        eps = eps_fn(xi)
         kap0 = math.hypot(xi / sc.c, k)
         kapm = math.sqrt(eps * (xi / sc.c) ** 2 + k * k)
         return (kap0 - kapm) / (kap0 + kapm), (eps * kap0 - kapm) / (eps * kap0 + kapm)
 
-    def b_integrand(b, a):
+    def b_integrand(b, a, eps_a, eps_b):
         xi = a * s * sc.c
         k = b * s
         e = math.exp(-math.hypot(a, b))
-        ra = fresnel(eps_a_fn, xi, k)
-        rb = fresnel(eps_b_fn, xi, k)
+        ra = fresnel(eps_a, xi, k)
+        rb = fresnel(eps_b, xi, k)
         total = 0.0
         for p in (0, 1):
             m = ra[p] * rb[p] * e
@@ -50,7 +49,11 @@ def brute_force_pressure(eps_a_fn, eps_b_fn, z):
         return b * math.hypot(a, b) * total
 
     def a_integrand(a):
-        val, _ = quad(b_integrand, 0.0, np.inf, args=(a,),
+        # each permittivity once per xi, not once per inner k node
+        xi = a * s * sc.c
+        eps_a, eps_b = (None if fn is None else fn(xi)
+                        for fn in (eps_a_fn, eps_b_fn))
+        val, _ = quad(b_integrand, 0.0, np.inf, args=(a, eps_a, eps_b),
                       epsabs=1e-40, epsrel=1e-10, limit=400)
         return val
 
