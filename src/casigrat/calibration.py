@@ -24,7 +24,6 @@ cancelled exactly by fitting voltage differences at shared distances.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -32,6 +31,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .constants import EPS0
+from .curves import read_table, write_table
 from .electrostatics import (SpherePlaneES, solve_corrugated_capacitor,
                              sphere_plane_gradient)
 from .geometry import GratingProfile
@@ -390,38 +390,18 @@ _CSV_FIELDS = ("z_piezo_nm", "theta_rad", "V_volt", "delta_f_hz")
 
 def read_frequency_shift_samples(path) -> list[FrequencyShiftSample]:
     """Load samples from CSV with columns z_piezo_nm, theta_rad, V_volt,
-    delta_f_hz; lines starting with '#' are skipped, but counted in the
-    ``path:line:`` that prefixes the ValueError of a bad row."""
-    with open(path, newline="") as fh:
-        rows = [(n, row) for n, line in enumerate(fh, start=1)
-                if not line.startswith("#") for row in csv.reader([line]) if row]
-    header = [name.strip() for name in rows[0][1]] if rows else []
-    if not set(_CSV_FIELDS) <= set(header):
-        raise ValueError(f"CSV must provide columns {_CSV_FIELDS}")
-    samples = []
-    for n, row in rows[1:]:
-        try:
-            if len(row) != len(header):
-                raise ValueError(f"expected {len(header)} fields, got {len(row)}")
-            z_nm, theta, volt, delta_f = (float(row[header.index(name)])
-                                          for name in _CSV_FIELDS)
-            samples.append(FrequencyShiftSample(z_nm * 1e-9, theta, volt, delta_f))
-        except ValueError as exc:
-            raise ValueError(f"{path}:{n}: {exc}") from None
-    if not samples:
+    delta_f_hz through ``curves.read_table``, which names a bad row."""
+    _, columns = read_table(path, _CSV_FIELDS)
+    if not columns.shape[1]:
         raise ValueError("CSV contains no data rows")
-    return samples
+    return [FrequencyShiftSample(z_nm * 1e-9, theta, volt, delta_f)
+            for z_nm, theta, volt, delta_f in columns.T.tolist()]
 
 
 def write_frequency_shift_samples(path,
                                   samples: Sequence[FrequencyShiftSample],
                                   ) -> None:
     """Write samples as CSV in the ingestion column convention."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(_CSV_FIELDS)
-        for s in samples:
-            # repr of builtin float round-trips exactly
-            writer.writerow([repr(float(s.z_piezo) * 1e9),
-                             repr(float(s.theta)), repr(float(s.volt)),
-                             repr(float(s.delta_f))])
+    write_table(path, _CSV_FIELDS,  # repr of a float round-trips exactly
+                ([repr(float(v)) for v in (s.z_piezo * 1e9, s.theta, s.volt,
+                                           s.delta_f)] for s in samples))

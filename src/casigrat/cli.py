@@ -23,7 +23,7 @@ from .calibration import (FitError, fem_gradient_model, find_residual_voltage,
                           fit_calibration, plate_gradient_model,
                           read_frequency_shift_samples, series_gradient_model)
 from .config import Config, ConfigError, parse_grid, parse_int_range, parse_quantity
-from .curves import ForceCurve
+from .curves import ForceCurve, write_curves, write_table
 from .geometry import reference_trench_profile
 from .grating import MAX_ORDERS, convergence_sweep
 from .materials import available_materials, get_material, is_perfect_conductor
@@ -45,15 +45,9 @@ def _out_file(text: str) -> Path:
     return path
 
 
-def _write_curve(curve: ForceCurve, path: Path) -> None:
-    curve.to_csv(path)
-    print(f"wrote {path}")
-
-
-def _write_lines(path: Path, lines) -> None:
-    path.write_text("".join(f"{line}\n" for line in lines),
-                    encoding="utf-8", newline="\n")
-    print(f"wrote {path}")
+def _wrote(*paths: Path) -> None:
+    for path in paths:
+        print(f"wrote {path}")
 
 
 def _run_check(module: str) -> int:
@@ -90,10 +84,9 @@ def _cmd_materials(args) -> int:
     xi = _flag_value(parse_grid, args.xi, "--xi")
     out = _out_file(args.out)
     eps = np.asarray(model.epsilon(xi), dtype=float)
-    _write_lines(out, [
-        f"# label: relative permittivity of {args.name} at imaginary "
-        "frequency", "xi_rad_per_s,epsilon",
-        *(f"{x:.12e},{e:.12e}" for x, e in zip(xi, eps))])
+    _wrote(write_table(out, ("xi_rad_per_s", "epsilon"), zip(xi, eps),
+                       [f"label: relative permittivity of {args.name} at "
+                        "imaginary frequency"]))
     return 0
 
 
@@ -111,8 +104,8 @@ def _cmd_planar(args) -> int:
         values = 2.0 * np.pi * args.radius * np.abs(values)
         meta["radius_um"] = f"{args.radius * 1e6:.6g}"
         unit, label = "N/m", "sphere-plane force gradient"
-    _write_curve(ForceCurve(z_grid, values, unit=unit, label=label,
-                            metadata=meta), out)
+    _wrote(ForceCurve(z_grid, values, unit=unit, label=label,
+                      metadata=meta).to_csv(out))
     return 0
 
 
@@ -132,14 +125,14 @@ def _cmd_pfa(args) -> int:
             "radius_um": f"{args.radius * 1e6:.6g}",
             "profile": f"period {profile.period * 1e9:.6g} nm, depth "
                        f"{profile.depth * 1e9:.6g} nm"}
-    _write_curve(ForceCurve(z_grid, grad, unit="N/m",
-                            label="proximity-force gradient over trench "
-                                  "profile", metadata=meta), out)
+    _wrote(ForceCurve(z_grid, grad, unit="N/m",
+                      label="proximity-force gradient over trench profile",
+                      metadata=meta).to_csv(out))
     note = "fraction of the force from top + floor surfaces"
-    _write_curve(ForceCurve(z_grid, share, unit="dimensionless",
-                            label="top+floor share of proximity force",
-                            metadata={**meta, "note": note}),
-                 out.with_name(out.stem + "_share.csv"))
+    _wrote(ForceCurve(z_grid, share, unit="dimensionless",
+                      label="top+floor share of proximity force",
+                      metadata={**meta, "note": note},
+                      ).to_csv(out.with_name(out.stem + "_share.csv")))
     return 0
 
 
@@ -157,16 +150,16 @@ def _cmd_grating(args) -> int:
                               f"{z_ref} m")
         profile, (_, model_g), (_, model_p), spec = _rho_inputs(config)
     out_dir.mkdir(parents=True, exist_ok=True)
-    curves = rho_ratio_curves(config)
-    for name in sorted(curves):
-        _write_curve(curves[name], out_dir / f"rho_ratio_{name}.csv")
+    _wrote(*write_curves(rho_ratio_curves(config), out_dir, "rho_ratio"))
     if args.sweep_N:
         rows = convergence_sweep(profile, model_g, model_p, z_ref, orders,
                                  spec, workers=worker_count())
-        _write_lines(out_dir / "rho_ratio_convergence.csv", [
-            "# label: pressure vs diffraction-order cutoff",
-            f"# inputs: {config.digest()}", f"# z_nm: {z_ref * 1e9:.6g}",
-            "orders,pressure_pa", *(f"{n},{p:.12e}" for n, p in rows)])
+        _wrote(write_table(out_dir / "rho_ratio_convergence.csv",
+                           ("orders", "pressure_pa"),
+                           ((str(n), p) for n, p in rows),
+                           ["label: pressure vs diffraction-order cutoff",
+                            f"inputs: {config.digest()}",
+                            f"z_nm: {z_ref * 1e9:.6g}"]))
     return 0
 
 
@@ -175,9 +168,8 @@ def _cmd_electrostatics(args) -> int:
               Config.from_text("[pipeline]\ntask = electrostatic_gradient\n"))
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    curves = electrostatic_gradient_curves(config)
-    for name in sorted(curves):
-        _write_curve(curves[name], out_dir / f"electrostatic_{name}.csv")
+    _wrote(*write_curves(electrostatic_gradient_curves(config), out_dir,
+                         "electrostatic"))
     return 0
 
 
@@ -215,20 +207,16 @@ def _cmd_calibrate(args) -> int:
                           use_voltage_differences=args.voltage_differences)
     print(fit.report())
     if out:
-        _write_lines(out, [
-            "# calibration fit", f"# model: {args.model}",
-            "quantity,value,sigma",
-            f"coeff_m_per_N_s,{fit.coeff:.12e},{fit.coeff_sigma:.12e}",
-            f"z0_m,{fit.z0:.12e},{fit.z0_sigma:.12e}",
-            f"rss_hz2,{fit.rss:.12e},0"])
+        _wrote(write_table(out, ("quantity", "value", "sigma"), [
+            ("coeff_m_per_N_s", fit.coeff, fit.coeff_sigma),
+            ("z0_m", fit.z0, fit.z0_sigma), ("rss_hz2", fit.rss, "0")],
+            ["calibration fit", f"model: {args.model}"]))
     return 0
 
 
 def _cmd_pipeline(args) -> int:
     config = Config.from_file(args.config)
-    written = run_pipeline(config, out_dir=args.out)
-    for path in written:
-        print(f"wrote {path}")
+    _wrote(*run_pipeline(config, out_dir=args.out))
     return 0
 
 

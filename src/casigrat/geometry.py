@@ -10,7 +10,7 @@ Fractions of the period:
 
 * ``p1 = top_width / period`` faces the opposing surface at the nominal gap,
 * ``p2 = floor_width / period`` at gap + depth,
-* ``p3 = (1 - p1 - p2) / 2`` per sidewall.
+* ``p3 = (1 - p1 - p2) / 2`` per sidewall, at least 0.
 """
 
 from __future__ import annotations
@@ -61,7 +61,8 @@ class GratingProfile:
             raise ValueError("top_width must lie in (0, period]")
         if not 0.0 <= self.floor_width < self.period:
             raise ValueError("floor_width must lie in [0, period)")
-        if self.top_width + self.floor_width > self.period:
+        # slack for rounding: period - top_width may sum an ulp above period
+        if self.top_width + self.floor_width > self.period * (1.0 + 1e-15):
             raise ValueError("top_width + floor_width must not exceed period")
         if self.depth < 0.0:
             raise ValueError("depth must be non-negative")
@@ -99,7 +100,7 @@ class GratingProfile:
 
     @property
     def p3(self) -> float:
-        return 0.5 * (1.0 - self.p1 - self.p2)
+        return max(0.0, 0.5 * (1.0 - self.p1 - self.p2))
 
 
 def reference_trench_profile() -> GratingProfile:
@@ -124,8 +125,8 @@ def height_profile(profile: GratingProfile, x):
     if np.any(x_arr < 0.0) or np.any(x_arr >= profile.period):
         raise ValueError("x must lie in [0, period)")
     top, run = profile.top_width, profile.p3 * profile.period
-    h = np.interp(x_arr, [0.0, top, top + run, top + run + profile.floor_width,
-                          profile.period],
+    floor_end = min(top + run + profile.floor_width, profile.period)
+    h = np.interp(x_arr, [0.0, top, top + run, floor_end, profile.period],
                   [0.0, 0.0, profile.depth, profile.depth, 0.0])
     return h if np.ndim(x) else float(h)
 

@@ -30,6 +30,7 @@ from importlib import resources
 import numpy as np
 
 from .constants import ev_to_rad_per_s
+from .curves import read_table
 from .interpolate import pchip
 
 Array = np.ndarray
@@ -157,30 +158,18 @@ def is_perfect_conductor(model: DielectricModel) -> bool:
 
 
 def load_tabulated_epsilon(path) -> Tabulated:
-    """Read a two-column (xi [rad/s], eps) text table.
+    """Read a two-column (xi [rad/s], eps) whitespace-separated table.
 
     Lines starting with ``#`` and blank lines are ignored.  Errors carry
     the 1-based line number of the offending row.
     """
-    xi_col: list[float] = []
-    eps_col: list[float] = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split()
-            if len(parts) != 2:
-                raise MaterialDataError(
-                    f"{path}:{lineno}: expected two columns, got {len(parts)}")
-            try:
-                xi_col.append(float(parts[0]))
-                eps_col.append(float(parts[1]))
-            except ValueError as exc:
-                raise MaterialDataError(f"{path}:{lineno}: {exc}") from None
-    if len(xi_col) < 2:
+    try:
+        _, (xi, eps) = read_table(path, 2, sep=None)
+    except ValueError as exc:
+        raise MaterialDataError(str(exc)) from None
+    if xi.size < 2:
         raise MaterialDataError(f"{path}: table needs at least two data rows")
-    return Tabulated(np.asarray(xi_col), np.asarray(eps_col))
+    return Tabulated(xi, eps)
 
 
 def intrinsic_silicon_table() -> Tabulated:

@@ -17,7 +17,7 @@ import numpy as np
 
 from .calibration import fem_gradient_model
 from .config import Config, ConfigError
-from .curves import ForceCurve
+from .curves import ForceCurve, write_curves
 from .electrostatics import SpherePlaneES, _meshing_profile, sphere_plane_gradient
 from .geometry import GratingProfile, reference_trench_profile
 from .grating import MAX_WORKERS, TruncationSpec, rho_ratio
@@ -26,8 +26,6 @@ from .pfa import flat_pressure_law, pfa_corrugated
 # casimir_pressure_planar stays bound here for perfbench's tracer tests
 from .planar import (RoughnessSpec, casimir_pressure_planar,  # noqa: F401
                      roughness_average)
-
-TASKS = ("flat_force_gradient", "rho_ratio", "electrostatic_gradient")
 
 _DEFAULT_RADIUS = 50e-6
 _DEFAULT_Z = "100:600:25nm"
@@ -259,6 +257,7 @@ _TASK_FNS = {
     "rho_ratio": rho_ratio_curves,
     "electrostatic_gradient": electrostatic_gradient_curves,
 }
+TASKS = tuple(_TASK_FNS)
 
 
 def run_pipeline(config: Config, out_dir="out") -> list[Path]:
@@ -273,10 +272,4 @@ def run_pipeline(config: Config, out_dir="out") -> list[Path]:
                           f"choose from {TASKS}")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    curves = _TASK_FNS[task](config)
-    written = []
-    for name in sorted(curves):
-        path = out / f"{task}_{name}.csv"
-        curves[name].to_csv(path)
-        written.append(path)
-    return written
+    return write_curves(_TASK_FNS[task](config), out, task)

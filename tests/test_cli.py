@@ -8,7 +8,7 @@ import casigrat.grating
 import casigrat.materials
 import casigrat.pipeline
 from casigrat.cli import main
-from casigrat.curves import ForceCurve
+from casigrat.curves import ForceCurve, read_table
 
 SMALL_RHO_CFG = """\
 [pipeline]
@@ -140,6 +140,40 @@ def test_calibrate_round_trip(tmp_path, capsys):
     body = report.read_text()
     coeff_row = [r for r in body.splitlines() if r.startswith("coeff")][0]
     assert float(coeff_row.split(",")[1]) == pytest.approx(-614.0, rel=1e-6)
+
+
+@pytest.mark.parametrize("model_name", ["plate", "fem"])
+def test_calibrate_plate_and_fem_recover_truth(tmp_path, model_name):
+    from casigrat.calibration import (fem_gradient_model,
+                                      plate_gradient_model,
+                                      synthesize_frequency_shifts,
+                                      write_frequency_shift_samples)
+    from casigrat.geometry import GratingProfile
+    argv = []
+    if model_name == "plate":
+        model = plate_gradient_model(50e-6)
+    else:  # a geometry unlike the reference trench, read from --config
+        cfg = tmp_path / "cell.cfg"
+        cfg.write_text("[geometry]\nperiod = 400nm\ntop_width = 200nm\n"
+                       "floor_width = 200nm\ndepth = 100nm\n"
+                       "wall_angle = 90deg\n")
+        model = fem_gradient_model(
+            GratingProfile(400e-9, 200e-9, 200e-9, 100e-9, 90.0), 50e-6,
+            150e-9, 1e-6)
+        argv = ["--config", str(cfg), "--fem-z-min", "150nm",
+                "--fem-z-max", "1um"]
+    samples = synthesize_frequency_shifts(
+        -614.0, 800e-9, model, voltages=(0.245, 0.300),
+        z_piezo=np.linspace(0.0, 600e-9, 13))
+    csv_in = tmp_path / "sweep.csv"
+    write_frequency_shift_samples(csv_in, samples)
+    report = tmp_path / "fit.csv"
+    assert main(["calibrate", "--input", str(csv_in), "--model", model_name,
+                 "--radius", "50um", "--out", str(report)] + argv) == 0
+    meta, ((coeff, z0, _), _) = read_table(report, ("value", "sigma"))
+    assert meta == {"model": model_name}
+    assert coeff == pytest.approx(-614.0, rel=1e-6)
+    assert z0 == pytest.approx(800e-9, rel=1e-6)
 
 
 def test_calibrate_find_v0(tmp_path, capsys):

@@ -48,6 +48,22 @@ def test_profile_validation():
         GratingProfile(period=1.0, top_width=0.4, floor_width=0.4, depth=-0.1)
 
 
+def test_floor_derived_from_period_is_accepted():
+    # top + (period - top) rounds one ulp above this period; the cell is a
+    # valid vertical-wall grating, with p3 = 0 and ordered corners
+    period = 2.0000000000000002e-07
+    top = 0.19344820559425974 * period
+    assert top + (period - top) > period
+    cell = GratingProfile(period, top, period - top, 50e-9)
+    assert cell.p3 == 0.0
+    x = np.linspace(0.0, period, 401)[:-1]
+    assert np.array_equal(height_profile(cell, x),
+                          np.where(x < top, 0.0, 50e-9))
+    assert [s.slot_width for s in staircase(cell, 2)] == [period - top] * 2
+    with pytest.raises(ValueError, match="must not exceed period"):
+        GratingProfile(period, top, period - top + 1e-6 * period, 50e-9)
+
+
 def test_profile_lengths_must_be_finite():
     good = dict(period=400e-9, top_width=185.3e-9, floor_width=199.1e-9,
                 depth=98e-9)

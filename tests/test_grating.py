@@ -333,8 +333,7 @@ def _cell_reflection(model, period, p1, run_share, depth, log_xi, kx_share,
                      log_ky, orders, slices):
     # the wall angle is derived from the widths, so the profile is
     # consistent; near-vertical walls snap to 90 degrees, where the
-    # widths-derived run would be lost to cancellation.  The floor is one
-    # ulp short, so top + floor cannot round above the period.
+    # widths-derived run would be lost to cancellation.
     run = run_share * min(depth, 0.5 * (1.0 - p1) * period)
     if run_share < 0.01:
         run = 0.0
@@ -342,7 +341,7 @@ def _cell_reflection(model, period, p1, run_share, depth, log_xi, kx_share,
     top = p1 * period
     profile = GratingProfile(
         period=period, top_width=top,
-        floor_width=math.nextafter(period - top - 2.0 * run, 0.0),
+        floor_width=period - top - 2.0 * run,
         depth=depth, sidewall_angle_deg=angle)
     return grating_reflection(profile, model, 10.0**log_xi,
                               kx_share * math.pi / period, 10.0**log_ky,
@@ -514,13 +513,11 @@ def test_interface_matrices_match_dense_fields(period, p1, run_share, depth,
     # W_a^-1 W_b +- V_a^-1 V_b, within 1e-12 of the largest entry plus the
     # dense inverses' own residual |W_a^-1 W_a - I|, |V_a^-1 V_a - I|.
     # That residual reaches 3e-11 at xi ~ 1e12 rad/s with |eps| ~ 1e12,
-    # where both forms round at that level.  The open width is a hair
-    # short of the period so that rounding cannot push top + floor past it.
+    # where both forms round at that level.
     run = 0.0 if run_share < 0.01 else run_share * min(
         depth, 0.5 * (1.0 - p1) * period)
     profile = GratingProfile(period=period, top_width=p1 * period,
-                             floor_width=(1.0 - p1) * (1.0 - 1e-12) * period
-                             - 2.0 * run,
+                             floor_width=(1.0 - p1) * period - 2.0 * run,
                              depth=depth, sidewall_angle_deg=90.0
                              + math.degrees(math.atan(run / depth)))
     xi = 10.0**log_xi

@@ -1,6 +1,7 @@
 """Every name a casigrat module imports is referenced by that module,
 every public function or class is exported or used in the package,
-private names and scipy modules are imported only where listed, and
+private names and scipy modules are imported only where listed, files
+are opened only where listed and no module imports csv or io, and
 importing the package, evaluating its materials and flat-force laws and
 running the grating loads no scipy module, and importing it loads no
 process pool."""
@@ -147,6 +148,58 @@ def test_scipy_imports_are_allowlisted():
     found = sorted({entry for path in SRC.glob("*.py")
                     for entry in scipy_imports(path)})
     assert found == SCIPY_IMPORTS
+
+
+# modules that open files (the builtin open, or a path's open, read_text or
+# write_text): the INI reader and the one text-table reader and writer
+OPEN_CALLS = ["config", "curves"]
+
+
+def opens_files(path: Path) -> bool:
+    """Whether ``path`` calls ``open`` or a ``.open``, ``.read_text`` or
+    ``.write_text`` method."""
+    calls = [node.func for node in ast.walk(ast.parse(path.read_text("utf-8")))
+             if isinstance(node, ast.Call)]
+    return any(isinstance(f, ast.Name) and f.id == "open"
+               or isinstance(f, ast.Attribute)
+               and f.attr in ("open", "read_text", "write_text")
+               for f in calls)
+
+
+def test_open_calls_are_allowlisted():
+    assert sorted(path.stem for path in SRC.glob("*.py")
+                  if opens_files(path)) == OPEN_CALLS
+
+
+def top_level_imports(path: Path) -> set[str]:
+    """The absolute top-level module names ``path`` imports."""
+    tree = ast.parse(path.read_text("utf-8"))
+    names = [alias.name for node in ast.walk(tree)
+             if isinstance(node, ast.Import) for alias in node.names]
+    names += [node.module for node in ast.walk(tree)
+              if isinstance(node, ast.ImportFrom) and node.level == 0]
+    return {name.split(".")[0] for name in names}
+
+
+def test_no_second_table_parser():
+    # a table is parsed and formatted by curves.read_table / write_table
+    # only, so no module imports the csv or io modules
+    found = sorted((path.stem, name) for path in SRC.glob("*.py")
+                   for name in top_level_imports(path) & {"csv", "io"})
+    assert found == []
+
+
+def test_scan_flags_open_csv_and_io(tmp_path):
+    source = tmp_path / "mod.py"
+    source.write_text("import csv\nfrom io import StringIO\n"
+                      "with open('x') as fh:\n    pass\n")
+    assert opens_files(source)
+    assert top_level_imports(source) == {"csv", "io"}
+    for call in ("Path('x').write_text('')", "Path('x').read_text()"):
+        source.write_text(f"from pathlib import Path\n{call}\n")
+        assert opens_files(source)
+    source.write_text("import numpy as np\nnp.asarray([1.0])\n")
+    assert not opens_files(source)
 
 
 # a fresh interpreter: import the package, parse every shipped config,
