@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -22,10 +23,11 @@ from . import checks
 from .calibration import (FitError, fem_gradient_model, find_residual_voltage,
                           fit_calibration, plate_gradient_model,
                           read_frequency_shift_samples, series_gradient_model)
-from .config import Config, ConfigError, parse_grid, parse_int_range, parse_quantity
+from .config import (Config, ConfigError, named, parse_grid, parse_int_range,
+                     parse_quantity)
 from .curves import ForceCurve, write_curves, write_table
 from .geometry import reference_trench_profile
-from .grating import MAX_ORDERS, convergence_sweep
+from .grating import convergence_sweep
 from .materials import available_materials, get_material, is_perfect_conductor
 from .pfa import flat_pressure_law, pfa_corrugated, pfa_share_topbottom
 from .pipeline import (_meshable_profile_from_config, _profile_from_config,
@@ -66,10 +68,8 @@ def _radius(text: str) -> float:
 
 def _flag_value(parse, text: str, flag: str):
     """``parse(text)``; a parse error is a ConfigError naming the flag."""
-    try:
+    with named(f"{flag}:"):
         return parse(text)
-    except ConfigError as exc:
-        raise ConfigError(f"{flag}: {exc}") from None
 
 
 def _cmd_materials(args) -> int:
@@ -140,15 +140,14 @@ def _cmd_grating(args) -> int:
     config = Config.from_file(args.config)
     out_dir = Path(args.out)
     if args.sweep_N:  # read the sweep's inputs before the ratio curve runs
-        orders = _flag_value(parse_int_range, args.sweep_N, "--sweep-N")
-        if min(orders) < 0 or max(orders) > MAX_ORDERS:
-            raise ConfigError(f"--sweep-N: orders must lie in [0, "
-                              f"{MAX_ORDERS}], got {args.sweep_N!r}")
+        cutoffs = _flag_value(parse_int_range, args.sweep_N, "--sweep-N")
         z_ref = config.quantity("solver", "sweep_z", 150e-9)
         if not z_ref > 0.0:
             raise ConfigError(f"[solver] sweep_z must be positive, got "
                               f"{z_ref} m")
         profile, (_, model_g), (_, model_p), spec = _rho_inputs(config)
+        with named("--sweep-N:"):  # TruncationSpec bounds each cutoff
+            orders = [replace(spec, orders=n).orders for n in cutoffs]
     out_dir.mkdir(parents=True, exist_ok=True)
     _wrote(*write_curves(rho_ratio_curves(config), out_dir, "rho_ratio"))
     if args.sweep_N:
@@ -190,10 +189,8 @@ def _gradient_model_for(args):
 
 
 def _cmd_calibrate(args) -> int:
-    try:
+    with named(f"--input {args.input}:"):
         samples = read_frequency_shift_samples(args.input)
-    except ValueError as exc:
-        raise ConfigError(f"--input {args.input}: {exc}") from None
     if args.find_v0:
         try:  # every check of the vertex fit is a check of the samples
             v0 = find_residual_voltage(samples)
@@ -326,8 +323,8 @@ def main(argv=None) -> int:
     if not args.check:
         if args.command == "calibrate" and not args.input:
             parser.error("calibrate requires --input (or --check)")
-        if args.command in ("grating", "pipeline") and not args.config:
-            parser.error(f"{args.command} requires --config (or --check)")
+        if args.command == "pipeline" and not args.config:
+            parser.error("pipeline requires --config (or --check)")
     try:
         if args.check:  # each subcommand names its checks.SUITES entry
             return _run_check("all" if getattr(args, "all_checks", False)

@@ -13,6 +13,7 @@ import configparser
 import hashlib
 import math
 import re
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,6 +23,19 @@ Array = np.ndarray
 
 class ConfigError(ValueError):
     """A configuration file is malformed or a value cannot be parsed."""
+
+
+@contextmanager
+def named(source: str):
+    """Re-raise a ValueError or KeyError from the block as a ConfigError
+    that starts with ``source``, the key, flag, section or variable read,
+    punctuation included (``"[solver]"``, ``"--z:"``); a KeyError gives
+    its bare message.  Other errors pass through unchanged."""
+    try:
+        yield
+    except (ValueError, KeyError) as exc:
+        message = exc.args[0] if isinstance(exc, KeyError) else exc
+        raise ConfigError(f"{source} {message}") from None
 
 
 # multipliers onto the working units (m, V, Hz, s, deg)
@@ -89,10 +103,8 @@ def parse_grid(text: str) -> Array:
         if match is None:
             raise ConfigError(f"grid {text!r} must be start:stop:stepUNIT")
         *numbers, unit = match.groups()
-        try:
+        with named(f"grid {text!r}:"):
             start, stop, step = (parse_quantity(v + unit) for v in numbers)
-        except ConfigError as exc:
-            raise ConfigError(f"grid {text!r}: {exc}") from None
         if not step > 0.0 or not stop > start:
             raise ConfigError(f"grid {text!r} needs stop > start, step > 0")
         n = (stop - start) / step
@@ -129,6 +141,24 @@ def parse_int_range(text: str) -> list[int]:
     return list(range(start, stop + 1, step))
 
 
+def _parse_integer(text: str) -> int:
+    try:
+        n = int(text)
+    except ValueError:
+        raise ConfigError(f"not an integer: {text!r}") from None
+    if n > _MAX_GRID_POINTS:
+        raise ConfigError(f"{n} is more than {_MAX_GRID_POINTS}")
+    return n
+
+
+def _parse_boolean(text: str) -> bool:
+    """true/yes/on/1 or false/no/off/0, in any case."""
+    value = configparser.ConfigParser.BOOLEAN_STATES.get(text.strip().lower())
+    if value is None:
+        raise ConfigError(f"not a boolean: {text!r}")
+    return value
+
+
 _REQUIRED = object()
 
 
@@ -150,11 +180,10 @@ class Config:
 
     @classmethod
     def from_file(cls, path) -> "Config":
-        try:
-            with open(path, "r", encoding="utf-8") as fh:
-                return cls.from_text(fh.read())
-        except UnicodeDecodeError as exc:
-            raise ConfigError(f"{path} is not UTF-8 text: {exc}") from None
+        with open(path, "r", encoding="utf-8") as fh:
+            with named(f"{path} is not UTF-8 text:"):
+                text = fh.read()
+        return cls.from_text(text)
 
     def digest(self) -> str:
         """Hash of the normalized content, for output provenance."""
@@ -165,56 +194,31 @@ class Config:
         payload = "\n".join(lines).encode()
         return hashlib.sha256(payload).hexdigest()[:16]
 
-    def _raw(self, section: str, key: str, default):
+    def _get(self, section: str, key: str, default, parse):
+        """``parse`` of the value of ``[section] key``, or of a text
+        default; any other default is returned as given."""
         if self._parser.has_option(section, key):
-            return self._parser.get(section, key)
-        if default is _REQUIRED:
+            raw = self._parser.get(section, key)
+        elif default is _REQUIRED:
             raise ConfigError(f"missing required key [{section}] {key}")
-        return None
+        elif isinstance(default, str):
+            raw = default
+        else:
+            return default
+        with named(f"[{section}] {key}:"):
+            return parse(raw)
 
-    def string(self, section: str, key: str, default=_REQUIRED):
-        raw = self._raw(section, key, default)
-        return default if raw is None else raw.strip()
+    def string(self, section: str, key: str, default=_REQUIRED) -> str:
+        return self._get(section, key, default, str.strip)
 
     def quantity(self, section: str, key: str, default=_REQUIRED) -> float:
-        raw = self._raw(section, key, default)
-        if raw is None:
-            return default
-        try:
-            return parse_quantity(raw)
-        except ConfigError as exc:
-            raise ConfigError(f"[{section}] {key}: {exc}") from None
+        return self._get(section, key, default, parse_quantity)
 
     def grid(self, section: str, key: str, default=_REQUIRED) -> Array:
-        raw = self._raw(section, key, default)
-        if raw is None:
-            return parse_grid(default)
-        try:
-            return parse_grid(raw)
-        except ConfigError as exc:
-            raise ConfigError(f"[{section}] {key}: {exc}") from None
+        return self._get(section, key, default, parse_grid)
 
     def integer(self, section: str, key: str, default=_REQUIRED) -> int:
-        raw = self._raw(section, key, default)
-        if raw is None:
-            return default
-        try:
-            n = int(raw)
-        except ValueError:
-            raise ConfigError(
-                f"[{section}] {key}: not an integer: {raw!r}") from None
-        if n > _MAX_GRID_POINTS:
-            raise ConfigError(f"[{section}] {key}: {n} is more than "
-                              f"{_MAX_GRID_POINTS}")
-        return n
+        return self._get(section, key, default, _parse_integer)
 
     def boolean(self, section: str, key: str, default=_REQUIRED) -> bool:
-        raw = self._raw(section, key, default)
-        if raw is None:
-            return default
-        lowered = raw.strip().lower()
-        if lowered in ("true", "yes", "on", "1"):
-            return True
-        if lowered in ("false", "no", "off", "0"):
-            return False
-        raise ConfigError(f"[{section}] {key}: not a boolean: {raw!r}")
+        return self._get(section, key, default, _parse_boolean)

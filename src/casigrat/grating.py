@@ -114,9 +114,11 @@ class GratingQuadrature:
             raise ValueError("need at least 4 nodes per axis")
 
 
-# Largest order cutoff N and worker thread count: each worker holds a node's
-# (n_ky, 4N+2, 4N+2) float64 tables, 52 MB apiece at N = 100 and 40 k_y.
+# Largest order cutoff N, slice count and worker thread count: each worker
+# holds a node's (n_ky, 4N+2, 4N+2) float64 tables, 52 MB apiece at N = 100
+# and 40 k_y, and its staircase's layers, 1.5 MB each there, 51 MB for 33.
 MAX_ORDERS = 100
+MAX_SLICES = 32
 MAX_WORKERS = 64
 
 
@@ -132,8 +134,9 @@ class TruncationSpec:
         if not 0 <= self.orders <= MAX_ORDERS:
             raise ValueError(f"orders must lie in [0, {MAX_ORDERS}], got "
                              f"{self.orders}")
-        if self.n_slices < 1:
-            raise ValueError("n_slices must be >= 1")
+        if not 1 <= self.n_slices <= MAX_SLICES:
+            raise ValueError(f"n_slices must lie in [1, {MAX_SLICES}], got "
+                             f"{self.n_slices}")
 
 
 # --------------------------------------------------------------------------
@@ -445,6 +448,9 @@ def _trace_over_z(r_sp: Array, kappa_vac: Array, r1_diag: Array,
     M' = R1 L^2 R2 = L M L^-1 has the same trace, as K commutes with L.
     Per z, loop operators with ||M'||_F < _NEUMANN_NORM take the Neumann
     sum 2 tr[K (M' + M'^2)]; the rest are solved in one batched call.
+    Every material has eps >= 1, so R1 has the signs of -S = diag(-I, I)
+    on the (s, p) orders; for a passive, reciprocal R2 (R2^T = S R2 S)
+    1 - M' is then positive definite up to a diagonal similarity.
     """
     tr = np.empty((z_grid.size, kappa_vac.shape[0]))
     for t, z in zip(tr, z_grid):
@@ -461,8 +467,9 @@ def _trace_over_z(r_sp: Array, kappa_vac: Array, r1_diag: Array,
                                       kappa_vac[big][:, :, None] * m_b)
             except np.linalg.LinAlgError as exc:
                 zs = ", ".join(f"{zz:.3e}" for zz in z_grid)
-                raise ModalError(f"loop operator singular at {context}, "
-                                 f"z in ({zs}): {exc}") from None
+                raise ModalError(f"a reflection matrix at {context} is not "
+                                 "passive or not reciprocal: 1 - M' is "
+                                 f"singular for z in ({zs}): {exc}") from None
             t[big] = np.einsum("bii->b", sol)
     tr *= 2.0
     bad = ~np.all(np.isfinite(tr), axis=1)

@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .calibration import fem_gradient_model
-from .config import Config, ConfigError
+from .config import Config, ConfigError, named
 from .curves import ForceCurve, write_curves
 from .electrostatics import SpherePlaneES, _meshing_profile, sphere_plane_gradient
 from .geometry import GratingProfile, reference_trench_profile
@@ -60,18 +60,14 @@ def _profile_from_config(config: Config) -> GratingProfile:
         depth=config.quantity("geometry", "depth", ref.depth),
         sidewall_angle_deg=config.quantity("geometry", "wall_angle",
                                            ref.sidewall_angle_deg))
-    try:
+    with named("[geometry]:"):
         return GratingProfile(**values)
-    except ValueError as exc:
-        raise ConfigError(f"[geometry]: {exc}") from exc
 
 
 def _meshable_profile_from_config(config: Config) -> GratingProfile:
     profile = _profile_from_config(config)
-    try:
+    with named("[geometry]:"):
         _meshing_profile(profile)
-    except ValueError as exc:
-        raise ConfigError(f"[geometry]: {exc}") from exc
     return profile
 
 
@@ -85,10 +81,8 @@ def _sphere_radius(config: Config) -> float:
 def _material_from_config(config: Config, key: str, default: str):
     """``[materials] <key>`` as (name, model); unknown names name the key."""
     name = config.string("materials", key, default)
-    try:
+    with named(f"[materials] {key}:"):
         return name, get_material(name)
-    except KeyError as exc:
-        raise ConfigError(f"[materials] {key}: {exc.args[0]}") from None
 
 
 def _solver_count(config: Config, key: str, default: int,
@@ -105,12 +99,10 @@ def _rho_inputs(config: Config):
     profile = _profile_from_config(config)
     grating = _material_from_config(config, "grating", "silicon_doped")
     plane = _material_from_config(config, "plane", "gold_drude")
-    orders = _solver_count(config, "orders", 8, 0)
+    orders = config.integer("solver", "orders", 8)
     n_slices = _solver_count(config, "slices", 4, 1)
-    try:  # TruncationSpec refuses orders above MAX_ORDERS
+    with named("[solver]"):  # TruncationSpec bounds orders and slices
         spec = TruncationSpec(orders=orders, n_slices=n_slices)
-    except ValueError as exc:
-        raise ConfigError(f"[solver] {exc}") from None
     return profile, grating, plane, spec
 
 
@@ -138,10 +130,8 @@ def flat_force_gradient_curve(config: Config) -> dict[str, ForceCurve]:
         rms = (config.quantity("roughness", "sphere_rms", 4e-9),
                config.quantity("roughness", "plane_rms", 0.6e-9))
         n_rough = config.integer("roughness", "n_points", 21)
-        try:
+        with named("[roughness]"):
             spec = RoughnessSpec.combined_gaussian(*rms, n_rough)
-        except ValueError as exc:
-            raise ConfigError(f"[roughness] {exc}") from exc
         pad = float(np.max(np.abs(spec.offsets)))
         if z_grid[0] <= pad:
             raise ConfigError(
@@ -182,16 +172,13 @@ def rho_ratio_curves(config: Config) -> dict[str, ForceCurve]:
     measured_path = config.string("measured", "gradient_csv", "")
     if measured_path:
         radius = _sphere_radius(config)
-        try:
+        with named("[measured] gradient_csv:"):
             measured = ForceCurve.from_csv(measured_path)
-        except ValueError as exc:
-            raise ConfigError(f"[measured] gradient_csv: {exc}") from exc
-        if not measured.z.size:
-            raise ConfigError(f"[measured] gradient_csv: {measured_path} "
-                              "has no data rows")
-        if not np.all(measured.z > 0.0):
-            raise ConfigError(f"[measured] gradient_csv: {measured_path}: "
-                              "separations z must be positive")
+            if not measured.z.size:
+                raise ValueError(f"{measured_path} has no data rows")
+            if not np.all(measured.z > 0.0):
+                raise ValueError(f"{measured_path}: separations z must be "
+                                 "positive")
 
     theory = rho_ratio(profile, model_g, model_p, z_grid, spec,
                        workers=workers)
@@ -268,8 +255,8 @@ def run_pipeline(config: Config, out_dir="out") -> list[Path]:
     """
     task = config.string("pipeline", "task")
     if task not in _TASK_FNS:
-        raise ConfigError(f"unknown pipeline task {task!r}; "
-                          f"choose from {TASKS}")
+        raise ConfigError("[pipeline] task: unknown pipeline task "
+                          f"{task!r}; choose from {TASKS}")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     return write_curves(_TASK_FNS[task](config), out, task)

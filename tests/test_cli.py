@@ -9,6 +9,7 @@ import casigrat.materials
 import casigrat.pipeline
 from casigrat.cli import main
 from casigrat.curves import ForceCurve, read_table
+from casigrat.planar import NumericalError
 
 SMALL_RHO_CFG = """\
 [pipeline]
@@ -475,6 +476,20 @@ def test_sweep_inputs_checked_before_grating(tmp_path, monkeypatch, capsys):
         assert key in capsys.readouterr().err
 
 
+def test_slices_cap_exits_2_before_grating(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(casigrat.grating, "casimir_pressure_grating_grid",
+                        unreachable)
+    cfg = tmp_path / "slices.cfg"
+    cfg.write_text("[pipeline]\ntask = rho_ratio\n[solver]\n"
+                   f"slices = {casigrat.grating.MAX_SLICES + 1}\n")
+    for argv in (["pipeline", "--config", str(cfg)],
+                 ["grating", "--config", str(cfg)],
+                 ["grating", "--config", str(cfg), "--sweep-N", "2:4:2"]):
+        assert main(argv + ["--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert "[solver]" in err and "slices" in err
+
+
 def test_worker_cap_exits_2_before_any_pool(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(casigrat.grating, "ThreadPoolExecutor", unreachable)
     monkeypatch.setenv("CASIGRAT_WORKERS",
@@ -492,3 +507,22 @@ def test_numerical_failures_exit_1(tmp_path):
     bad.write_text("z_piezo_nm,theta_rad,V_volt,delta_f_hz\n"
                    "100,0,0.3,-1\n200,0,0.3,-1.1\n300,0,0.3,-1.2\n")
     assert main(["calibrate", "--input", str(bad)]) == 1
+
+
+def test_numerical_failure_in_a_named_block_exits_1(tmp_path, monkeypatch,
+                                                     capsys):
+    # named turns only ValueError and KeyError into usage errors
+    def diverges(*args, **kwargs):
+        raise NumericalError("diverged")
+
+    cfg = tmp_path / "small.cfg"
+    cfg.write_text(SMALL_RHO_CFG)
+    for target, name, argv in (
+            (casigrat.cli, "read_frequency_shift_samples",
+             ["calibrate", "--input", str(tmp_path / "shifts.csv")]),
+            (casigrat.pipeline, "GratingProfile",
+             ["pipeline", "--config", str(cfg)])):
+        with monkeypatch.context() as m:
+            m.setattr(target, name, diverges)
+            assert main(argv + ["--out", str(tmp_path / "out")]) == 1
+        assert "numerical failure: diverged" in capsys.readouterr().err

@@ -12,6 +12,8 @@ from casigrat import (
     parse_int_range,
     parse_quantity,
 )
+from casigrat.config import named
+from casigrat.planar import NumericalError
 
 SAMPLE = """\
 # trench cell
@@ -139,6 +141,49 @@ def test_config_bad_values_name_the_key():
         cfg.integer("a", "big")
     with pytest.raises(ConfigError, match="not a boolean"):
         cfg.boolean("a", "b")
+
+
+def test_accessor_messages_start_with_the_key():
+    cfg = Config.from_text("[a]\nx = fast\nn = 1.5\nb = maybe\n"
+                           "big = 100001\nz = 1:3:1furlong\n")
+    for read, key, message in (
+            (cfg.quantity, "x", "[a] x: cannot parse quantity 'fast'"),
+            (cfg.integer, "n", "[a] n: not an integer: '1.5'"),
+            (cfg.integer, "big", "[a] big: 100001 is more than 100000"),
+            (cfg.boolean, "b", "[a] b: not a boolean: 'maybe'"),
+            (cfg.grid, "z", "[a] z: grid '1:3:1furlong': unknown unit "
+                            "suffix 'furlong'")):
+        with pytest.raises(ConfigError) as exc:
+            read("a", key)
+        assert str(exc.value) == message
+    # a text default goes through the same parser as a value
+    assert cfg.string("a", "missing", " gold ") == "gold"
+    assert cfg.boolean("a", "missing", "off") is False
+    with pytest.raises(ConfigError, match=r"^\[a\] missing: not an integer"):
+        cfg.integer("a", "missing", "many")
+
+
+def test_named_prefixes_the_source():
+    with pytest.raises(ConfigError) as exc:
+        with named("[solver]"):
+            raise ValueError("orders must lie in [0, 100], got 101")
+    assert str(exc.value) == "[solver] orders must lie in [0, 100], got 101"
+    # a KeyError's bare message, not its quoted repr
+    with pytest.raises(ConfigError) as exc:
+        with named("[materials] plane:"):
+            raise KeyError("unknown material 'golld'")
+    assert str(exc.value) == "[materials] plane: unknown material 'golld'"
+    with named("--z:"):
+        value = parse_grid("2m")
+    assert value.tolist() == [2.0]
+
+
+def test_named_passes_numerical_failures_through():
+    failure = NumericalError("quadrature did not converge")
+    with pytest.raises(NumericalError) as exc:
+        with named("[solver]"):
+            raise failure
+    assert exc.value is failure
 
 
 def test_config_rejects_duplicates_and_junk():

@@ -1,7 +1,8 @@
 """Every name a casigrat module imports is referenced by that module,
 every public function or class is exported or used in the package,
-private names and scipy modules are imported only where listed, files
-are opened only where listed and no module imports csv or io, and
+private names and scipy modules are imported only where listed, a bad
+value becomes a ConfigError only through config.named, files are opened
+only where listed and no module imports csv or io, and
 importing the package, evaluating its materials and flat-force laws and
 running the grating loads no scipy module, and importing it loads no
 process pool."""
@@ -123,6 +124,57 @@ def test_private_imports_are_allowlisted():
     found = sorted(entry for path in SRC.glob("*.py")
                    for entry in private_imports(path))
     assert found == PRIVATE_IMPORTS
+
+
+# (module, caught type) of each except handler that raises a ConfigError
+# built from the exception it caught: config.named, which every other
+# rewrap of a bad value goes through, the configparser error of
+# Config.from_text, and calibrate --find-v0's FitError, a RuntimeError
+# that named does not catch
+CONFIG_ERROR_REWRAPS = [
+    ("cli", "FitError"),
+    ("config", "(ValueError, KeyError)"),
+    ("config", "configparser.Error"),
+]
+
+
+def config_error_rewraps(source: str) -> list[str]:
+    """The caught type of each ``except ... as name`` handler in ``source``
+    that reads ``name`` and raises a ``ConfigError``."""
+    found = []
+    for handler in ast.walk(ast.parse(source)):
+        if not isinstance(handler, ast.ExceptHandler) or handler.name is None:
+            continue
+        nodes = [node for stmt in handler.body for node in ast.walk(stmt)]
+        reads = any(isinstance(node, ast.Name) and node.id == handler.name
+                    for node in nodes)
+        if reads and any(isinstance(node, ast.Raise)
+                         and isinstance(node.exc, ast.Call)
+                         and isinstance(node.exc.func, ast.Name)
+                         and node.exc.func.id == "ConfigError"
+                         for node in nodes):
+            found.append(ast.unparse(handler.type))
+    return found
+
+
+def test_scan_flags_a_config_error_rewrap():
+    source = ("try:\n    f()\nexcept ValueError as exc:\n"
+              "    raise ConfigError(f'[a] {exc}') from None\n"
+              "try:\n    f()\nexcept (KeyError, OSError) as err:\n"
+              "    text = str(err.args[0])\n"
+              "    raise ConfigError('[b] ' + text)\n"
+              "try:\n    f()\nexcept ValueError:\n"
+              "    raise ConfigError('not an integer')\n"
+              "try:\n    f()\nexcept ValueError as exc:\n"
+              "    raise RuntimeError(str(exc))\n")
+    assert config_error_rewraps(source) == ["ValueError",
+                                            "(KeyError, OSError)"]
+
+
+def test_config_errors_are_rewrapped_only_by_named():
+    found = sorted((path.stem, caught) for path in SRC.glob("*.py")
+                   for caught in config_error_rewraps(path.read_text("utf-8")))
+    assert found == CONFIG_ERROR_REWRAPS
 
 
 # (importing module, scipy module): only where numpy has no equivalent, the
