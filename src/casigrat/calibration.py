@@ -40,7 +40,7 @@ from .interpolate import pchip
 Array = np.ndarray
 
 
-class FitError(RuntimeError):
+class FitError(ValueError):
     """Calibration data cannot support the requested fit."""
 
 

@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import checks
-from .calibration import (FitError, fem_gradient_model, find_residual_voltage,
+from .calibration import (fem_gradient_model, find_residual_voltage,
                           fit_calibration, plate_gradient_model,
                           read_frequency_shift_samples, series_gradient_model)
 from .config import (Config, ConfigError, named, parse_grid, parse_int_range,
@@ -136,8 +136,14 @@ def _cmd_pfa(args) -> int:
     return 0
 
 
+def _recipe_config(path: str | None, task: str) -> Config:
+    """The config at ``path``, or the built-in defaults of recipe ``task``."""
+    return (Config.from_file(path) if path else
+            Config.from_text(f"[pipeline]\ntask = {task}\n"))
+
+
 def _cmd_grating(args) -> int:
-    config = Config.from_file(args.config)
+    config = _recipe_config(args.config, "rho_ratio")
     out_dir = Path(args.out)
     if args.sweep_N:  # read the sweep's inputs before the ratio curve runs
         cutoffs = _flag_value(parse_int_range, args.sweep_N, "--sweep-N")
@@ -163,8 +169,7 @@ def _cmd_grating(args) -> int:
 
 
 def _cmd_electrostatics(args) -> int:
-    config = (Config.from_file(args.config) if args.config else
-              Config.from_text("[pipeline]\ntask = electrostatic_gradient\n"))
+    config = _recipe_config(args.config, "electrostatic_gradient")
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     _wrote(*write_curves(electrostatic_gradient_curves(config), out_dir,
@@ -192,10 +197,9 @@ def _cmd_calibrate(args) -> int:
     with named(f"--input {args.input}:"):
         samples = read_frequency_shift_samples(args.input)
     if args.find_v0:
-        try:  # every check of the vertex fit is a check of the samples
+        # every check of the vertex fit is a check of the samples
+        with named(f"--input {args.input}:"):
             v0 = find_residual_voltage(samples)
-        except FitError as exc:
-            raise ConfigError(f"--input {args.input}: {exc}") from None
         print(f"residual voltage V0 = {v0:.6f} V")
         return 0
     lever_b = _flag_value(parse_quantity, args.lever_b, "--lever-b")
@@ -267,8 +271,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("grating", help="exact-to-proximity force ratio from "
                                        "scattering theory")
-    p.add_argument("--config", required=False,
-                   default="configs/rho_ratio.cfg")
+    p.add_argument("--config", help="config file (geometry, materials, "
+                   "grid, solver); default: the recipe's built-in values")
     p.add_argument("--sweep-N", dest="sweep_N",
                    help="order-cutoff sweep, e.g. 4:14:2")
     p.add_argument("--out", default="out",
@@ -335,7 +339,7 @@ def main(argv=None) -> int:
             raise  # not about a path the user named
         print(f"error: {exc}", file=sys.stderr)
         return _USAGE_ERROR
-    except (NumericalError, FitError, ValueError) as exc:
+    except (NumericalError, ValueError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return _NUMERICAL_ERROR
 

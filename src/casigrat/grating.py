@@ -126,7 +126,7 @@ MAX_WORKERS = 64
 class TruncationSpec:
     """Diffraction-order cutoff, staircase slicing, and quadrature."""
 
-    orders: int = 10
+    orders: int = 8
     n_slices: int = 4
     quadrature: GratingQuadrature = GratingQuadrature()
 
@@ -135,7 +135,7 @@ class TruncationSpec:
             raise ValueError(f"orders must lie in [0, {MAX_ORDERS}], got "
                              f"{self.orders}")
         if not 1 <= self.n_slices <= MAX_SLICES:
-            raise ValueError(f"n_slices must lie in [1, {MAX_SLICES}], got "
+            raise ValueError(f"slices must lie in [1, {MAX_SLICES}], got "
                              f"{self.n_slices}")
 
 
@@ -363,25 +363,24 @@ def _reflection_batch(profile: GratingProfile, model: DielectricModel,
             "a corrugated perfect conductor has no finite permittivity for "
             "the modal expansion; use get_material('conductor_proxy')")
 
-    # Every slab, bottom to top, then vacuum (slot 1.0).
-    fracs = [s.slot_width / profile.period for s in slabs] + [1.0]
-    layers = [_layer(_layer_modes(q, kn, eps_solid, f, context), q, kn, ky)
-              for f in fracs]
     n2 = 2 * kn.size
     d = np.concatenate([-np.ones(kn.size), np.ones(kn.size)])
+    # (slot fraction, thickness) of each level below the vacuum, bottom up.
+    levels = [(s.slot_width / profile.period, s.thickness) for s in slabs]
     if pc:
         # Vanishing tangential E on the conductor: W (c+ + D c-) = 0.
         r = np.broadcast_to(np.diag(-d), (ky.size, n2, n2))
     else:
-        # The substrate carries no upward wave: climb from r = 0.
-        substrate = _layer(_layer_modes(q, kn, eps_solid, 0.0, context),
-                           q, kn, ky)
-        r = _climb(np.zeros((ky.size, n2, n2)),
-                   *_interface(substrate, layers[0], q, kn, ky), d, context)
+        # The substrate, a level of slot 0 and thickness 0, carries no
+        # upward wave: climb from r = 0.
+        r = np.zeros((ky.size, n2, n2))
+        levels.insert(0, (0.0, 0.0))
+    layers = [_layer(_layer_modes(q, kn, eps_solid, f, context), q, kn, ky)
+              for f, _ in levels + [(1.0, 0.0)]]
 
-    # March upward: propagate through each slab, then cross its top.
-    for slab, below, above in zip(slabs, layers, layers[1:]):
-        phi = np.exp(-below.kappa * slab.thickness)  # (nky, 2 n1)
+    # March upward: propagate through each level, then cross its top.
+    for (_, thickness), below, above in zip(levels, layers, layers[1:]):
+        phi = np.exp(-below.kappa * thickness)  # (nky, 2 n1)
         r = _climb(phi[:, :, None] * r * phi[:, None, :],
                    *_interface(below, above, q, kn, ky), d, context)
 
@@ -551,6 +550,8 @@ def rho_ratio(profile: GratingProfile, model_grating: DielectricModel,
     the sphere force-gradient ratio.
     """
     z_arr = np.atleast_1d(np.asarray(z_grid, dtype=float))
+    if not np.all(np.diff(z_arr) > 0.0):  # checked before the costly grid
+        raise ValueError("z grid must be strictly increasing")
     exact = casimir_pressure_grating_grid(profile, model_grating, model_plane,
                                           z_arr, spec, workers=workers)
     law = flat_pressure_law(model_plane, model_grating,

@@ -99,10 +99,10 @@ def _rho_inputs(config: Config):
     profile = _profile_from_config(config)
     grating = _material_from_config(config, "grating", "silicon_doped")
     plane = _material_from_config(config, "plane", "gold_drude")
-    orders = config.integer("solver", "orders", 8)
-    n_slices = _solver_count(config, "slices", 4, 1)
+    orders = config.integer("solver", "orders", TruncationSpec().orders)
+    slices = config.integer("solver", "slices", TruncationSpec().n_slices)
     with named("[solver]"):  # TruncationSpec bounds orders and slices
-        spec = TruncationSpec(orders=orders, n_slices=n_slices)
+        spec = TruncationSpec(orders=orders, n_slices=slices)
     return profile, grating, plane, spec
 
 

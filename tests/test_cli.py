@@ -112,6 +112,19 @@ def test_grating_with_order_sweep(tmp_path):
     assert [int(r.split(",")[0]) for r in rows[1:]] == [2, 4]
 
 
+def test_grating_runs_the_recipe_defaults_outside_a_checkout(tmp_path,
+                                                             monkeypatch):
+    def ratio_of_one(profile, model_g, model_p, z_grid, spec, workers):
+        return ForceCurve(z_grid, np.ones(len(z_grid)), unit="dimensionless")
+
+    monkeypatch.chdir(tmp_path)  # no configs/ directory here
+    monkeypatch.setattr(casigrat.pipeline, "rho_ratio", ratio_of_one)
+    out_dir = tmp_path / "out"
+    assert main(["grating", "--out", str(out_dir)]) == 0
+    rho = ForceCurve.from_csv(out_dir / "rho_ratio_rho_theory.csv")
+    assert rho.metadata["orders"] == "8"
+
+
 def test_electrostatics_outputs_ordered_curves(tmp_path):
     cfg = tmp_path / "es.cfg"
     cfg.write_text(ES_CFG)

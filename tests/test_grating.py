@@ -414,7 +414,7 @@ def test_argument_validation(trench):
         TruncationSpec(grating.MAX_ORDERS + 1, 1)
     with pytest.raises(ValueError):
         TruncationSpec(4, 0)
-    with pytest.raises(ValueError, match="n_slices must lie in"):
+    with pytest.raises(ValueError, match="slices must lie in"):
         TruncationSpec(1, grating.MAX_SLICES + 1)
     with pytest.raises(ValueError):
         GratingQuadrature(2, 8, 8)
@@ -821,6 +821,18 @@ def test_rho_shallow_corrugation_near_unity():
     spec = TruncationSpec(6, 2, GratingQuadrature(24, 6, 24))
     curve = rho_ratio(shallow, si, gold, [150e-9], spec)
     assert abs(curve.values[0] - 1.0) < 0.02
+
+
+def test_rho_refuses_a_non_increasing_grid_before_the_grid(trench,
+                                                          monkeypatch):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("the grid ran")
+
+    monkeypatch.setattr(grating, "casimir_pressure_grating_grid", unreachable)
+    for z in ([200e-9, 100e-9], [150e-9, 150e-9]):
+        with pytest.raises(ValueError, match="strictly increasing"):
+            rho_ratio(trench, get_material("silicon_doped"),
+                      get_material("gold_drude"), z, TruncationSpec(2, 2))
 
 
 def test_rho_real_materials_window(trench):

@@ -128,11 +128,9 @@ def test_private_imports_are_allowlisted():
 
 # (module, caught type) of each except handler that raises a ConfigError
 # built from the exception it caught: config.named, which every other
-# rewrap of a bad value goes through, the configparser error of
-# Config.from_text, and calibrate --find-v0's FitError, a RuntimeError
-# that named does not catch
+# rewrap of a bad value goes through, and the configparser error of
+# Config.from_text
 CONFIG_ERROR_REWRAPS = [
-    ("cli", "FitError"),
     ("config", "(ValueError, KeyError)"),
     ("config", "configparser.Error"),
 ]

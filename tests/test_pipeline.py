@@ -6,14 +6,17 @@ dual runs order idealized above real and trench below flat.
 """
 
 import os
+from dataclasses import astuple
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import casigrat.pipeline
 from casigrat import (
     Config,
     ConfigError,
+    ForceCurve,
     flat_force_gradient_curve,
     electrostatic_gradient_curves,
     rho_ratio_curves,
@@ -170,6 +173,51 @@ def test_trench_gradient_below_flat():
     assert np.all(corr.values > 0.0)
     assert np.all(np.diff(flat.values) < 0.0)
     assert np.all(np.diff(corr.values) < 0.0)
+
+
+def _recipe_inputs(config: Config, monkeypatch) -> dict:
+    """What the rho or electrostatic recipe hands its costly calls."""
+    seen = {}
+
+    def rho(profile, model_g, model_p, z_grid, spec, workers):
+        seen.update(geometry=astuple(profile), z=z_grid.tolist(), spec=spec)
+        return ForceCurve(z_grid, np.ones(z_grid.size), unit="dimensionless")
+
+    def series(es):
+        seen.update(radius=es.R, z=es.d.tolist(), volt=es.V, v0=es.V0)
+        return np.ones(es.d.size)
+
+    def fem(profile, radius, z_min, z_max, n_points, v0):
+        seen.update(geometry=astuple(profile), fem_radius=radius,
+                    fem=(z_min, z_max, n_points, v0))
+        return lambda z, volt: seen.update(fem_volt=volt) or np.zeros(z.size)
+
+    monkeypatch.setattr(casigrat.pipeline, "rho_ratio", rho)
+    monkeypatch.setattr(casigrat.pipeline, "sphere_plane_gradient", series)
+    monkeypatch.setattr(casigrat.pipeline, "fem_gradient_model", fem)
+    curves = casigrat.pipeline._TASK_FNS[config.string("pipeline", "task")](
+        config)
+    seen["materials"] = next(iter(curves.values())).metadata.get("materials")
+    return seen
+
+
+@pytest.mark.parametrize("task", ["rho_ratio", "electrostatic_gradient"])
+def test_shipped_configs_restate_the_recipe_defaults(task, monkeypatch):
+    # casigrat grating and electrostatics without --config run the built-in
+    # defaults, so they must compute what the shipped configs compute
+    shipped = _recipe_inputs(Config.from_file(CONFIGS / f"{task}.cfg"),
+                             monkeypatch)
+    built_in = _recipe_inputs(_cfg(f"[pipeline]\ntask = {task}\n"),
+                              monkeypatch)
+    assert shipped.keys() == built_in.keys()
+    # a parsed "400nm" is 400 * 1e-9, one ulp from the literal 4e-07
+    close = ("geometry", "radius", "fem_radius", "volt", "fem_volt")
+    for key in shipped:
+        if key in close:
+            np.testing.assert_allclose(shipped[key], built_in[key],
+                                       rtol=1e-15, atol=0.0, err_msg=key)
+        else:
+            assert shipped[key] == built_in[key], key
 
 
 def test_run_pipeline_writes_deterministic_csv(tmp_path):
