@@ -57,6 +57,7 @@ from .grating import (
     convergence_sweep,
     grating_reflection,
     rho_ratio,
+    worker_count,
 )
 from .materials import (
     DielectricModel,
@@ -81,7 +82,6 @@ from .pipeline import (
     flat_force_gradient_curve,
     rho_ratio_curves,
     run_pipeline,
-    worker_count,
 )
 from .planar import (
     NumericalError,
@@ -114,14 +114,14 @@ __all__ = [
     "GratingProfile", "Slab", "height_profile", "reference_trench_profile", "staircase",
     "GratingQuadrature", "ModalError", "TruncationSpec",
     "casimir_force_grating", "casimir_pressure_grating_grid", "convergence_sweep",
-    "grating_reflection", "rho_ratio",
+    "grating_reflection", "rho_ratio", "worker_count",
     "DielectricModel", "Drude", "DrudeLorentz", "PerfectConductor", "Tabulated",
     "available_materials", "get_material", "intrinsic_silicon_table",
     "load_tabulated_epsilon",
     "FlatForceLaw", "flat_pressure_law", "pfa_corrugated",
     "pfa_share_topbottom",
     "TASKS", "electrostatic_gradient_curves", "flat_force_gradient_curve",
-    "rho_ratio_curves", "run_pipeline", "worker_count",
+    "rho_ratio_curves", "run_pipeline",
     "NumericalError", "RoughnessSpec", "casimir_pressure_planar",
     "force_gradient_sphere_plane", "fresnel_te_tm", "ideal_pressure",
     "roughness_average",

@@ -32,7 +32,7 @@ from .materials import available_materials, get_material, is_perfect_conductor
 from .pfa import flat_pressure_law, pfa_corrugated, pfa_share_topbottom
 from .pipeline import (_meshable_profile_from_config, _profile_from_config,
                        _rho_inputs, electrostatic_gradient_curves,
-                       rho_ratio_curves, run_pipeline, worker_count)
+                       rho_ratio_curves, run_pipeline)
 from .planar import NumericalError, casimir_pressure_planar
 
 _USAGE_ERROR = 2
@@ -158,7 +158,7 @@ def _cmd_grating(args) -> int:
     _wrote(*write_curves(rho_ratio_curves(config), out_dir, "rho_ratio"))
     if args.sweep_N:
         rows = convergence_sweep(profile, model_g, model_p, z_ref, orders,
-                                 spec, workers=worker_count())
+                                 spec)
         _wrote(write_table(out_dir / "rho_ratio_convergence.csv",
                            ("orders", "pressure_pa"),
                            ((str(n), p) for n, p in rows),

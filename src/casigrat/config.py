@@ -38,15 +38,14 @@ def named(source: str):
         raise ConfigError(f"{source} {message}") from None
 
 
-# multipliers onto the working units (m, V, Hz, s, deg)
-_UNIT_SCALE = {
-    "": 1.0,
-    "m": 1.0, "mm": 1e-3, "um": 1e-6, "µm": 1e-6, "nm": 1e-9,
-    "pm": 1e-12,
-    "v": 1.0, "mv": 1e-3, "uv": 1e-6,
-    "hz": 1.0, "khz": 1e3, "mhz": 1e6, "ghz": 1e9,
-    "s": 1.0, "ms": 1e-3, "us": 1e-6,
-    "deg": 1.0, "rad": 180.0 / math.pi,
+# power-of-ten exponents onto the working units (m, V, Hz, s, deg)
+_UNIT_EXPONENT = {
+    "": 0,
+    "m": 0, "mm": -3, "um": -6, "µm": -6, "nm": -9, "pm": -12,
+    "v": 0, "mv": -3, "uv": -6,
+    "hz": 0, "khz": 3, "mhz": 6, "ghz": 9,
+    "s": 0, "ms": -3, "us": -6,
+    "deg": 0, "rad": 0,
 }
 # case matters only where SI prefixes collide (mV vs MHz); resolve by
 # lowercasing everything except the M prefix
@@ -58,26 +57,26 @@ _RANGE_RE = re.compile(
     rf"^\s*({_NUMBER})\s*:\s*({_NUMBER})\s*:\s*({_NUMBER})\s*([a-zA-Zµ]*)\s*$")
 
 
-def _unit_scale(unit: str) -> float:
-    if unit in _CASE_SENSITIVE:
-        mapped = _CASE_SENSITIVE[unit]
-        if mapped is None:
-            raise ConfigError(f"ambiguous unit suffix {unit!r}")
-        return _UNIT_SCALE[mapped]
-    key = unit if unit in _UNIT_SCALE else unit.lower()
-    if key not in _UNIT_SCALE:
-        raise ConfigError(f"unknown unit suffix {unit!r}")
-    return _UNIT_SCALE[key]
-
-
 def parse_quantity(text: str) -> float:
     """Parse ``98nm`` / ``0.3V`` / ``94.6deg`` / ``1.5`` to a float in
-    working units.  Bare numbers are dimensionless."""
+    working units.  Bare numbers are dimensionless; a number and its unit
+    prefix are read as one decimal literal (``400nm`` is ``4e-07``)."""
     match = _QUANTITY_RE.match(str(text))
     if match is None:
         raise ConfigError(f"cannot parse quantity {text!r}")
     value, unit = match.groups()
-    result = float(value) * _unit_scale(unit)
+    key = _CASE_SENSITIVE.get(unit, unit.lower())
+    if key is None:
+        raise ConfigError(f"ambiguous unit suffix {unit!r}")
+    if key not in _UNIT_EXPONENT:
+        raise ConfigError(f"unknown unit suffix {unit!r}")
+    mantissa, _, exponent = value.lower().partition("e")
+    sign, digits = re.fullmatch(r"([+-]?)0*(\d*)", exponent).groups()
+    if len(digits) < 9:  # else the float is 0 or inf whatever the prefix
+        exponent = int(sign + (digits or "0")) + _UNIT_EXPONENT[key]
+    result = float(f"{mantissa}e{exponent}")
+    if key == "rad":
+        result *= 180.0 / math.pi
     if not math.isfinite(result):
         raise ConfigError(f"quantity {text!r} is non-finite")
     return result

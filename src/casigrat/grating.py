@@ -52,24 +52,25 @@ negligible: where ||M'||_F < 2^-26 the trace is taken from the Neumann
 sum 2 tr[kappa (M' + M'^2)], whose remainder lies below rounding, and
 only the other operators go through the batched linear solve.
 
-The integral is assembled from one node function of (xi, k_x),
-``_node_contribution``, which returns the k_y-summed trace for every z;
-the inputs all nodes share are bound to it once with ``functools.partial``.
-A thread pool's order-preserving ``map`` evaluates it over the xi-major
-node list, numpy's linear algebra releasing the GIL, and the weighted
-contributions are added one by one in node order.  The sum sees the same
-operands in the same order for any worker count, which thus cannot change it.
+The integral is assembled from one node function of (xi, k_x), a closure
+over the inputs all nodes share that returns the k_y-summed trace for
+every z.  A pool of ``worker_count(workers)`` threads maps it, in order,
+over the xi-major node list, numpy's linear algebra releasing the GIL,
+and the weighted contributions are added one by one in node order.  The
+sum sees the same operands in the same order for any worker count, which
+thus cannot change it.
 """
 
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
-from functools import partial
 
 import numpy as np
 
+from .config import ConfigError
 from .constants import C_LIGHT, HBAR
 from .curves import ForceCurve
 from .geometry import GratingProfile, staircase
@@ -120,6 +121,31 @@ class GratingQuadrature:
 MAX_ORDERS = 100
 MAX_SLICES = 32
 MAX_WORKERS = 64
+
+
+def worker_count(workers: int | None = None) -> int:
+    """Threads of the grating node map: ``workers`` if given, else the
+    CASIGRAT_WORKERS environment variable, else the cores this process may
+    run on, at most MAX_WORKERS.  A count outside [1, MAX_WORKERS] raises
+    a ValueError naming ``workers``, or a ConfigError naming the variable.
+    """
+    name, error = "workers", ValueError
+    if workers is None:
+        raw = os.environ.get("CASIGRAT_WORKERS")
+        if raw is None:
+            cores = (len(os.sched_getaffinity(0))
+                     if hasattr(os, "sched_getaffinity")
+                     else os.cpu_count() or 1)
+            return min(cores, MAX_WORKERS)
+        name, error = "CASIGRAT_WORKERS", ConfigError
+        try:
+            workers = int(raw)
+        except ValueError:
+            raise ConfigError(f"CASIGRAT_WORKERS must be an integer, got "
+                              f"{raw!r}") from None
+    if not 1 <= workers <= MAX_WORKERS:
+        raise error(f"{name} must lie in [1, {MAX_WORKERS}], got {workers}")
+    return workers
 
 
 @dataclass(frozen=True)
@@ -478,34 +504,20 @@ def _trace_over_z(r_sp: Array, kappa_vac: Array, r1_diag: Array,
     return tr @ ky_w
 
 
-def _node_contribution(xi: float, k_x: float, *, profile: GratingProfile,
-                       model_grating: DielectricModel,
-                       model_plane: DielectricModel, ky_nodes: Array,
-                       ky_w: Array, z_grid: Array, orders: int,
-                       n_slices: int) -> Array:
-    """One (xi, k_x) node: k_y-batched reflection plus z-grid traces."""
-    r_sp, kappa_vac, k_t, context = _reflection_batch(
-        profile, model_grating, xi, k_x, ky_nodes, orders, n_slices)
-    r1_diag = np.concatenate(fresnel_te_tm(model_plane, xi, k_t), axis=1)
-    return _trace_over_z(r_sp, kappa_vac, r1_diag, z_grid, ky_w, context)
-
-
 def casimir_pressure_grating_grid(profile: GratingProfile,
                                   model_grating: DielectricModel,
                                   model_plane: DielectricModel,
                                   z_grid,
                                   spec: TruncationSpec | None = None,
-                                  workers: int = 1) -> Array:
+                                  workers: int | None = None) -> Array:
     """Grating-plane Casimir pressure (Pa, negative) on a separation grid.
 
     The modal eigenproblems depend only on (xi, k_x), so one reflection
     table is reused across the whole z grid.  The nodes run on a pool of
-    ``workers`` threads, 1 to MAX_WORKERS and at most one per node; the
-    result is the same bit for bit for every count.
+    ``worker_count(workers)`` threads, at most one per node; the result is
+    the same bit for bit for every count.
     """
-    if not 1 <= workers <= MAX_WORKERS:
-        raise ValueError(f"workers must lie in [1, {MAX_WORKERS}], got "
-                         f"{workers}")
+    workers = worker_count(workers)
     spec = spec or TruncationSpec()
     z_arr = np.atleast_1d(np.asarray(z_grid, dtype=float))
     if np.any(z_arr <= 0.0):
@@ -517,10 +529,15 @@ def casimir_pressure_grating_grid(profile: GratingProfile,
     xi = np.repeat(q_nodes * C_LIGHT, kx_nodes.size)
     k_x = np.tile(kx_nodes, q_nodes.size)
     weights = np.outer(q_w * C_LIGHT, kx_w).ravel()
-    node = partial(_node_contribution, profile=profile,
-                   model_grating=model_grating, model_plane=model_plane,
-                   ky_nodes=ky_nodes, ky_w=ky_w, z_grid=z_arr,
-                   orders=spec.orders, n_slices=spec.n_slices)
+
+    def node(xi: float, k_x: float) -> Array:
+        """One (xi, k_x) node: k_y-batched reflection plus z-grid traces."""
+        r_sp, kappa_vac, k_t, context = _reflection_batch(
+            profile, model_grating, xi, k_x, ky_nodes, spec.orders,
+            spec.n_slices)
+        r1_diag = np.concatenate(fresnel_te_tm(model_plane, xi, k_t), axis=1)
+        return _trace_over_z(r_sp, kappa_vac, r1_diag, z_arr, ky_w, context)
+
     with ThreadPoolExecutor(max_workers=min(workers, xi.size)) as pool:
         contribs = list(pool.map(node, xi, k_x))
 
@@ -542,7 +559,7 @@ def casimir_force_grating(profile: GratingProfile,
 def rho_ratio(profile: GratingProfile, model_grating: DielectricModel,
               model_plane: DielectricModel, z_grid,
               spec: TruncationSpec | None = None,
-              workers: int = 1) -> ForceCurve:
+              workers: int | None = None) -> ForceCurve:
     """Ratio of the exact grating pressure to its proximity-force value.
 
     Both numerator and denominator refer to the same flat-surface theory;
@@ -565,7 +582,7 @@ def rho_ratio(profile: GratingProfile, model_grating: DielectricModel,
 def convergence_sweep(profile: GratingProfile, model_grating: DielectricModel,
                       model_plane: DielectricModel, z_ref: float,
                       orders_list, spec: TruncationSpec | None = None,
-                      workers: int = 1) -> list[tuple[int, float]]:
+                      workers: int | None = None) -> list[tuple[int, float]]:
     """Pressure at z_ref for each diffraction-order cutoff in the list."""
     spec = spec or TruncationSpec()
     out = []

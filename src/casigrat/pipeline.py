@@ -9,7 +9,6 @@ identical configs give byte-identical CSV bodies.
 
 from __future__ import annotations
 
-import os
 from dataclasses import replace
 from pathlib import Path
 
@@ -20,7 +19,7 @@ from .config import Config, ConfigError, named
 from .curves import ForceCurve, write_curves
 from .electrostatics import SpherePlaneES, _meshing_profile, sphere_plane_gradient
 from .geometry import GratingProfile, reference_trench_profile
-from .grating import MAX_WORKERS, TruncationSpec, rho_ratio
+from .grating import TruncationSpec, rho_ratio
 from .materials import get_material
 from .pfa import flat_pressure_law, pfa_corrugated
 # casimir_pressure_planar stays bound here for perfbench's tracer tests
@@ -29,25 +28,6 @@ from .planar import (RoughnessSpec, casimir_pressure_planar,  # noqa: F401
 
 _DEFAULT_RADIUS = 50e-6
 _DEFAULT_Z = "100:600:25nm"
-
-
-def worker_count() -> int:
-    """Worker threads for the grating node map, from the CASIGRAT_WORKERS
-    environment variable; unset, the cores this process may run on, at
-    most MAX_WORKERS."""
-    raw = os.environ.get("CASIGRAT_WORKERS")
-    if raw is None:
-        cores = (len(os.sched_getaffinity(0))
-                 if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1)
-        return min(cores, MAX_WORKERS)
-    try:
-        n = int(raw)
-    except ValueError:
-        raise ConfigError(f"CASIGRAT_WORKERS must be an integer, got {raw!r}")
-    if not 1 <= n <= MAX_WORKERS:
-        raise ConfigError(f"CASIGRAT_WORKERS must lie in [1, {MAX_WORKERS}], "
-                          f"got {n}")
-    return n
 
 
 def _profile_from_config(config: Config) -> GratingProfile:
@@ -168,7 +148,6 @@ def rho_ratio_curves(config: Config) -> dict[str, ForceCurve]:
     (profile, (grating_mat, model_g), (plane_mat, model_p),
      spec) = _rho_inputs(config)
     z_grid = config.grid("grid", "z", "100:250:30nm")
-    workers = worker_count()
     measured_path = config.string("measured", "gradient_csv", "")
     if measured_path:
         radius = _sphere_radius(config)
@@ -180,8 +159,7 @@ def rho_ratio_curves(config: Config) -> dict[str, ForceCurve]:
                 raise ValueError(f"{measured_path}: separations z must be "
                                  "positive")
 
-    theory = rho_ratio(profile, model_g, model_p, z_grid, spec,
-                       workers=workers)
+    theory = rho_ratio(profile, model_g, model_p, z_grid, spec)
     meta = _base_metadata(config, "rho_ratio")
     meta.update({"materials": f"{grating_mat}/{plane_mat}",
                  "orders": str(spec.orders),

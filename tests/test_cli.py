@@ -114,7 +114,8 @@ def test_grating_with_order_sweep(tmp_path):
 
 def test_grating_runs_the_recipe_defaults_outside_a_checkout(tmp_path,
                                                              monkeypatch):
-    def ratio_of_one(profile, model_g, model_p, z_grid, spec, workers):
+    def ratio_of_one(profile, model_g, model_p, z_grid, spec,
+                     workers=None):
         return ForceCurve(z_grid, np.ones(len(z_grid)), unit="dimensionless")
 
     monkeypatch.chdir(tmp_path)  # no configs/ directory here

@@ -35,10 +35,13 @@ refine = true
 
 
 def test_parse_quantity_units():
-    assert parse_quantity("98nm") == pytest.approx(98e-9, rel=1e-15)
-    assert parse_quantity("151.7um") == pytest.approx(151.7e-6, rel=1e-15)
+    # the number and the prefix are read as one decimal literal
+    assert parse_quantity("98nm") == 98e-9
+    assert parse_quantity("400nm") == 4e-07
+    assert parse_quantity("1.5e2nm") == 1.5e-7
+    assert parse_quantity("151.7um") == 151.7e-6
     assert parse_quantity("0.3V") == 0.3
-    assert parse_quantity("300mV") == pytest.approx(0.3, rel=1e-15)
+    assert parse_quantity("300mV") == 0.3
     assert parse_quantity("94.6deg") == 94.6
     assert parse_quantity("1783Hz") == 1783.0
     assert parse_quantity("2.5") == 2.5
@@ -54,6 +57,15 @@ def test_parse_quantity_rejects_garbage():
             parse_quantity(bad)
     with pytest.raises(ConfigError, match="ambiguous"):
         parse_quantity("3mHz")
+
+
+def test_parse_quantity_exponent_past_the_int_digit_limit():
+    # an exponent too long for int() still over- or underflows like float()
+    huge = "1" * 5000
+    with pytest.raises(ConfigError, match="non-finite"):
+        parse_quantity(f"1e{huge}nm")
+    assert parse_quantity(f"1e-{huge}nm") == 0.0
+    assert parse_quantity(f"1e+{'0' * 5000}1nm") == 1e-8
 
 
 def test_parse_grid_range_form():

@@ -1,6 +1,6 @@
 """Smoke test: the fast demo scripts run to completion against the library.
 
-``grating_scattering.py`` is left out: it takes about 28 s on two cores,
+``grating_scattering.py`` is left out: it takes about 12 s on two cores,
 longer than the rest of this file together, and the grating layer it
 drives is covered by ``test_grating.py``.  A static scan still checks
 that every name it, the other demos and the README tour import from

@@ -17,6 +17,7 @@ invariances.
 """
 
 import math
+import os
 import time
 
 import numpy as np
@@ -26,6 +27,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from casigrat import (
+    ConfigError,
     GratingProfile,
     GratingQuadrature,
     ModalError,
@@ -746,6 +748,48 @@ def test_worker_count_outside_range_raises_before_any_pool(trench, workers,
                                       spec, workers=workers)
 
 
+@pytest.mark.parametrize("env, cores, pools", [("3", 8, [3]), (None, 4, [4])])
+def test_grid_without_workers_follows_the_one_default(trench, monkeypatch,
+                                                      env, cores, pools):
+    # a library call sizes its pool as the CLI does: CASIGRAT_WORKERS, else
+    # the usable cores
+    sizes = []
+    pool = grating.ThreadPoolExecutor
+
+    def recording_pool(max_workers):
+        sizes.append(max_workers)
+        return pool(max_workers=1)
+
+    monkeypatch.setattr(grating, "ThreadPoolExecutor", recording_pool)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)),
+                        raising=False)
+    if env is None:
+        monkeypatch.delenv("CASIGRAT_WORKERS", raising=False)
+    else:
+        monkeypatch.setenv("CASIGRAT_WORKERS", env)
+    spec = TruncationSpec(1, 1, GratingQuadrature(4, 4, 4))  # 16 nodes
+    casimir_pressure_grating_grid(trench, get_material("silicon_doped"),
+                                  get_material("gold_drude"), [150e-9], spec)
+    assert sizes == pools
+
+
+def test_grid_without_workers_rejects_the_variable_before_any_pool(
+        trench, monkeypatch):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a pool was opened")
+
+    monkeypatch.setattr(grating, "ThreadPoolExecutor", no_pool)
+    monkeypatch.setenv("CASIGRAT_WORKERS", str(grating.MAX_WORKERS + 1))
+    spec = TruncationSpec(1, 1, GratingQuadrature(4, 4, 4))
+    with pytest.raises(ConfigError) as err:
+        casimir_pressure_grating_grid(trench, get_material("silicon_doped"),
+                                      get_material("gold_drude"), [150e-9],
+                                      spec)
+    assert str(err.value) == (f"CASIGRAT_WORKERS must lie in "
+                              f"[1, {grating.MAX_WORKERS}], got "
+                              f"{grating.MAX_WORKERS + 1}")
+
+
 @settings(max_examples=8, deadline=None, derandomize=True)
 @given(slot=st.floats(0.1, 0.9), orders=st.integers(1, 2),
        slices=st.integers(1, 2),
@@ -765,15 +809,16 @@ def test_modal_error_at_first_node_stops_the_run(trench, monkeypatch):
     (q, _), (kx, _), _ = grating._quad_nodes(np.array([150e-9]),
                                              trench.period, quad)
     calls = []
+    reflection_batch = grating._reflection_batch
 
-    def node(xi, k_x, **kwargs):
+    def reflection(profile, model, xi, k_x, *args):
         calls.append((xi, k_x))
         if (xi, k_x) == (q[0] * C_LIGHT, kx[0]):
             raise ModalError("singular at the first node")
         time.sleep(0.05)
-        return np.zeros(1)
+        return reflection_batch(profile, model, xi, k_x, *args)
 
-    monkeypatch.setattr(grating, "_node_contribution", node)
+    monkeypatch.setattr(grating, "_reflection_batch", reflection)
     with pytest.raises(ModalError, match="first node"):
         casimir_pressure_grating_grid(trench, get_material("silicon_doped"),
                                       get_material("gold_drude"), [150e-9],

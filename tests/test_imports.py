@@ -2,10 +2,10 @@
 every public function or class is exported or used in the package,
 private names and scipy modules are imported only where listed, a bad
 value becomes a ConfigError only through config.named, files are opened
-only where listed and no module imports csv or io, and
-importing the package, evaluating its materials and flat-force laws and
-running the grating loads no scipy module, and importing it loads no
-process pool."""
+only where listed and no module imports csv or io, only the grating
+reads the environment, and importing the package, evaluating its
+materials and flat-force laws and running the grating loads no scipy
+module, and importing it loads no process pool."""
 
 import ast
 import os
@@ -250,6 +250,38 @@ def test_scan_flags_open_csv_and_io(tmp_path):
         assert opens_files(source)
     source.write_text("import numpy as np\nnp.asarray([1.0])\n")
     assert not opens_files(source)
+
+
+# modules that read the environment (os.environ or os.getenv): the grating,
+# whose worker_count is the one reader of CASIGRAT_WORKERS
+ENVIRONMENT_READERS = ["grating"]
+_ENVIRONMENT = ("environ", "getenv")
+
+
+def reads_environment(path: Path) -> bool:
+    """Whether ``path`` names ``os.environ`` or ``os.getenv``, as an
+    attribute or imported from os."""
+    return any(isinstance(node, ast.Attribute) and node.attr in _ENVIRONMENT
+               or isinstance(node, ast.ImportFrom) and node.module == "os"
+               and any(a.name in _ENVIRONMENT for a in node.names)
+               for node in ast.walk(ast.parse(path.read_text("utf-8"))))
+
+
+def test_environment_is_read_only_by_the_grating():
+    assert sorted(path.stem for path in SRC.glob("*.py")
+                  if reads_environment(path)) == ENVIRONMENT_READERS
+
+
+def test_scan_flags_environment_reads(tmp_path):
+    source = tmp_path / "mod.py"
+    for code in ("import os\nn = os.environ.get('N')\n",
+                 "import os\nn = os.getenv('N')\n",
+                 "from os import environ\nn = environ['N']\n",
+                 "from os import getenv as env\nn = env('N')\n"):
+        source.write_text(code)
+        assert reads_environment(source), code
+    source.write_text("import os\nn = os.cpu_count()\n")
+    assert not reads_environment(source)
 
 
 # a fresh interpreter: import the package, parse every shipped config,
