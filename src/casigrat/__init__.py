@@ -30,6 +30,7 @@ from .checks import all_passed, format_results, run_checks
 from .config import (
     Config,
     ConfigError,
+    TASKS,
     parse_grid,
     parse_int_range,
     parse_quantity,
@@ -77,7 +78,6 @@ from .pfa import (
     pfa_share_topbottom,
 )
 from .pipeline import (
-    TASKS,
     electrostatic_gradient_curves,
     flat_force_gradient_curve,
     rho_ratio_curves,
@@ -104,7 +104,7 @@ __all__ = [
     "read_frequency_shift_samples", "series_gradient_model",
     "synthesize_frequency_shifts", "write_frequency_shift_samples",
     "all_passed", "format_results", "run_checks",
-    "Config", "ConfigError", "parse_grid", "parse_int_range",
+    "Config", "ConfigError", "TASKS", "parse_grid", "parse_int_range",
     "parse_quantity",
     "C_LIGHT", "EPS0", "EV_TO_RAD_PER_S", "HBAR", "ev_to_rad_per_s",
     "ForceCurve",
@@ -120,7 +120,7 @@ __all__ = [
     "load_tabulated_epsilon",
     "FlatForceLaw", "flat_pressure_law", "pfa_corrugated",
     "pfa_share_topbottom",
-    "TASKS", "electrostatic_gradient_curves", "flat_force_gradient_curve",
+    "electrostatic_gradient_curves", "flat_force_gradient_curve",
     "rho_ratio_curves", "run_pipeline",
     "NumericalError", "RoughnessSpec", "casimir_pressure_planar",
     "force_gradient_sphere_plane", "fresnel_te_tm", "ideal_pressure",

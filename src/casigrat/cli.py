@@ -6,8 +6,8 @@ self-check suite instead of computing.  Exit codes: 0 success, 1 numerical
 failure, 2 usage error.  The CASIGRAT_WORKERS environment variable sets
 the thread count of the grating node map (default: the usable cores).
 
-Grids are unit-suffixed, e.g. ``--z 100:600:25nm``; order sweeps are
-inclusive integer ranges, e.g. ``--sweep-N 4:14:2``.
+Quantities carry a unit of their own dimension (``--z 100:600:25nm``);
+``--xi`` takes bare rad/s, and ``--sweep-N`` an inclusive range (4:14:2).
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ from .calibration import (fem_gradient_model, find_residual_voltage,
 from .config import (Config, ConfigError, named, parse_grid, parse_int_range,
                      parse_quantity)
 from .curves import ForceCurve, write_curves, write_table
-from .geometry import reference_trench_profile
 from .grating import convergence_sweep
 from .materials import available_materials, get_material, is_perfect_conductor
 from .pfa import flat_pressure_law, pfa_corrugated, pfa_share_topbottom
@@ -60,16 +59,19 @@ def _run_check(module: str) -> int:
 
 def _radius(text: str) -> float:
     """argparse type of ``--radius``: a positive length."""
-    radius = parse_quantity(text)
+    try:
+        radius = parse_quantity(text, "length")
+    except ConfigError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
     if not radius > 0.0:
         raise argparse.ArgumentTypeError(f"must be positive, got {text!r}")
     return radius
 
 
-def _flag_value(parse, text: str, flag: str):
-    """``parse(text)``; a parse error is a ConfigError naming the flag."""
-    with named(f"{flag}:"):
-        return parse(text)
+def _flag_value(args, dest: str, parse, *dimension):
+    """``parse`` of flag ``--<dest>`` in ``dimension``, naming the flag."""
+    with named(f"--{dest.replace('_', '-')}:"):
+        return parse(getattr(args, dest), *dimension)
 
 
 def _cmd_materials(args) -> int:
@@ -81,7 +83,7 @@ def _cmd_materials(args) -> int:
     if is_perfect_conductor(model):
         raise ConfigError(f"--name: {args.name} has no finite permittivity "
                           "to tabulate")
-    xi = _flag_value(parse_grid, args.xi, "--xi")
+    xi = _flag_value(args, "xi", parse_grid, "frequency")
     out = _out_file(args.out)
     eps = np.asarray(model.epsilon(xi), dtype=float)
     _wrote(write_table(out, ("xi_rad_per_s", "epsilon"), zip(xi, eps),
@@ -93,7 +95,7 @@ def _cmd_materials(args) -> int:
 def _cmd_planar(args) -> int:
     mat_a = get_material(args.material_a)
     mat_b = get_material(args.material_b)
-    z_grid = _flag_value(parse_grid, args.z, "--z")
+    z_grid = _flag_value(args, "z", parse_grid, "length")
     out = _out_file(args.out)
     values = np.array([casimir_pressure_planar(mat_a, mat_b, z)
                        for z in z_grid])
@@ -110,11 +112,10 @@ def _cmd_planar(args) -> int:
 
 
 def _cmd_pfa(args) -> int:
-    profile = (_profile_from_config(Config.from_file(args.config))
-               if args.config else reference_trench_profile())
+    profile = _profile_from_config(_recipe_config(args.config))
     mat_a = get_material(args.material_sphere)
     mat_b = get_material(args.material_plane)
-    z_grid = _flag_value(parse_grid, args.z, "--z")
+    z_grid = _flag_value(args, "z", parse_grid, "length")
     out = _out_file(args.out)
     law = flat_pressure_law(mat_a, mat_b, float(z_grid[0]),
                             float(z_grid[-1]) + profile.depth)
@@ -136,21 +137,18 @@ def _cmd_pfa(args) -> int:
     return 0
 
 
-def _recipe_config(path: str | None, task: str) -> Config:
-    """The config at ``path``, or the built-in defaults of recipe ``task``."""
+def _recipe_config(path: str | None, task: str | None = None) -> Config:
+    """The config at ``path``, or the built-in defaults of ``task``."""
     return (Config.from_file(path) if path else
-            Config.from_text(f"[pipeline]\ntask = {task}\n"))
+            Config.from_text(f"[pipeline]\ntask = {task}\n" if task else ""))
 
 
 def _cmd_grating(args) -> int:
     config = _recipe_config(args.config, "rho_ratio")
     out_dir = Path(args.out)
     if args.sweep_N:  # read the sweep's inputs before the ratio curve runs
-        cutoffs = _flag_value(parse_int_range, args.sweep_N, "--sweep-N")
-        z_ref = config.quantity("solver", "sweep_z", 150e-9)
-        if not z_ref > 0.0:
-            raise ConfigError(f"[solver] sweep_z must be positive, got "
-                              f"{z_ref} m")
+        cutoffs = _flag_value(args, "sweep_N", parse_int_range)
+        z_ref = config.quantity("solver", "sweep_z")
         profile, (_, model_g), (_, model_p), spec = _rho_inputs(config)
         with named("--sweep-N:"):  # TruncationSpec bounds each cutoff
             orders = [replace(spec, orders=n).orders for n in cutoffs]
@@ -178,15 +176,14 @@ def _cmd_electrostatics(args) -> int:
 
 
 def _gradient_model_for(args):
-    v0 = _flag_value(parse_quantity, args.v0, "--v0")
+    v0 = _flag_value(args, "v0", parse_quantity, "voltage")
     if args.model == "series":
         return series_gradient_model(args.radius, v0=v0)
     if args.model == "plate":
         return plate_gradient_model(args.radius, v0=v0)
-    profile = (_meshable_profile_from_config(Config.from_file(args.config))
-               if args.config else reference_trench_profile())
-    z_lo = _flag_value(parse_quantity, args.fem_z_min, "--fem-z-min")
-    z_hi = _flag_value(parse_quantity, args.fem_z_max, "--fem-z-max")
+    profile = _meshable_profile_from_config(_recipe_config(args.config))
+    z_lo = _flag_value(args, "fem_z_min", parse_quantity, "length")
+    z_hi = _flag_value(args, "fem_z_max", parse_quantity, "length")
     if not 0.0 < z_lo < z_hi:
         raise ConfigError("--fem-z-min and --fem-z-max need 0 < min < max, "
                           f"got {args.fem_z_min} and {args.fem_z_max}")
@@ -202,7 +199,7 @@ def _cmd_calibrate(args) -> int:
             v0 = find_residual_voltage(samples)
         print(f"residual voltage V0 = {v0:.6f} V")
         return 0
-    lever_b = _flag_value(parse_quantity, args.lever_b, "--lever-b")
+    lever_b = _flag_value(args, "lever_b", parse_quantity, "length")
     out = _out_file(args.out) if args.out else None
     fit = fit_calibration(samples, _gradient_model_for(args), lever_b=lever_b,
                           use_voltage_differences=args.voltage_differences)
@@ -237,7 +234,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("materials", help="list or tabulate material models")
     p.add_argument("--name", choices=available_materials())
     p.add_argument("--xi", default="2e14:2e15:2e14",
-                   help="imaginary-frequency grid in rad/s")
+                   help="imaginary-frequency grid in bare rad/s, no unit")
     p.add_argument("--out", default="out/materials_epsilon.csv")
     add_check(p)
     p.set_defaults(fn=_cmd_materials)

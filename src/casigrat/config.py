@@ -1,9 +1,10 @@
 """Flat key-value configuration files with unit-suffixed quantities.
 
-Files are INI-style sections of ``key = value`` lines.  Every physical
-quantity carries a unit suffix (``depth = 98nm``, ``voltage = 0.3V``) and
-is converted on read to the package-wide working units: meters, volts,
-hertz, seconds, and degrees for angles.  Grids use the compact form
+Files are INI-style sections of ``key = value`` lines, checked on load
+against ``SCHEMA``: each task's keys with their kind, default and bound.
+Lengths, voltages and angles carry a suffix of their own dimension
+(``depth = 98nm``, ``applied = 300mV``) and are read in meters, volts
+and degrees.  Grids use the compact form
 ``start:stop:stepUNIT`` (inclusive of ``stop``) or a comma list.
 """
 
@@ -18,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-Array = np.ndarray
+from .geometry import reference_trench_profile
 
 
 class ConfigError(ValueError):
@@ -38,18 +39,14 @@ def named(source: str):
         raise ConfigError(f"{source} {message}") from None
 
 
-# power-of-ten exponents onto the working units (m, V, Hz, s, deg)
-_UNIT_EXPONENT = {
-    "": 0,
-    "m": 0, "mm": -3, "um": -6, "µm": -6, "nm": -9, "pm": -12,
-    "v": 0, "mv": -3, "uv": -6,
-    "hz": 0, "khz": 3, "mhz": 6, "ghz": 9,
-    "s": 0, "ms": -3, "us": -6,
-    "deg": 0, "rad": 0,
+# the unit suffixes of each dimension, as power-of-ten exponents onto the
+# working units (m, V, deg); a frequency is a bare number in rad/s
+_UNITS = {
+    "length": {"m": 0, "mm": -3, "um": -6, "µm": -6, "nm": -9, "pm": -12},
+    "voltage": {"V": 0, "mV": -3, "uV": -6},
+    "angle": {"deg": 0, "rad": 0},
+    "frequency": {"": 0},
 }
-# case matters only where SI prefixes collide (mV vs MHz); resolve by
-# lowercasing everything except the M prefix
-_CASE_SENSITIVE = {"MHz": "mhz", "mHz": None, "Mv": None, "MV": None}
 
 _NUMBER = r"[+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?"
 _QUANTITY_RE = re.compile(rf"^\s*({_NUMBER})\s*([a-zA-Zµ]*)\s*$")
@@ -57,25 +54,25 @@ _RANGE_RE = re.compile(
     rf"^\s*({_NUMBER})\s*:\s*({_NUMBER})\s*:\s*({_NUMBER})\s*([a-zA-Zµ]*)\s*$")
 
 
-def parse_quantity(text: str) -> float:
-    """Parse ``98nm`` / ``0.3V`` / ``94.6deg`` / ``1.5`` to a float in
-    working units.  Bare numbers are dimensionless; a number and its unit
-    prefix are read as one decimal literal (``400nm`` is ``4e-07``)."""
+def parse_quantity(text: str, dimension: str) -> float:
+    """Parse ``98nm`` / ``0.3V`` / ``94.6deg`` to a float in working
+    units; the suffix must be one of ``dimension``'s in ``_UNITS``.  A
+    number and its unit prefix are one decimal literal (``400nm`` is 4e-07)."""
     match = _QUANTITY_RE.match(str(text))
     if match is None:
         raise ConfigError(f"cannot parse quantity {text!r}")
     value, unit = match.groups()
-    key = _CASE_SENSITIVE.get(unit, unit.lower())
-    if key is None:
-        raise ConfigError(f"ambiguous unit suffix {unit!r}")
-    if key not in _UNIT_EXPONENT:
-        raise ConfigError(f"unknown unit suffix {unit!r}")
+    units = _UNITS[dimension]
+    if unit not in units:
+        article = "an" if dimension == "angle" else "a"
+        raise ConfigError(f"expected {article} {dimension} ("
+                          f"{', '.join(units) or 'bare rad/s'}), got {text!r}")
     mantissa, _, exponent = value.lower().partition("e")
     sign, digits = re.fullmatch(r"([+-]?)0*(\d*)", exponent).groups()
     if len(digits) < 9:  # else the float is 0 or inf whatever the prefix
-        exponent = int(sign + (digits or "0")) + _UNIT_EXPONENT[key]
+        exponent = int(sign + (digits or "0")) + units[unit]
     result = float(f"{mantissa}e{exponent}")
-    if key == "rad":
+    if unit == "rad":
         result *= 180.0 / math.pi
     if not math.isfinite(result):
         raise ConfigError(f"quantity {text!r} is non-finite")
@@ -88,8 +85,8 @@ def parse_quantity(text: str) -> float:
 _MAX_GRID_POINTS = 100_000
 
 
-def parse_grid(text: str) -> Array:
-    """Parse a sampling grid.
+def parse_grid(text: str, dimension: str) -> np.ndarray:
+    """Parse a sampling grid of quantities of ``dimension``.
 
     ``100:600:25nm`` means start 100, stop 600 inclusive, step 25, all in
     the trailing unit; the step must divide the span.  A comma list or a
@@ -103,7 +100,8 @@ def parse_grid(text: str) -> Array:
             raise ConfigError(f"grid {text!r} must be start:stop:stepUNIT")
         *numbers, unit = match.groups()
         with named(f"grid {text!r}:"):
-            start, stop, step = (parse_quantity(v + unit) for v in numbers)
+            start, stop, step = (parse_quantity(v + unit, dimension)
+                                 for v in numbers)
         if not step > 0.0 or not stop > start:
             raise ConfigError(f"grid {text!r} needs stop > start, step > 0")
         n = (stop - start) / step
@@ -114,7 +112,8 @@ def parse_grid(text: str) -> Array:
             raise ConfigError(f"grid {text!r}: step does not divide the span")
         values = np.linspace(start, stop, int(round(n)) + 1)
     else:
-        values = np.array([parse_quantity(p) for p in text.split(",")])
+        values = np.array([parse_quantity(p, dimension)
+                           for p in text.split(",")])
         if np.any(np.diff(values) <= 0.0):
             raise ConfigError(f"grid {text!r} must be strictly increasing")
     if not values[0] > 0.0:
@@ -158,14 +157,64 @@ def _parse_boolean(text: str) -> bool:
     return value
 
 
-_REQUIRED = object()
+_REF = reference_trench_profile()
+_GEOMETRY = {"period": ("length", _REF.period),
+             "top_width": ("length", _REF.top_width),
+             "floor_width": ("length", _REF.floor_width),
+             "depth": ("length", _REF.depth),
+             "wall_angle": ("angle", _REF.sidewall_angle_deg)}
+_COMMON = {"pipeline": {"task": ("task", None)},
+           "sphere": {"radius": ("length", "50um", "> 0")},
+           "grid": {"z": ("grid", "100:600:25nm")}}
+# task -> section -> key -> (kind, default[, bound]); a key without a
+# default reads as None, and any config may be read for [geometry]
+SCHEMA = {
+    None: {"geometry": _GEOMETRY},
+    "flat_force_gradient": {
+        **_COMMON,
+        "materials": {"sphere": ("material", "gold_drude"),
+                      "plane": ("material", "silicon_doped")},
+        "roughness": {"enabled": ("boolean", "true"),
+                      "sphere_rms": ("length", "4nm"),
+                      "plane_rms": ("length", "0.6nm"),
+                      "n_points": ("count", "21")},
+        "solver": {"table_points": ("count", "48", ">= 4")}},
+    "rho_ratio": {
+        **_COMMON, "geometry": _GEOMETRY,
+        "materials": {"grating": ("material", "silicon_doped"),
+                      "plane": ("material", "gold_drude")},
+        "grid": {"z": ("grid", "100:250:30nm")},
+        # orders and slices default to TruncationSpec()'s
+        "solver": {"orders": ("count", None), "slices": ("count", None),
+                   "sweep_z": ("length", "150nm", "> 0")},
+        "measured": {"gradient_csv": ("path", None)}},
+    "electrostatic_gradient": {
+        **_COMMON, "geometry": _GEOMETRY,
+        "voltage": {"applied": ("voltage", "0.3V"),
+                    "residual": ("voltage", "0V")},
+        "solver": {"table_points": ("count", "48", ">= 8")}},
+}
+TASKS = tuple(filter(None, SCHEMA))
+_READERS = {"grid": lambda text: parse_grid(text, "length"),
+            "count": _parse_integer, "boolean": _parse_boolean}
+
+
+def _outside_schema(source: str, name: str, known, task) -> ConfigError:
+    """The error for a ``name`` that ``task`` does not read, with a hint."""
+    from difflib import get_close_matches  # only on this error path
+    hint = "".join(f"; did you mean {close!r}?"
+                   for close in get_close_matches(name, known, n=1))
+    return ConfigError(f"{source}: not read " + (
+        f"by task {task}" if task else
+        "without the missing required key [pipeline] task") + hint)
 
 
 @dataclass(frozen=True)
 class Config:
-    """Parsed configuration with typed, unit-aware accessors."""
+    """A parsed config, read by the kind, default and bound in SCHEMA."""
 
     _parser: configparser.ConfigParser
+    task: str | None
 
     @classmethod
     def from_text(cls, text: str) -> "Config":
@@ -175,7 +224,19 @@ class Config:
             parser.read_string(text)
         except configparser.Error as exc:
             raise ConfigError(f"bad config: {exc}") from exc
-        return cls(_parser=parser)
+        task = parser.get("pipeline", "task", fallback=None)
+        if task not in SCHEMA:
+            raise ConfigError("[pipeline] task: unknown pipeline task "
+                              f"{task!r}; choose from {TASKS}")
+        schema = SCHEMA[task]
+        for section in parser.sections():
+            if section not in schema:
+                raise _outside_schema(f"[{section}]", section, schema, task)
+            for key in parser[section]:
+                if key not in schema[section]:
+                    raise _outside_schema(f"[{section}] {key}", key,
+                                          schema[section], task)
+        return cls(parser, task)
 
     @classmethod
     def from_file(cls, path) -> "Config":
@@ -193,31 +254,20 @@ class Config:
         payload = "\n".join(lines).encode()
         return hashlib.sha256(payload).hexdigest()[:16]
 
-    def _get(self, section: str, key: str, default, parse):
-        """``parse`` of the value of ``[section] key``, or of a text
-        default; any other default is returned as given."""
-        if self._parser.has_option(section, key):
-            raw = self._parser.get(section, key)
-        elif default is _REQUIRED:
-            raise ConfigError(f"missing required key [{section}] {key}")
-        elif isinstance(default, str):
-            raw = default
-        else:
-            return default
+    def _get(self, section: str, key: str):
+        """``[section] key`` or its default, read and bounded per SCHEMA."""
+        kind, default, *bound = (SCHEMA[self.task].get(section, {}).get(key)
+                                 or SCHEMA[None].get(section, {})[key])
+        raw = self._parser.get(section, key, fallback=default)
+        if not isinstance(raw, str):  # no default, or a geometry float
+            return raw
         with named(f"[{section}] {key}:"):
-            return parse(raw)
+            value = (parse_quantity(raw, kind) if kind in _UNITS else
+                     _READERS.get(kind, str.strip)(raw))
+            for op, limit in (text.split() for text in bound):  # > or >=
+                if value < float(limit) or op == ">" and value == float(limit):
+                    raise ValueError(f"must be {op} {limit}, got {raw}")
+        return value
 
-    def string(self, section: str, key: str, default=_REQUIRED) -> str:
-        return self._get(section, key, default, str.strip)
-
-    def quantity(self, section: str, key: str, default=_REQUIRED) -> float:
-        return self._get(section, key, default, parse_quantity)
-
-    def grid(self, section: str, key: str, default=_REQUIRED) -> Array:
-        return self._get(section, key, default, parse_grid)
-
-    def integer(self, section: str, key: str, default=_REQUIRED) -> int:
-        return self._get(section, key, default, _parse_integer)
-
-    def boolean(self, section: str, key: str, default=_REQUIRED) -> bool:
-        return self._get(section, key, default, _parse_boolean)
+    # one accessor, five names: the kind comes from SCHEMA, not the name
+    string = quantity = grid = integer = boolean = _get

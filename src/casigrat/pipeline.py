@@ -18,7 +18,7 @@ from .calibration import fem_gradient_model
 from .config import Config, ConfigError, named
 from .curves import ForceCurve, write_curves
 from .electrostatics import SpherePlaneES, _meshing_profile, sphere_plane_gradient
-from .geometry import GratingProfile, reference_trench_profile
+from .geometry import GratingProfile
 from .grating import TruncationSpec, rho_ratio
 from .materials import get_material
 from .pfa import flat_pressure_law, pfa_corrugated
@@ -26,22 +26,12 @@ from .pfa import flat_pressure_law, pfa_corrugated
 from .planar import (RoughnessSpec, casimir_pressure_planar,  # noqa: F401
                      roughness_average)
 
-_DEFAULT_RADIUS = 50e-6
-_DEFAULT_Z = "100:600:25nm"
-
 
 def _profile_from_config(config: Config) -> GratingProfile:
-    ref = reference_trench_profile()
-    values = dict(
-        period=config.quantity("geometry", "period", ref.period),
-        top_width=config.quantity("geometry", "top_width", ref.top_width),
-        floor_width=config.quantity("geometry", "floor_width",
-                                    ref.floor_width),
-        depth=config.quantity("geometry", "depth", ref.depth),
-        sidewall_angle_deg=config.quantity("geometry", "wall_angle",
-                                           ref.sidewall_angle_deg))
+    values = [config.quantity("geometry", key) for key in
+              ("period", "top_width", "floor_width", "depth", "wall_angle")]
     with named("[geometry]:"):
-        return GratingProfile(**values)
+        return GratingProfile(*values)
 
 
 def _meshable_profile_from_config(config: Config) -> GratingProfile:
@@ -51,38 +41,24 @@ def _meshable_profile_from_config(config: Config) -> GratingProfile:
     return profile
 
 
-def _sphere_radius(config: Config) -> float:
-    radius = config.quantity("sphere", "radius", _DEFAULT_RADIUS)
-    if not radius > 0.0:
-        raise ConfigError(f"[sphere] radius must be positive, got {radius} m")
-    return radius
-
-
-def _material_from_config(config: Config, key: str, default: str):
+def _material_from_config(config: Config, key: str):
     """``[materials] <key>`` as (name, model); unknown names name the key."""
-    name = config.string("materials", key, default)
+    name = config.string("materials", key)
     with named(f"[materials] {key}:"):
         return name, get_material(name)
-
-
-def _solver_count(config: Config, key: str, default: int,
-                  minimum: int) -> int:
-    n = config.integer("solver", key, default)
-    if n < minimum:
-        raise ConfigError(f"[solver] {key} must be >= {minimum}, got {n}")
-    return n
 
 
 def _rho_inputs(config: Config):
     """The rho recipe's geometry, (name, model) material pairs and
     truncation; ``casigrat grating --sweep-N`` reads them here too."""
     profile = _profile_from_config(config)
-    grating = _material_from_config(config, "grating", "silicon_doped")
-    plane = _material_from_config(config, "plane", "gold_drude")
-    orders = config.integer("solver", "orders", TruncationSpec().orders)
-    slices = config.integer("solver", "slices", TruncationSpec().n_slices)
+    grating = _material_from_config(config, "grating")
+    plane = _material_from_config(config, "plane")
+    counts = dict(orders=config.integer("solver", "orders"),
+                  n_slices=config.integer("solver", "slices"))
     with named("[solver]"):  # TruncationSpec bounds orders and slices
-        spec = TruncationSpec(orders=orders, n_slices=slices)
+        spec = TruncationSpec(**{name: n for name, n in counts.items()
+                                 if n is not None})
     return profile, grating, plane, spec
 
 
@@ -98,18 +74,18 @@ def flat_force_gradient_curve(config: Config) -> dict[str, ForceCurve]:
     surface-roughness height distribution, and mapped to the sphere by
     2 pi R.  Values are positive (gradient of an attractive force).
     """
-    sphere, mat_a = _material_from_config(config, "sphere", "gold_drude")
-    plane, mat_b = _material_from_config(config, "plane", "silicon_doped")
-    radius = _sphere_radius(config)
-    z_grid = config.grid("grid", "z", _DEFAULT_Z)
+    sphere, mat_a = _material_from_config(config, "sphere")
+    plane, mat_b = _material_from_config(config, "plane")
+    radius = config.quantity("sphere", "radius")
+    z_grid = config.grid("grid", "z")
 
-    rough_on = config.boolean("roughness", "enabled", True)
+    rough_on = config.boolean("roughness", "enabled")
     spec = None
     pad = 0.0
     if rough_on:
-        rms = (config.quantity("roughness", "sphere_rms", 4e-9),
-               config.quantity("roughness", "plane_rms", 0.6e-9))
-        n_rough = config.integer("roughness", "n_points", 21)
+        rms = (config.quantity("roughness", "sphere_rms"),
+               config.quantity("roughness", "plane_rms"))
+        n_rough = config.integer("roughness", "n_points")
         with named("[roughness]"):
             spec = RoughnessSpec.combined_gaussian(*rms, n_rough)
         pad = float(np.max(np.abs(spec.offsets)))
@@ -119,7 +95,7 @@ def flat_force_gradient_curve(config: Config) -> dict[str, ForceCurve]:
                 f"pad of {pad:.4g} m (the largest roughness offset); start "
                 "the grid above the pad or lower the rms values")
 
-    n_table = _solver_count(config, "table_points", 48, 4)
+    n_table = config.integer("solver", "table_points")
     law = flat_pressure_law(mat_a, mat_b, float(z_grid[0]) - pad,
                             float(z_grid[-1]) + pad, n_table)
     avg = law(z_grid) if spec is None else roughness_average(law, z_grid, spec)
@@ -147,10 +123,10 @@ def rho_ratio_curves(config: Config) -> dict[str, ForceCurve]:
     """
     (profile, (grating_mat, model_g), (plane_mat, model_p),
      spec) = _rho_inputs(config)
-    z_grid = config.grid("grid", "z", "100:250:30nm")
-    measured_path = config.string("measured", "gradient_csv", "")
+    z_grid = config.grid("grid", "z")
+    measured_path = config.string("measured", "gradient_csv")
     if measured_path:
-        radius = _sphere_radius(config)
+        radius = config.quantity("sphere", "radius")
         with named("[measured] gradient_csv:"):
             measured = ForceCurve.from_csv(measured_path)
             if not measured.z.size:
@@ -190,10 +166,10 @@ def electrostatic_gradient_curves(config: Config) -> dict[str, ForceCurve]:
     below the flat one at equal separation.
     """
     profile = _meshable_profile_from_config(config)
-    radius = _sphere_radius(config)
-    volt = config.quantity("voltage", "applied", 0.3)
-    v0 = config.quantity("voltage", "residual", 0.0)
-    z_grid = config.grid("grid", "z", _DEFAULT_Z)
+    radius = config.quantity("sphere", "radius")
+    volt = config.quantity("voltage", "applied")
+    v0 = config.quantity("voltage", "residual")
+    z_grid = config.grid("grid", "z")
 
     if z_grid.size < 2:
         raise ConfigError("[grid] z: the FEM table needs two or more separations")
@@ -201,7 +177,7 @@ def electrostatic_gradient_curves(config: Config) -> dict[str, ForceCurve]:
     flat_vals = sphere_plane_gradient(SpherePlaneES(radius, z_grid, volt, v0))
     model = fem_gradient_model(
         profile, radius, z_min=float(z_grid[0]), z_max=float(z_grid[-1]),
-        n_points=_solver_count(config, "table_points", 48, 8), v0=v0)
+        n_points=config.integer("solver", "table_points"), v0=v0)
     corr_vals = model(z_grid, volt)
 
     meta = _base_metadata(config, "electrostatic_gradient")
@@ -222,7 +198,6 @@ _TASK_FNS = {
     "rho_ratio": rho_ratio_curves,
     "electrostatic_gradient": electrostatic_gradient_curves,
 }
-TASKS = tuple(_TASK_FNS)
 
 
 def run_pipeline(config: Config, out_dir="out") -> list[Path]:
@@ -231,10 +206,8 @@ def run_pipeline(config: Config, out_dir="out") -> list[Path]:
     File names are ``<task>_<curve>.csv``; reruns with the same config
     rewrite identical bytes.
     """
-    task = config.string("pipeline", "task")
-    if task not in _TASK_FNS:
-        raise ConfigError("[pipeline] task: unknown pipeline task "
-                          f"{task!r}; choose from {TASKS}")
+    if config.task is None:
+        raise ConfigError("[pipeline] task: missing required key")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    return write_curves(_TASK_FNS[task](config), out, task)
+    return write_curves(_TASK_FNS[config.task](config), out, config.task)

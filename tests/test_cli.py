@@ -319,7 +319,9 @@ def test_usage_errors_exit_2(tmp_path, monkeypatch, capsys):
     err = capsys.readouterr().err
     assert "--fem-z-min" in err and "--fem-z-max" in err
     for flag, value in (("--v0", "abc"), ("--lever-b", "3furlongs"),
-                        ("--fem-z-min", "abc"), ("--fem-z-max", "3furlongs")):
+                        ("--fem-z-min", "abc"), ("--fem-z-max", "3furlongs"),
+                        ("--v0", "1nm"), ("--lever-b", "3"),
+                        ("--fem-z-min", "100mV")):
         assert main(["calibrate", "--input", str(sweep), "--model", "fem",
                      f"{flag}={value}"]) == 2
         assert f"{flag}: " in capsys.readouterr().err
@@ -376,15 +378,22 @@ def test_usage_errors_exit_2(tmp_path, monkeypatch, capsys):
     assert "[grid] z" in err and "[roughness]" in err and "pad" in err
     assert main(["planar", "--z", "100:1e400:25nm"]) == 2
     assert "--z" in capsys.readouterr().err
-    for z in ("100:abc:25nm", "0.5:1e300:1e-300m"):
-        assert main(["planar", "--z", z]) == 2
-        assert "--z" in capsys.readouterr().err
+    for argv, flag in ((["planar", "--z", "100:abc:25nm"], "--z"),
+                       (["planar", "--z", "0.5:1e300:1e-300m"], "--z"),
+                       (["planar", "--z=200:300:100"], "--z"),
+                       (["pfa", "--z=200nm,300V"], "--z"),
+                       (["materials", "--name", "gold_drude",
+                         "--xi=2e14:2e15:2e14Hz"], "--xi")):
+        assert main(argv + ["--out", str(tmp_path / "z.csv")]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {flag}: ")
     assert main(["materials", "--name", "perfect_conductor",
                  "--out", str(tmp_path / "eps.csv")]) == 2
     assert "--name" in capsys.readouterr().err
     for argv in (["pfa", "--radius=0um"],
                  ["planar", "--gradient", "--radius=0um"],
                  ["planar", "--z", "100nm", "--gradient", "--radius=1e400um"],
+                 ["planar", "--gradient", "--radius=50V"],
+                 ["pfa", "--radius=50"],
                  ["calibrate", "--input", str(sweep), "--radius=0um"],
                  ["calibrate", "--input", str(sweep), "--model", "fem",
                   "--radius=-1um"]):
@@ -399,20 +408,34 @@ def test_usage_errors_exit_2(tmp_path, monkeypatch, capsys):
         assert main(["pipeline", "--config", str(zero_radius),
                      "--out", str(tmp_path / "out")]) == 2
         assert "[sphere] radius" in capsys.readouterr().err
-    for task, line, key in (
-            ("electrostatic_gradient", "table_points = 4", "table_points"),
-            ("flat_force_gradient", "table_points = 2", "table_points"),
-            ("rho_ratio", "orders = -1", "orders"),
-            ("rho_ratio", "orders = 101", "orders"),
-            ("rho_ratio", "slices = 0", "slices")):
-        bad_solver = tmp_path / f"{task}_{key}.cfg"
+    # each bad value's message starts with its key; a misspelt key's
+    # message names the nearest known key
+    for task, line, key, hint in (
+            ("electrostatic_gradient", "table_points = 4", "table_points",
+             ""),
+            ("flat_force_gradient", "table_points = 2", "table_points", ""),
+            ("rho_ratio", "orders = -1", "orders", ""),
+            ("rho_ratio", "orders = 101", "orders", ""),
+            ("rho_ratio", "slices = 0", "slices", ""),
+            ("electrostatic_gradient", "table_pionts = 12", "table_pionts",
+             "did you mean 'table_points'?"),
+            ("electrostatic_gradient", "[geometry]\ndepth = 98mV",
+             "[geometry] depth",
+             "expected a length (m, mm, um, µm, nm, pm), got '98mV'"),
+            ("flat_force_gradient", "[grid]\nz = 200:300:100", "[grid] z",
+             "expected a length")):
+        key = key if key.startswith("[") else f"[solver] {key}"
+        bad_solver = tmp_path / "bad_key.cfg"
         bad_solver.write_text(f"[pipeline]\ntask = {task}\n[solver]\n{line}\n")
         with monkeypatch.context() as m:
             m.setattr(casigrat.grating, "casimir_pressure_grating_grid",
                       unreachable)
+            m.setattr(casigrat.pipeline, "fem_gradient_model", unreachable)
+            m.setattr(casigrat.pipeline, "flat_pressure_law", unreachable)
             assert main(["pipeline", "--config", str(bad_solver),
                          "--out", str(tmp_path / "out")]) == 2
-        assert f"[solver] {key}" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {key}") and hint in err
     malformed = tmp_path / "malformed.csv"
     malformed.write_text("z_nm,value\n100,1e-3\n150,2e-3,7\n")
     bad_measured = tmp_path / "bad_measured.cfg"

@@ -119,7 +119,7 @@ def test_convergence_sweep_table_reads_back(tmp_path, monkeypatch):
 
 
 def test_fit_table_reads_back(tmp_path):
-    model = series_gradient_model(parse_quantity("50um"))
+    model = series_gradient_model(parse_quantity("50um", "length"))
     samples = synthesize_frequency_shifts(
         -614.0, 800e-9, model, voltages=(0.245, 0.300),
         z_piezo=np.linspace(0.0, 600e-9, 13))

@@ -214,6 +214,31 @@ def test_shipped_configs_restate_the_recipe_defaults(task, monkeypatch):
         assert shipped[key] == built_in[key], key
 
 
+def test_shipped_configs_read_without_defaults(monkeypatch):
+    # perfbench/workloads.py (rho_op, _profile) reads shipped configs with
+    # bare (section, key) accessor calls; they give what the recipes use
+    read = {}
+    for task in ("rho_ratio", "electrostatic_gradient"):
+        config = Config.from_file(CONFIGS / f"{task}.cfg")
+        seen = _recipe_inputs(config, monkeypatch)
+        assert seen["geometry"] == tuple(
+            config.quantity("geometry", key) for key in
+            ("period", "top_width", "floor_width", "depth", "wall_angle"))
+        assert seen["z"] == config.grid("grid", "z").tolist()
+        read[task] = (config, seen)
+    rho, seen = read["rho_ratio"]
+    assert (seen["spec"].orders, seen["spec"].n_slices) == (
+        rho.integer("solver", "orders"), rho.integer("solver", "slices"))
+    assert seen["materials"] == (f"{rho.string('materials', 'grating')}/"
+                                 f"{rho.string('materials', 'plane')}")
+    es, seen = read["electrostatic_gradient"]
+    assert seen["radius"] == seen["fem_radius"] == es.quantity("sphere",
+                                                                "radius")
+    assert (seen["volt"], seen["v0"]) == (es.quantity("voltage", "applied"),
+                                          es.quantity("voltage", "residual"))
+    assert seen["fem"][2] == es.integer("solver", "table_points")
+
+
 def test_run_pipeline_writes_deterministic_csv(tmp_path):
     cfg = _cfg(PC_FLAT)
     first = run_pipeline(cfg, out_dir=tmp_path / "a")
