@@ -1,6 +1,6 @@
 """casigrat: Casimir and electrostatic forces on flat and corrugated surfaces.
 
-A numpy/scipy library covering the force stack of a sphere-vs-grating
+A numpy library covering the force stack of a sphere-vs-grating
 torsional-oscillator experiment: imaginary-frequency dielectric models,
 zero-temperature Lifshitz pressures between planar mirrors, the
 proximity-force treatment of trapezoidal trench arrays, an exact

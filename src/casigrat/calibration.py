@@ -16,7 +16,7 @@ so the fit and the synthetic sweep evaluate all samples in one call.
 
 ``fit_calibration`` recovers (coeff, z0) from frequency-shift samples by
 separable least squares: for trial z0 the model is linear in coeff, and
-the concentrated residual is minimized over z0 with a bounded scalar
+the concentrated residual is minimized over z0 by Brent's bounded
 search; each trial evaluates the model once on the gap array.  A known
 Casimir force-gradient background can be added to the model, or
 cancelled exactly by fitting voltage differences at shared distances.
@@ -210,6 +210,60 @@ def _difference_observations(offsets: Array, volts: Array, shifts: Array):
     return offsets[rows], volts[rows], volts[ref], shifts[rows] - shifts[ref]
 
 
+# the z0 search's absolute tolerance (m) and cap on model evaluations
+_Z0_XATOL = 1e-15
+_Z0_MAXITER = 500
+
+
+def _bounded_minimum(fn: Callable, lo: float, hi: float) -> float:
+    """The minimiser of ``fn`` on [lo, hi] by Brent's bounded search
+    (golden sections and parabolic steps), in the arithmetic of scipy's
+    ``minimize_scalar(method="bounded")``.  A NaN, or ``_Z0_MAXITER``
+    evaluations without convergence, raise FitError."""
+    sqrt_eps, golden_mean = math.sqrt(2.2e-16), 0.5 * (3.0 - math.sqrt(5.0))
+    a, b = lo, hi
+    xf = nfc = fulc = a + golden_mean * (b - a)
+    fx = fnfc = ffulc = fn(xf)
+    fu, rat, e, num = math.inf, 0.0, 0.0, 1
+    while True:
+        xm = 0.5 * (a + b)
+        tol1 = sqrt_eps * abs(xf) + _Z0_XATOL / 3.0
+        if not abs(xf - xm) > 2.0 * tol1 - 0.5 * (b - a):
+            break
+        golden = True
+        if abs(e) > tol1:  # a parabola through xf, nfc and fulc
+            r = (xf - nfc) * (fx - ffulc)
+            q = (xf - fulc) * (fx - fnfc)
+            p = (xf - fulc) * q - (xf - nfc) * r
+            q = 2.0 * (q - r)
+            p, q = (-p if q > 0.0 else p), abs(q)
+            r, e = e, rat
+            if abs(p) < abs(0.5 * q * r) and q * (a - xf) < p < q * (b - xf):
+                golden, rat = False, p / q
+                if xf + rat - a < 2.0 * tol1 or b - (xf + rat) < 2.0 * tol1:
+                    rat = -tol1 if xm - xf < 0.0 else tol1
+        if golden:
+            e = (a if xf >= xm else b) - xf
+            rat = golden_mean * e
+        x = xf + (-1.0 if rat < 0.0 else 1.0) * max(abs(rat), tol1)
+        fu, num = fn(x), num + 1
+        if fu <= fx:
+            a, b = (xf, b) if x >= xf else (a, xf)
+            fulc, ffulc, nfc, fnfc, xf, fx = nfc, fnfc, xf, fx, x, fu
+        else:
+            a, b = (x, b) if x < xf else (a, x)
+            if fu <= fnfc or nfc == xf:
+                fulc, ffulc, nfc, fnfc = nfc, fnfc, x, fu
+            elif fu <= ffulc or fulc == xf or fulc == nfc:
+                fulc, ffulc = x, fu
+        if num >= _Z0_MAXITER:
+            raise FitError(f"z0 search stopped after {num} model "
+                           "evaluations without converging")
+    if math.isnan(xf) or math.isnan(fx) or math.isnan(fu):
+        raise FitError("z0 search met a NaN model value")
+    return xf
+
+
 def fit_calibration(samples: Sequence[FrequencyShiftSample],
                     gradient_model: GradientModel,
                     casimir_background: Callable[[Array], Array] | None = None,
@@ -232,8 +286,6 @@ def fit_calibration(samples: Sequence[FrequencyShiftSample],
     Returns a CalibrationFit; 1-sigma uncertainties come from the
     residual covariance at the optimum.
     """
-    from scipy.optimize import minimize_scalar
-
     if len(samples) < 3:
         raise FitError("need at least 3 samples")
     z_piezo, thetas, volts, shifts = _sample_columns(samples)
@@ -276,12 +328,7 @@ def fit_calibration(samples: Sequence[FrequencyShiftSample],
         resid = shifts - coeff * g
         return float(resid @ resid), coeff, g, resid
 
-    result = minimize_scalar(lambda z0: concentrated(z0)[0],
-                             bounds=z0_bounds, method="bounded",
-                             options={"xatol": 1e-15, "maxiter": 500})
-    if not result.success:  # pragma: no cover - bounded search rarely fails
-        raise FitError(f"z0 search failed: {result.message}")
-    z0_hat = float(result.x)
+    z0_hat = _bounded_minimum(lambda z0: concentrated(z0)[0], *z0_bounds)
     rss, coeff_hat, g_hat, resid = concentrated(z0_hat)
 
     # 1-sigma errors from the residual covariance at the optimum

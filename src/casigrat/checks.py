@@ -154,10 +154,10 @@ def check_electrostatics() -> list[CheckResult]:
     rel = abs(energy / exact - 1.0)
     out.append(_result("flat-cell field energy matches the plate formula",
                        rel < 1e-3, f"relative error {rel:.2e}"))
-    # the cached unit-gap row eigenpairs (LAPACK dpteqr) against a dense
-    # elimination, for x-modes of a 400 nm period up to mu ~ 1e4.  On 192
-    # rows (four times the default) dpteqr agrees to ~5e-14; eigenpairs of
-    # only absolute accuracy (numpy eigh) miss by ~7e-11.
+    # the cached unit-gap row eigenpairs (numpy eigh and one inverse-
+    # iteration step) against a dense elimination, for x-modes of a 400 nm
+    # period up to mu ~ 1e4.  On 192 rows (four times the default) they
+    # agree to ~6e-14; eigh's eigenpairs alone miss by ~7e-11.
     lam = (2.0 * math.pi * np.array([0.0, 1.0, 4.0, 16.0, 64.0, 256.0])
            / 400e-9) ** 2
     ny = 4 * MeshControl().ny

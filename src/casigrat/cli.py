@@ -23,8 +23,8 @@ from . import checks
 from .calibration import (fem_gradient_model, find_residual_voltage,
                           fit_calibration, plate_gradient_model,
                           read_frequency_shift_samples, series_gradient_model)
-from .config import (Config, ConfigError, named, parse_grid, parse_int_range,
-                     parse_quantity)
+from .config import (SCHEMA, Config, ConfigError, named, parse_grid,
+                     parse_int_range, parse_quantity)
 from .curves import ForceCurve, write_curves, write_table
 from .grating import convergence_sweep
 from .materials import available_materials, get_material, is_perfect_conductor
@@ -138,9 +138,17 @@ def _cmd_pfa(args) -> int:
 
 
 def _recipe_config(path: str | None, task: str | None = None) -> Config:
-    """The config at ``path``, or the built-in defaults of ``task``."""
-    return (Config.from_file(path) if path else
-            Config.from_text(f"[pipeline]\ntask = {task}\n" if task else ""))
+    """The config at ``path``, or the built-in defaults of ``task``.  It
+    must be a config of ``task``, or without ``task`` one whose own task
+    reads [geometry], which is then all that is read of it."""
+    config = (Config.from_file(path) if path else
+              Config.from_text(f"[pipeline]\ntask = {task}\n" if task else ""))
+    foreign = (config.task != task if task
+               else "geometry" not in SCHEMA[config.task])
+    if foreign:
+        raise ConfigError(f"--config {path}: task {config.task} " + (
+            f"is not {task}" if task else "reads no [geometry]"))
+    return config
 
 
 def _cmd_grating(args) -> int:

@@ -23,8 +23,8 @@ partial-fraction form over the eigenpairs of the unit-gap row pencil,
 computed once per row count; a gap costs one small matrix product.  The
 trench block below y = 0 depends on the gap only through its row count,
 so it is reduced onto the trench mouths once per mesh layout, by a
-banded Cholesky factorisation, and cached.  Each gap then solves one
-dense SPD system on the mouths; no solve builds a sparse matrix.
+block Cholesky sweep over its columns, and cached.  Each gap then solves
+one dense system on the mouths; no solve builds a sparse matrix.
 
 Forces are signed along the surface normal, negative = attractive,
 matching the Casimir modules; force gradients dF/dz are then positive
@@ -41,6 +41,7 @@ import numpy as np
 
 from .constants import EPS0
 from .geometry import GratingProfile, height_profile
+from .interpolate import _tridiagonal_solve
 from .planar import NumericalError
 
 Array = np.ndarray
@@ -459,12 +460,12 @@ def _row_pencil(ny: int) -> tuple[Array, Array, float, float]:
     """(nu, p, m0, m1): the gap rows of unit height, ready for reduction.
 
     With row spacings d_k = diff(_graded_from_start(ny)), the interior
-    rows carry the pencil Ay w = nu My w (1-D stiffness, lumped lengths).
-    LAPACK dpteqr solves it with high relative accuracy, as suits a
-    positive-definite tridiagonal (Demmel and Kahan, SIAM J. Sci. Stat.
-    Comput. 11, 873 (1990)), but its own Cholesky step still leaves
-    ~n eps on the lowest eigenvalues of the graded rows (6e-14 at 191
-    rows).  Each eigenvalue is therefore replaced by its Rayleigh quotient
+    rows carry the pencil Ay w = nu My w (1-D stiffness, lumped lengths),
+    or the tridiagonal T = My^-1/2 Ay My^-1/2.  numpy's eigh solves T to
+    absolute accuracy only (7e-11 relative on the lowest eigenvalues of
+    191 graded rows), so each eigenvector z_k takes one inverse-iteration
+    step (T - nu_k) y = z_k by ``interpolate._tridiagonal_solve``, and
+    each eigenvalue is replaced by its Rayleigh quotient
     Sum (w_{k+1} - w_k)^2 / d_k / Sum m_k w_k^2, a ratio of positive sums
     stationary in w.  With a = -w(first interior row) / d_0 and
     b = -w(last interior row) / d_last for My-normalised w, the columns of
@@ -472,19 +473,21 @@ def _row_pencil(ny: int) -> tuple[Array, Array, float, float]:
     all read-only; m0 and m1 are the lumped lengths of the two end rows.
     Built once per row count.
     """
-    import scipy.linalg as sla
-
     d = np.diff(_graded_from_start(ny))
     inv = 1.0 / d
     m = 0.5 * (d[:-1] + d[1:])
     root = np.sqrt(m)
-    nu, _, z, info = sla.lapack.dpteqr(
-        (inv[:-1] + inv[1:]) / m, -inv[1:-1] / (root[:-1] * root[1:]),
-        np.zeros((m.size, m.size)), compute_z=2)
-    if info:
-        raise NumericalError(f"dpteqr failed on the {ny}-row gap pencil "
-                             f"(info = {info})")
-    w = z / root[:, None]
+    diag = (inv[:-1] + inv[1:]) / m
+    off = (-inv[1:-1] / (root[:-1] * root[1:])).tolist()
+    nu, z = np.linalg.eigh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
+    try:
+        z = np.array([_tridiagonal_solve(off[:], (diag - shift).tolist(),
+                                         off[:], col.tolist())
+                      for shift, col in zip(nu, z.T)]).T
+    except ZeroDivisionError as exc:
+        raise NumericalError(f"inverse iteration met an exact eigenvalue "
+                             f"of the {ny}-row gap pencil") from exc
+    w = z / (root[:, None] * np.sqrt((z * z).sum(axis=0)))
     edges = np.diff(w, axis=0, prepend=0.0, append=0.0)
     energy = (edges * edges * inv[:, None]).sum(axis=0)
     nu = energy / (m[:, None] * w * w).sum(axis=0)
@@ -532,13 +535,12 @@ def _reduce_trench(shape: GratingProfile, control: MeshControl,
     column 0): K_mm - K_mi K_ii^-1 K_im.  ``modes`` and ``weights`` are
     the mouth rows of Mx V and of mx.  The trench interior is numbered
     column by column, as ``build_trench_mesh`` numbers it, so its
-    stiffness is SPD with half-bandwidth nb and one banded Cholesky
-    factorisation eliminates it.  None of this depends on the gap, so the
-    cell is built and validated with a gap of one period; the arrays are
-    read-only.
+    stiffness is SPD and block tridiagonal over the trench columns, and
+    one forward block Cholesky sweep (``np.linalg.cholesky`` and
+    ``solve`` per column) eliminates it.  None of this depends on the
+    gap, so the cell is built and validated with a gap of one period; the
+    arrays are read-only.
     """
-    import scipy.linalg as sla
-
     mesh = _cell_mesh(shape, shape.period, control, nb)
     mesh.validate()
     rows = mesh.left_nodes.size  # na + 1; upper node id = col * rows + row
@@ -560,24 +562,29 @@ def _reduce_trench(shape: GratingProfile, control: MeshControl,
     keep = (r >= 0) & (c >= 0)
     r, c, k = r[keep], c[keep], k[keep]
     m = mouths.size
-    n_in = unknown.size - m
 
-    def gather(sel: Array, flat: Array, shape: tuple[int, int]) -> Array:
+    def gather(sel: Array, flat: Array, *shape: int) -> Array:
         return np.bincount(flat[sel], k[sel],
-                           minlength=shape[0] * shape[1]).reshape(shape)
+                           minlength=math.prod(shape)).reshape(shape)
 
-    schur = gather((r < m) & (c < m), r * m + c, (m, m))
+    schur = gather((r < m) & (c < m), r * m + c, m, m)
     if m:
-        k_im = gather((r >= m) & (c < m), (r - m) * m + c, (n_in, m))
-        # lower band storage: entry (i, j), i >= j, at [i - j, j]
-        lower = (c >= m) & (r >= c)
-        band = int((r - c)[lower].max())
-        chol = sla.cholesky_banded(
-            gather(lower, (r - c) * n_in + c - m, (band + 1, n_in)),
-            lower=True)
-        # K_ii = L L^T, so K_mi K_ii^-1 K_im = Y^T Y with Y = L^-1 K_im
-        y, _ = sla.lapack.dtbtrs(chol, k_im, uplo="L")
-        schur -= y.T @ y
+        q = (unknown.size - m) // m  # interior rows under each mouth
+        col_r, col_c = (r - m) // q, (c - m) // q
+        flat = (r - m) * q + (c - m) % q
+        both = (r >= m) & (c >= m)
+        diag = gather(both & (col_c == col_r), flat, m, q, q)
+        after = gather(both & (col_c == col_r + 1), flat, m, q, q)
+        k_im = gather((r >= m) & (c < m), (r - m) * m + c, m, q, m)
+        # K_ii = L L^T column by column: L_jj L_jj^T = K_ii(j, j) - W^T W
+        # and [W | Y] = L_jj^-1 [K_ii(j, j + 1) | K_im(j) - W^T Y] with the
+        # previous column's W and Y; K_mi K_ii^-1 K_im = Sum_j Y^T Y
+        w = np.zeros((q, q + m))
+        for block, nxt, right in zip(diag, after, k_im):
+            carry = w[:, :q].T @ w
+            low = np.linalg.cholesky(block - carry[:, :q])
+            w = np.linalg.solve(low, np.hstack([nxt, right - carry[:, q:]]))
+            schur -= w[:, q:].T @ w[:, q:]
     out = (lam, schur, mv[mouths], mx[mouths])
     for arr in out:
         arr.flags.writeable = False
@@ -601,17 +608,15 @@ def solve_corrugated_capacitor(profile: GratingProfile, gap: float, V: float,
     to a 2x2 map per mode between the rows y = 0 and y = gap, closed in
     the unit-gap row eigenpairs of ``_row_pencil`` (cached per
     ``control.ny``).  The trench block depends on the gap only through
-    its row count nb; its banded Cholesky reduction (``_reduce_trench``)
+    its row count nb; its block Cholesky reduction (``_reduce_trench``)
     is cached per mesh layout and shared by every gap with the same nb.
-    A gap then costs one (modes x rows) matrix product and one dense SPD
-    solve on the mouths.  ``return_mesh=True`` also returns
+    A gap then costs one (modes x rows) matrix product and one dense
+    ``np.linalg.solve`` on the mouths.  ``return_mesh=True`` also returns
     ``build_trench_mesh`` of the same cell.
 
     A non-finite or non-positive gap, or a non-finite V, raises
     ValueError before any mesh or cache work.
     """
-    import scipy.linalg as sla
-
     if not (gap > 0.0 and math.isfinite(gap)):
         raise ValueError(f"gap must be positive and finite, got {gap!r} m")
     if not math.isfinite(V):
@@ -623,9 +628,8 @@ def solve_corrugated_capacitor(profile: GratingProfile, gap: float, V: float,
             shape, control, _trench_rows(shape, gap, control))
         s00, s01, s11 = _end_row_schur(lam, gap, control.ny)
         rhs = -s01[0] * V * weights
-        u = sla.solve(schur + (modes * s00) @ modes.T, rhs, assume_a="pos",
-                      check_finite=False)
-    except sla.LinAlgError as exc:
+        u = np.linalg.solve(schur + (modes * s00) @ modes.T, rhs)
+    except np.linalg.LinAlgError as exc:
         raise NumericalError(f"capacitor cell solve failed at gap = "
                              f"{gap:.6g} m for {profile}: {exc}") from exc
     if not np.all(np.isfinite(u)):

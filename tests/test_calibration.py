@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
+from scipy.optimize import minimize_scalar
 
 from casigrat import (
     CalibrationFit,
@@ -30,6 +31,8 @@ from casigrat import (
     synthesize_frequency_shifts,
     write_frequency_shift_samples,
 )
+from casigrat import calibration
+from casigrat.calibration import GradientModel
 
 RADIUS = 151.7e-6
 COEFF = -614.0
@@ -311,3 +314,68 @@ def test_fit_result_is_dataclass(noiseless_samples, series_model):
     assert isinstance(fit, CalibrationFit)
     assert fit.n_samples == len(noiseless_samples)
     assert fit.residuals.shape == (len(noiseless_samples),)
+
+
+# --------------------------------------------------------------------------
+# the z0 search against scipy's bounded Brent search, its oracle
+
+
+def test_z0_search_matches_scipy_bit_for_bit(monkeypatch):
+    # every search of seeded noisy fits (series and plate models, with a
+    # lever arm and with voltage differences), on the very objective the
+    # fit minimises, runs through both the port and scipy
+    pairs = []
+    port = calibration._bounded_minimum
+
+    def both(fn, lo, hi):
+        ours = port(fn, lo, hi)
+        ref = minimize_scalar(fn, bounds=(lo, hi), method="bounded",
+                              options={"xatol": 1e-15, "maxiter": 500})
+        assert ref.success
+        pairs.append((ours, float(ref.x)))
+        return ours
+
+    monkeypatch.setattr(calibration, "_bounded_minimum", both)
+    models = (series_gradient_model(RADIUS), plate_gradient_model(RADIUS))
+    for seed in range(24):
+        rng = np.random.default_rng(seed)
+        model = models[seed % 2]
+        lever = LEVER if seed % 3 == 1 else 0.0
+        thetas = 1e-6 * rng.standard_normal(PIEZO.size) if lever else None
+        samples = synthesize_frequency_shifts(
+            COEFF, Z0 + 40e-9 * rng.standard_normal(), model,
+            voltages=VOLTS, z_piezo=PIEZO, thetas=thetas, lever_b=lever,
+            noise_frac=0.01, rng=rng)
+        fit_calibration(samples, model, lever_b=lever,
+                        use_voltage_differences=seed % 3 == 2)
+    assert len(pairs) == 24
+    assert all(ours == ref for ours, ref in pairs), pairs
+
+
+def test_z0_search_matches_scipy_where_the_fits_rarely_go():
+    # minima inside, at either bound and just inside one, a plateau and
+    # several local minima: the step clamps and tie-breaks a fit seldom
+    # reaches
+    cases = [(lambda x: (x - 0.3) ** 2, 0.0, 1.0), (lambda x: x, 0.0, 1.0),
+             (lambda x: -x, 0.0, 1.0), (lambda x: (x - 1e-9) ** 2, 0.0, 1.0),
+             (lambda x: abs(x - 0.999999) ** 1.5, 0.0, 1.0),
+             (lambda x: float(round(abs(x - 0.4), 2)), 0.0, 1.0),
+             (lambda x: math.sin(7.0 * x) + 0.01 * x, 0.0, 10.0)]
+    for fn, lo, hi in cases:
+        ref = minimize_scalar(fn, bounds=(lo, hi), method="bounded",
+                              options={"xatol": 1e-15, "maxiter": 500})
+        assert calibration._bounded_minimum(fn, lo, hi) == ref.x
+
+
+def test_nan_model_raises_fit_error(noiseless_samples):
+    nan_model = GradientModel(fn=lambda z, volt: np.full(np.shape(z), math.nan),
+                              z_min=1e-12, z_max=0.1 * RADIUS, label="nan")
+    with pytest.raises(FitError, match="NaN"):
+        fit_calibration(noiseless_samples, nan_model)
+
+
+def test_z0_search_cut_off_raises_fit_error(noiseless_samples, series_model,
+                                           monkeypatch):
+    monkeypatch.setattr(calibration, "_Z0_MAXITER", 5)
+    with pytest.raises(FitError, match="after 5 model evaluations"):
+        fit_calibration(noiseless_samples, series_model)

@@ -314,6 +314,17 @@ def test_usage_errors_exit_2(tmp_path, monkeypatch, capsys):
                  "--config", str(narrow_trench)]) == 2
     err = capsys.readouterr().err
     assert "[geometry]" in err and "top_width" in err
+    # a config whose task reads no [geometry], read for its geometry, and
+    # configs of another task
+    for argv, cfg in (
+            (["pfa", "--z", "150nm", "--out", str(tmp_path / "p.csv")],
+             flat_cfg),
+            (["calibrate", "--input", str(sweep), "--model", "fem"], flat_cfg),
+            (["grating", "--out", str(tmp_path / "out")], flat_cfg),
+            (["electrostatics", "--out", str(tmp_path / "out")], rho_cfg)):
+        assert main(argv + ["--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert f"--config {cfg}: task" in err
     assert main(["calibrate", "--input", str(sweep), "--model", "fem",
                  "--fem-z-min", "500nm", "--fem-z-max", "100nm"]) == 2
     err = capsys.readouterr().err

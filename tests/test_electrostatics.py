@@ -18,6 +18,7 @@
 import dataclasses
 import hashlib
 import math
+import sys
 import warnings
 
 import numpy as np
@@ -43,7 +44,7 @@ from casigrat import (
     sphere_plane_gradient,
 )
 from casigrat import electrostatics
-from casigrat.checks import check_electrostatics
+from casigrat.checks import _dense_end_row_s00, check_electrostatics
 from casigrat.cli import main
 from casigrat.electrostatics import ALPHA_SERIES_MIN, _x_modes
 
@@ -606,13 +607,14 @@ def test_gap_block_matches_the_row_sweep(trench, ny):
 
 def test_row_pencil_is_cached_read_only(trench, monkeypatch):
     calls = []
-    dpteqr = scipy.linalg.lapack.dpteqr
+    eigh = np.linalg.eigh
 
-    def counting_dpteqr(*args, **kwargs):
-        calls.append(args[0].size)
-        return dpteqr(*args, **kwargs)
+    def counting_eigh(a, *args, **kwargs):
+        if sys._getframe(1).f_code.co_name == "_row_pencil":
+            calls.append(len(a))
+        return eigh(a, *args, **kwargs)
 
-    monkeypatch.setattr(scipy.linalg.lapack, "dpteqr", counting_dpteqr)
+    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
     electrostatics._reduce_trench.cache_clear()
     electrostatics._row_pencil.cache_clear()
     _table(trench, TABLE_GAPS)
@@ -628,20 +630,78 @@ def test_row_pencil_is_cached_read_only(trench, monkeypatch):
 
 
 def test_check_flags_row_eigenpairs_without_relative_accuracy(monkeypatch):
-    def absolute_accuracy_dpteqr(d, e, z, compute_z=2):
-        nu, w = np.linalg.eigh(np.diag(d) + np.diag(e, 1) + np.diag(e, -1))
-        return nu, e, w, 0
+    # without the inverse-iteration step the pencil keeps numpy eigh's
+    # eigenvectors, of absolute accuracy only
+    def no_step(lower, diag, upper, b):
+        return b
 
     results = dict((name, ok) for name, ok, _ in check_electrostatics())
     assert results["gap-row reduction matches dense elimination"]
-    monkeypatch.setattr(scipy.linalg.lapack, "dpteqr",
-                        absolute_accuracy_dpteqr)
+    monkeypatch.setattr(electrostatics, "_tridiagonal_solve", no_step)
     electrostatics._row_pencil.cache_clear()
     try:
         results = dict((name, ok) for name, ok, _ in check_electrostatics())
     finally:
         electrostatics._row_pencil.cache_clear()
     assert not results["gap-row reduction matches dense elimination"]
+
+
+def test_end_row_schur_matches_dense_elimination_at_384_rows():
+    lam = np.concatenate([[0.0], (2.0 * math.pi * np.geomspace(1.0, 256.0, 9)
+                                  / 400e-9) ** 2])
+    s00 = electrostatics._end_row_schur(lam, 150e-9, 384)[0]
+    dense = np.array([_dense_end_row_s00(x, 150e-9, 384) for x in lam])
+    np.testing.assert_allclose(s00, dense, rtol=1e-12, atol=0.0)
+
+
+def banded_trench_schur(shape, control, nb):
+    """The mouth Schur complement of ``_reduce_trench`` by the banded
+    route: the interior stiffness in lower band storage, one banded
+    Cholesky factorisation and a banded triangular solve."""
+    mesh = electrostatics._cell_mesh(shape, shape.period, control, nb)
+    rows = mesh.left_nodes.size
+    n_up = mesh.top_nodes.size * rows
+    n = mesh.nodes.shape[0]
+    mouths = np.flatnonzero(mesh.bottom_nodes[:-1] >= n_up)
+    inner = np.ones(n - n_up, dtype=bool)
+    inner[mesh.bottom_nodes[mouths] - n_up] = False
+    unknown = np.concatenate([mouths * rows, n_up + np.flatnonzero(inner)])
+    pos = np.full(n, -1)
+    pos[unknown] = np.arange(unknown.size)
+    trench = mesh.triangles[mesh.triangles.max(axis=1) >= n_up]
+    dofs = pos[mesh.dof_map[trench]]
+    r = np.repeat(dofs, 3, axis=1).ravel()
+    c = np.tile(dofs, (1, 3)).ravel()
+    k = electrostatics._element_stiffness(mesh.nodes, trench).ravel()
+    keep = (r >= 0) & (c >= 0)
+    r, c, k = r[keep], c[keep], k[keep]
+    m = mouths.size
+    n_in = unknown.size - m
+
+    def gather(sel, flat, shape):
+        return np.bincount(flat[sel], k[sel],
+                           minlength=shape[0] * shape[1]).reshape(shape)
+
+    schur = gather((r < m) & (c < m), r * m + c, (m, m))
+    k_im = gather((r >= m) & (c < m), (r - m) * m + c, (n_in, m))
+    lower = (c >= m) & (r >= c)  # entry (i, j), i >= j, at [i - j, j]
+    band = int((r - c)[lower].max())
+    chol = scipy.linalg.cholesky_banded(
+        gather(lower, (r - c) * n_in + c - m, (band + 1, n_in)), lower=True)
+    y, info = scipy.linalg.lapack.dtbtrs(chol, k_im, uplo="L")
+    assert info == 0
+    return schur - y.T @ y
+
+
+def test_trench_schur_matches_banded_cholesky(trench):
+    shape, control = electrostatics._meshing_profile(trench), MeshControl()
+    layouts = sorted({electrostatics._trench_rows(shape, g, control)
+                      for g in TABLE_GAPS})
+    assert len(layouts) == 18
+    for nb in layouts:
+        schur = electrostatics._reduce_trench(shape, control, nb)[1]
+        ref = banded_trench_schur(shape, control, nb)
+        assert np.abs(schur - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
 def _table(profile, gaps):
@@ -705,10 +765,10 @@ def test_trench_reductions_are_read_only(trench):
 def test_failed_factorisation_raises_numerical_error(trench, monkeypatch,
                                                      tmp_path):
     def not_positive(*args, **kwargs):
-        raise np.linalg.LinAlgError("leading minor not positive definite")
+        raise np.linalg.LinAlgError("Matrix is not positive definite")
 
     electrostatics._reduce_trench.cache_clear()
-    monkeypatch.setattr(scipy.linalg, "cholesky_banded", not_positive)
+    monkeypatch.setattr(np.linalg, "cholesky", not_positive)
     with pytest.raises(NumericalError,
                        match=r"gap = 1\.5e-07 m for GratingProfile\(period"):
         solve_corrugated_capacitor(trench, 150e-9, VOLT)
@@ -721,10 +781,12 @@ def test_failed_factorisation_raises_numerical_error(trench, monkeypatch,
 
 
 def test_non_finite_potentials_raise_numerical_error(trench, monkeypatch):
-    def nan_solve(a, b, **kwargs):
-        return np.full(np.shape(b), math.nan)
+    solve = np.linalg.solve
 
-    monkeypatch.setattr(scipy.linalg, "solve", nan_solve)
+    def nan_solve(a, b):  # the mouth solve alone has one right-hand side
+        return np.full(np.shape(b), math.nan) if b.ndim == 1 else solve(a, b)
+
+    monkeypatch.setattr(np.linalg, "solve", nan_solve)
     with pytest.raises(NumericalError, match="non-finite.*gap = 1\\.5e-07 m"):
         solve_corrugated_capacitor(trench, 150e-9, VOLT)
 

@@ -1,11 +1,12 @@
 """Every name a casigrat module imports is referenced by that module,
 every public function or class is exported or used in the package,
-private names and scipy modules are imported only where listed, a bad
-value becomes a ConfigError only through config.named, files are opened
-only where listed and no module imports csv or io, only the grating
-reads the environment, and importing the package, evaluating its
-materials and flat-force laws and running the grating loads no scipy
-module, and importing it loads no process pool."""
+private names are imported only where listed and no module imports
+scipy, a bad value becomes a ConfigError only through config.named,
+files are opened only where listed and no module imports csv or io, only
+the grating reads the environment, importing the package and running
+its stages loads no scipy module, the self-checks, an electrostatic
+pipeline and calibrate run with scipy blocked, and importing the package
+loads no process pool."""
 
 import ast
 import os
@@ -106,6 +107,7 @@ PRIVATE_IMPORTS = [
     ("cli", "pipeline", "_meshable_profile_from_config"),
     ("cli", "pipeline", "_profile_from_config"),
     ("cli", "pipeline", "_rho_inputs"),
+    ("electrostatics", "interpolate", "_tridiagonal_solve"),
     ("pipeline", "electrostatics", "_meshing_profile"),
 ]
 
@@ -175,12 +177,9 @@ def test_config_errors_are_rewrapped_only_by_named():
     assert found == CONFIG_ERROR_REWRAPS
 
 
-# (importing module, scipy module): only where numpy has no equivalent, the
-# banded LAPACK of the capacitor cell and the calibration's bounded fit
-SCIPY_IMPORTS = [
-    ("calibration", "scipy.optimize"),
-    ("electrostatics", "scipy.linalg"),
-]
+# (importing module, scipy module): none, numpy is the one runtime
+# dependency and scipy serves the tests as an oracle only
+SCIPY_IMPORTS = []
 
 
 def scipy_imports(path: Path) -> set[tuple[str, str]]:
@@ -313,7 +312,7 @@ casigrat.casimir_pressure_grating_grid(trench, silicon,
 print(" ".join(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
 """
 
-# the same for the capacitor-cell gradient model, which loads scipy.linalg
+# the same for the capacitor-cell gradient model
 FEM_MODEL_CODE = """\
 import sys
 import casigrat
@@ -324,12 +323,13 @@ print(" ".join(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
 """
 
 
-def modules_loaded_by(code: str) -> list[str]:
-    """The modules a fresh interpreter running ``code`` prints as loaded."""
+def modules_loaded_by(code: str, *args: str) -> list[str]:
+    """The words a fresh interpreter running ``code`` with arguments
+    ``args`` prints: the modules it loaded, or the exit codes it got."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
-    proc = subprocess.run([sys.executable, "-c", code], cwd=ROOT,
+    proc = subprocess.run([sys.executable, "-c", code, *args], cwd=ROOT,
                           env=env, capture_output=True, text=True,
                           timeout=120)
     assert proc.returncode == 0, proc.stderr
@@ -358,8 +358,39 @@ def test_import_loads_no_process_pool():
 
 def test_fem_gradient_model_loads_no_scipy_interpolate():
     loaded = modules_loaded_by(FEM_MODEL_CODE)
-    assert "scipy.linalg" in loaded
-    assert not [m for m in loaded if m.startswith("scipy.interpolate")]
+    assert loaded == [], f"scipy modules loaded: {' '.join(loaded)}"
+
+
+# a fresh interpreter in which importing scipy fails: the self-checks, an
+# electrostatic pipeline and every calibrate model still run
+SCIPY_BLOCKED_CODE = """\
+import contextlib
+import io
+import sys
+sys.modules["scipy"] = None
+import numpy as np
+import casigrat
+from casigrat.cli import main
+work = sys.argv[1]
+with open(f"{work}/es.cfg", "w") as fh:
+    fh.write("[pipeline]\\ntask = electrostatic_gradient\\n"
+             "[grid]\\nz = 150:450:150nm\\n[solver]\\ntable_points = 10\\n")
+casigrat.write_frequency_shift_samples(
+    f"{work}/shifts.csv", casigrat.synthesize_frequency_shifts(
+        -614.0, 800e-9, casigrat.series_gradient_model(50e-6),
+        voltages=(0.245, 0.3), z_piezo=np.linspace(0.0, 600e-9, 13)))
+runs = [["pipeline", "--check", "--all-checks"],
+        ["pipeline", "--config", f"{work}/es.cfg", "--out", work]]
+runs += [["calibrate", "--input", f"{work}/shifts.csv", "--model", model]
+         for model in ("series", "plate", "fem")]
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [main(argv) for argv in runs]
+print(*codes)
+"""
+
+
+def test_runs_with_scipy_blocked(tmp_path):
+    assert modules_loaded_by(SCIPY_BLOCKED_CODE, str(tmp_path)) == ["0"] * 5
 
 
 def test_literal_constants_equal_scipy():
