@@ -52,13 +52,18 @@ negligible: where ||M'||_F < 2^-26 the trace is taken from the Neumann
 sum 2 tr[kappa (M' + M'^2)], whose remainder lies below rounding, and
 only the other operators go through the batched linear solve.
 
-The integral is assembled from one node function of (xi, k_x), a closure
-over the inputs all nodes share that returns the k_y-summed trace for
-every z.  A pool of ``worker_count(workers)`` threads maps it, in order,
-over the xi-major node list, numpy's linear algebra releasing the GIL,
-and the weighted contributions are added one by one in node order.  The
-sum sees the same operands in the same order for any worker count, which
-thus cannot change it.
+Before any node runs, the grid builds a plan: an xi-major list of
+(xi, k_x) nodes, each with its weight and the k_y rows it keeps.  |r1| <= 1
+and a passive R2 bound a row's loop operator by ||M'||_F <= sqrt(2 n1)
+e^{-2 kappa0 z_min}, kappa0 its smallest vacuum decay rate; a row whose
+bound lies below 2^-52 of the grid's largest, that is with (kappa0 -
+min kappa0) z_min > 26 ln 2, is dropped at every z, and so is a node left
+without rows.  The leading row always stays.  A pool of
+``worker_count(workers)`` threads, at most one per entry, maps the node
+function over the plan in order, numpy's linear algebra releasing the
+GIL, and the weighted contributions are added one by one in plan order.
+The sum sees the same operands in the same order for any worker count,
+which thus cannot change it.
 """
 
 from __future__ import annotations
@@ -439,13 +444,13 @@ def grating_reflection(profile: GratingProfile, model: DielectricModel,
     spec : TruncationSpec; only ``orders`` and ``n_slices`` are used here.
     """
     spec = spec or TruncationSpec()
-    if not xi > 0.0:
-        raise ValueError("xi must be positive")
+    if not 0.0 < xi < math.inf:
+        raise ValueError(f"xi must be positive and finite, got {xi}")
     bz = math.pi / profile.period
     if not -bz <= k_x <= bz:
         raise ValueError(f"k_x outside first Brillouin zone [{-bz:.4e}, {bz:.4e}]")
-    if k_y < 0.0:
-        raise ValueError("k_y must be >= 0")
+    if not 0.0 <= k_y < math.inf:
+        raise ValueError(f"k_y must be finite and >= 0, got {k_y}")
     r_sp, *_ = _reflection_batch(profile, model, xi, k_x,
                                  np.array([k_y], dtype=float),
                                  spec.orders, spec.n_slices)
@@ -513,36 +518,45 @@ def casimir_pressure_grating_grid(profile: GratingProfile,
     """Grating-plane Casimir pressure (Pa, negative) on a separation grid.
 
     The modal eigenproblems depend only on (xi, k_x), so one reflection
-    table is reused across the whole z grid.  The nodes run on a pool of
-    ``worker_count(workers)`` threads, at most one per node; the result is
-    the same bit for bit for every count.
+    table is reused across the whole z grid.  The plan's nodes, less the
+    k_y rows and nodes whose loop operators lie below rounding at z_min,
+    run on a pool of ``worker_count(workers)`` threads, at most one per
+    planned node; the result is the same bit for bit for every count.
     """
     workers = worker_count(workers)
     spec = spec or TruncationSpec()
     z_arr = np.atleast_1d(np.asarray(z_grid, dtype=float))
-    if np.any(z_arr <= 0.0):
-        raise ValueError("separations must be positive")
+    if not np.all((z_arr > 0.0) & (z_arr < math.inf)):
+        raise ValueError("separations must be positive and finite")
     (q_nodes, q_w), (kx_nodes, kx_w), (ky_nodes, ky_w) = _quad_nodes(
         z_arr, profile.period, spec.quadrature)
 
-    # Nodes xi-major; each weight is (q_w c) kx_w.
-    xi = np.repeat(q_nodes * C_LIGHT, kx_nodes.size)
-    k_x = np.tile(kx_nodes, q_nodes.size)
-    weights = np.outer(q_w * C_LIGHT, kx_w).ravel()
+    # The plan (module docstring): xi-major (xi, k_x, weight (q_w c) kx_w,
+    # kept k_y rows, their weights).  k_x lies in half the Brillouin zone,
+    # so order 0 has a row's smallest decay rate kappa0; the cut keeps the
+    # rows whose bound e^{-2 kappa0 z_min} is within _NEUMANN_NORM^2 of the
+    # largest.
+    kappa0 = np.sqrt((q_nodes[:, None, None] ** 2 + kx_nodes[:, None] ** 2)
+                     + ky_nodes ** 2)
+    keep = (kappa0 - kappa0.min()) * z_arr.min() <= -math.log(_NEUMANN_NORM)
+    plan = [(q * C_LIGHT, k_x, w_q * C_LIGHT * w_x, ky_nodes[rows],
+             ky_w[rows])
+            for q, w_q, keep_q in zip(q_nodes, q_w, keep)
+            for k_x, w_x, rows in zip(kx_nodes, kx_w, keep_q) if rows.any()]
 
-    def node(xi: float, k_x: float) -> Array:
-        """One (xi, k_x) node: k_y-batched reflection plus z-grid traces."""
+    def node(entry) -> Array:
+        """One plan entry: k_y-batched reflection plus z-grid traces."""
+        xi, k_x, _, ky, ky_wt = entry
         r_sp, kappa_vac, k_t, context = _reflection_batch(
-            profile, model_grating, xi, k_x, ky_nodes, spec.orders,
-            spec.n_slices)
+            profile, model_grating, xi, k_x, ky, spec.orders, spec.n_slices)
         r1_diag = np.concatenate(fresnel_te_tm(model_plane, xi, k_t), axis=1)
-        return _trace_over_z(r_sp, kappa_vac, r1_diag, z_arr, ky_w, context)
+        return _trace_over_z(r_sp, kappa_vac, r1_diag, z_arr, ky_wt, context)
 
-    with ThreadPoolExecutor(max_workers=min(workers, xi.size)) as pool:
-        contribs = list(pool.map(node, xi, k_x))
+    with ThreadPoolExecutor(max_workers=min(workers, len(plan))) as pool:
+        contribs = list(pool.map(node, plan))
 
     acc = np.zeros(z_arr.size)
-    for weight, contrib in zip(weights, contribs):
+    for (_, _, weight, _, _), contrib in zip(plan, contribs):
         acc += weight * contrib
     return -(HBAR / (2.0 * math.pi**3)) * acc
 

@@ -23,7 +23,7 @@ import time
 import numpy as np
 import pytest
 import scipy.linalg as sla
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from casigrat import (
@@ -383,6 +383,38 @@ def test_reciprocity_on_random_trapezoids(material, **cell):
     assert residual <= 1e-11 * math.sqrt(eps) * k_max * C_LIGHT / xi
 
 
+# the low-xi, large-k_y corner, where the modal solve loses digits: there
+# the reciprocity residual reaches 1e-4 for conductor_proxy
+_CORNER = dict(period=400e-9, p1=0.46, run_share=0.1, depth=98e-9,
+               log_xi=12.0, kx_share=0.3, log_ky=8.3, orders=8, slices=4,
+               log_z=-7.0)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@example(material="conductor_proxy", **_CORNER)
+@example(material="silicon_doped", **_CORNER)
+@given(material=st.sampled_from(["silicon_doped", "silicon_intrinsic",
+                                 "gold_drude", "conductor_proxy"]),
+       log_z=st.floats(-8.0, -6.0),
+       **dict(_CELL, log_ky=st.floats(4.0, 8.5)))
+def test_loop_operator_within_the_passivity_bound(material, log_z, **cell):
+    # The node plan drops a row from the a-priori bound ||M'||_F <=
+    # sqrt(2 n1) e^{-2 kappa0 z}, kappa0 the row's smallest vacuum decay
+    # rate, which |r1| <= 1 and a passive R2 give; the computed operator
+    # must obey it, also where the modal solve loses digits.
+    r2 = _cell_reflection(get_material(material), **cell)
+    xi, period, z = 10.0 ** cell["log_xi"], cell["period"], 10.0 ** log_z
+    k_y = 10.0 ** cell["log_ky"]
+    n = np.arange(-cell["orders"], cell["orders"] + 1)
+    kn = (cell["kx_share"] + 2.0 * n) * math.pi / period
+    kappa = np.tile(np.sqrt((xi / C_LIGHT) ** 2 + kn ** 2 + k_y ** 2), 2)
+    r1 = np.concatenate(fresnel_te_tm(get_material("gold_drude"), xi,
+                                      np.hypot(kn, k_y)))
+    loop = (r1 * np.exp(-2.0 * kappa * z))[:, None] * r2
+    bound = math.sqrt(kappa.size) * math.exp(-2.0 * kappa.min() * z)
+    assert np.linalg.norm(loop) <= bound * (1.0 + 1e-12)
+
+
 def test_brillouin_zone_evenness(trench):
     si = get_material("silicon_doped")
     xi, kx, ky = 1.2e15, 0.35 * math.pi / LAM, 4e6
@@ -421,6 +453,27 @@ def test_argument_validation(trench):
     with pytest.raises(ValueError):
         GratingQuadrature(2, 8, 8)
     assert issubclass(ModalError, Exception)
+
+
+@pytest.mark.parametrize("xi, k_y, name", [
+    (1e15, math.nan, "k_y"), (1e15, math.inf, "k_y"), (math.inf, 1e6, "xi")])
+def test_reflection_rejects_a_non_finite_xi_or_k_y(trench, xi, k_y, name):
+    # a NaN or infinite k_y gave an all-NaN matrix, an infinite xi a
+    # ModalError from the eigensolver
+    with pytest.raises(ValueError, match=f"^{name} must be"):
+        grating_reflection(trench, get_material("silicon_doped"), xi, 0.0,
+                           k_y, TruncationSpec(2, 1))
+
+
+@pytest.mark.parametrize("z", [[math.nan], [100e-9, math.inf]])
+def test_grid_rejects_non_finite_separations(trench, z):
+    # the quadrature rule, built from z_min and z_max, raised first and
+    # did not name the separations
+    with pytest.raises(ValueError, match="^separations must be positive "
+                                         "and finite"):
+        casimir_pressure_grating_grid(trench, get_material("silicon_doped"),
+                                      get_material("gold_drude"), z,
+                                      TruncationSpec(1, 1), workers=1)
 
 
 # --------------------------------------------------------------------------
@@ -801,6 +854,72 @@ def test_thread_count_does_not_change_any_bit(slot, orders, slices, z):
     runs = [casimir_pressure_grating_grid(
         profile, get_material("silicon_doped"), get_material("gold_drude"),
         z, spec, workers=workers).tolist() for workers in (1, 2, 3)]
+    assert runs[0] == runs[1] == runs[2]
+
+
+def _uncut_pressure(profile, model_grating, model_plane, z, spec):
+    """The grid's sum over every (xi, k_x, k_y) node of the rule."""
+    (q, q_w), (kx, kx_w), (ky, ky_w) = grating._quad_nodes(
+        z, profile.period, spec.quadrature)
+    acc = np.zeros(z.size)
+    for xi, xi_w in zip(q * C_LIGHT, q_w * C_LIGHT):
+        for k_x, k_x_w in zip(kx, kx_w):
+            r_sp, kappa, k_t, context = grating._reflection_batch(
+                profile, model_grating, xi, k_x, ky, spec.orders,
+                spec.n_slices)
+            r1 = np.concatenate(fresnel_te_tm(model_plane, xi, k_t), axis=1)
+            acc += xi_w * k_x_w * grating._trace_over_z(
+                r_sp, kappa, r1, z, ky_w, context)
+    return -(HBAR / (2.0 * math.pi**3)) * acc
+
+
+def _planned_rows(monkeypatch):
+    """Record xi and the k_y row count of every node the grid solves."""
+    rows = []
+    reflection_batch = grating._reflection_batch
+
+    def reflection(profile, model, xi, k_x, ky, *args):
+        rows.append((xi, ky.size))
+        return reflection_batch(profile, model, xi, k_x, ky, *args)
+
+    monkeypatch.setattr(grating, "_reflection_batch", reflection)
+    return rows
+
+
+@pytest.mark.parametrize("short_period", [False, True])
+def test_row_cut_moves_the_pressure_at_rounding_level(trench, short_period,
+                                                      monkeypatch):
+    # The plan drops rows whose loop operators lie below 2^-52 of the
+    # grid's largest, and nodes left without rows.  With z_min eight
+    # periods out, the k_x spread alone exceeds the cut, so whole k_x nodes
+    # drop at the lowest xi too.  Measured: 1.7e-14 and 6.9e-14 apart, at
+    # z_min; a dropped row's quadrature weight times its decay rate grows
+    # with kappa, so far from the period the cut moves P the most.
+    si, gold = get_material("silicon_doped"), get_material("gold_drude")
+    spec = TruncationSpec(3, 2, GratingQuadrature(12, 6, 16))
+    profile, z = trench, np.array([100e-9, 150e-9, 250e-9])
+    if short_period:
+        profile = GratingProfile(50e-9, 20e-9, 20e-9, 15e-9)
+        z = np.array([400e-9, 600e-9])
+    want = _uncut_pressure(profile, si, gold, z, spec)
+    rows = _planned_rows(monkeypatch)
+    got = casimir_pressure_grating_grid(profile, si, gold, z, spec, workers=2)
+    xi, counts = zip(*rows)
+    assert len(rows) < 12 * 6 and sum(counts) < 12 * 6 * 16
+    assert xi.count(min(xi)) == (4 if short_period else 6)
+    np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
+
+
+def test_thread_count_does_not_change_any_bit_of_a_cut_plan(trench,
+                                                            monkeypatch):
+    # a rule whose plan drops both k_y rows and whole nodes
+    spec = TruncationSpec(2, 2, GratingQuadrature(6, 4, 6))
+    z = [100e-9, 250e-9]
+    rows = _planned_rows(monkeypatch)
+    runs = [casimir_pressure_grating_grid(
+        trench, get_material("silicon_doped"), get_material("gold_drude"),
+        z, spec, workers=workers).tolist() for workers in (1, 2, 3)]
+    assert len(rows) == 3 * 20 and sum(n for _, n in rows) < 3 * 20 * 6
     assert runs[0] == runs[1] == runs[2]
 
 
