@@ -31,8 +31,9 @@ from .materials import available_materials, get_material, is_perfect_conductor
 from .pfa import flat_pressure_law, pfa_corrugated, pfa_share_topbottom
 from .pipeline import (_meshable_profile_from_config, _profile_from_config,
                        _rho_inputs, electrostatic_gradient_curves,
-                       rho_ratio_curves, run_pipeline)
-from .planar import NumericalError, casimir_pressure_planar
+                       run_pipeline)
+from .planar import (NumericalError, casimir_pressure_planar,
+                     force_gradient_sphere_plane)
 
 _USAGE_ERROR = 2
 _NUMERICAL_ERROR = 1
@@ -97,15 +98,16 @@ def _cmd_planar(args) -> int:
     mat_b = get_material(args.material_b)
     z_grid = _flag_value(args, "z", parse_grid, "length")
     out = _out_file(args.out)
-    values = np.array([casimir_pressure_planar(mat_a, mat_b, z)
-                       for z in z_grid])
     meta = {"materials": f"{args.material_a}/{args.material_b}",
             "quadrature": "refined to rtol 1e-6"}
     unit, label = "Pa", "plane-plane pressure"
     if args.gradient:
-        values = 2.0 * np.pi * args.radius * np.abs(values)
         meta["radius_um"] = f"{args.radius * 1e6:.6g}"
         unit, label = "N/m", "sphere-plane force gradient"
+    values = np.array([
+        force_gradient_sphere_plane(mat_a, mat_b, z, args.radius)
+        if args.gradient else casimir_pressure_planar(mat_a, mat_b, z)
+        for z in z_grid])
     _wrote(ForceCurve(z_grid, values, unit=unit, label=label,
                       metadata=meta).to_csv(out))
     return 0
@@ -153,19 +155,17 @@ def _recipe_config(path: str | None, task: str | None = None) -> Config:
 
 def _cmd_grating(args) -> int:
     config = _recipe_config(args.config, "rho_ratio")
-    out_dir = Path(args.out)
     if args.sweep_N:  # read the sweep's inputs before the ratio curve runs
         cutoffs = _flag_value(args, "sweep_N", parse_int_range)
         z_ref = config.quantity("solver", "sweep_z")
         profile, (_, model_g), (_, model_p), spec = _rho_inputs(config)
         with named("--sweep-N:"):  # TruncationSpec bounds each cutoff
             orders = [replace(spec, orders=n).orders for n in cutoffs]
-    out_dir.mkdir(parents=True, exist_ok=True)
-    _wrote(*write_curves(rho_ratio_curves(config), out_dir, "rho_ratio"))
+    _wrote(*run_pipeline(config, args.out))
     if args.sweep_N:
         rows = convergence_sweep(profile, model_g, model_p, z_ref, orders,
                                  spec)
-        _wrote(write_table(out_dir / "rho_ratio_convergence.csv",
+        _wrote(write_table(Path(args.out) / "rho_ratio_convergence.csv",
                            ("orders", "pressure_pa"),
                            ((str(n), p) for n, p in rows),
                            ["label: pressure vs diffraction-order cutoff",

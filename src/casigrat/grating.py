@@ -30,9 +30,11 @@ W and V are block triangular, so A and B are too, and each of their
 blocks is a k_y-independent n1 x n1 product of the two layers' modal
 matrices times per-k_y diagonals of decay rates and k_y/q.  Each
 interface builds A + B and A - B from these products, and F - G, F + G
-follow with two batched matmuls.  The vacuum-side result is converted to
-the per-order (s, p) polarization basis, in which a flat surface
-reproduces the planar Fresnel coefficients on the diagonal.
+follow with two batched matmuls.  A scaled 2 x 2 rotation of each
+order's (TE-to-x, TM-to-x) pair, acting on the row and column halves of
+the vacuum-side R, converts it to the per-order (s, p) polarization basis,
+in which a flat surface reproduces the planar Fresnel coefficients on the
+diagonal.
 
 The force between mirror 1 (planar, below at distance z) and mirror 2
 (the grating) follows from the round-trip operator
@@ -226,9 +228,12 @@ def _layer_modes(q: float, kn: Array, eps_solid: float | None,
         vec_tm = np.linalg.solve(chol.T, y)
     except np.linalg.LinAlgError as exc:
         raise ModalError(f"modal eigenproblem failed at {context}: {exc}") from None
-    if alpha2.min() <= 0.0 or beta2.min() <= 0.0:
-        raise ModalError(f"non-positive modal eigenvalue at {context}; "
-                         "the layer permittivity is unphysical")
+    if alpha2.min() <= 0.0 or beta2.min() <= 0.0:  # rounding, not bad eps
+        raise ModalError(
+            f"non-positive {'TE' if alpha2.min() <= 0.0 else 'TM'} modal "
+            f"eigenvalue at {context} for |eps| = {abs(eps_solid):.3g} at "
+            f"N = {(n1 - 1) // 2}: T[1/eps], which reduces the TM modes, has "
+            f"smallest eigenvalue {np.linalg.eigvalsh(t_inv)[0]:.3g}")
     return _LayerModes(alpha2_te=alpha2, vec_te=vec_te, beta2_tm=beta2,
                        vec_tm=vec_tm, ex_weight_tm=t_inv @ vec_tm,
                        ey_weight_tm=inv_eps @ (kn[:, None] * vec_tm))
@@ -343,29 +348,6 @@ def _climb(r: Array, plus: Array, minus: Array, d: Array,
     return np.transpose(x_t, (0, 2, 1)) * d
 
 
-def _sp_conversion(q: float, kn: Array, ky: Array, k_t: Array, kap: Array):
-    """Conversion matrix from vacuum x-mode to (s, p) amplitudes.
-
-    Per order the map is a 2x2 block [[a, b], [-b, a]] acting on
-    (TE-to-x, TM-to-x) amplitudes of upward waves; rows are flux-weighted
-    by sqrt(kappa_n) so the resulting reflection operator is
-    passivity-normalized.  Downward waves map through C- = -C+^T, and
-    C+ C+^T = (a^2 + b^2) I.  ``k_t`` and ``kap`` hold the transverse
-    wavevectors and the vacuum decay rates (nky, n1).  Returns (C+,
-    a^2 + b^2) with shapes (nky, 2 n1, 2 n1) and (nky, 2 n1).
-    """
-    n1 = kn.size
-    w = np.sqrt(kap)
-    a = -kap * kn[None, :] / k_t * w
-    b = q * ky[:, None] / k_t * w
-    c = np.zeros((ky.size, 2 * n1, 2 * n1))
-    idx = np.arange(n1)
-    c[:, idx, idx] = c[:, idx + n1, idx + n1] = a
-    c[:, idx, idx + n1] = b
-    c[:, idx + n1, idx] = -b
-    return c, np.tile(a * a + b * b, 2)
-
-
 def _reflection_batch(profile: GratingProfile, model: DielectricModel,
                       xi: float, k_x: float, ky: Array, orders: int,
                       n_slices: int):
@@ -419,10 +401,21 @@ def _reflection_batch(profile: GratingProfile, model: DielectricModel,
     kappa_vac, scale_vac = layers[-1].kappa, layers[-1].scale
     r_raw = scale_vac[:, :, None] * r / scale_vac[:, None, :]
 
-    # R_sp = C+ R C-^{-1} = -C+ R C+ / (a^2 + b^2).
-    c_plus, norm2 = _sp_conversion(q, kn, ky, k_t, kappa_vac[:, :kn.size])
-    r_sp = -(c_plus @ r_raw @ c_plus) / norm2[:, None, :]
-    return r_sp, kappa_vac, k_t, context
+    # Per order, C+ = [[a, b], [-b, a]] maps upward (TE-to-x, TM-to-x)
+    # amplitudes to (s, p), rows flux-weighted by sqrt(kappa_n) for a
+    # passivity-normalized R_sp; C- = -C+^T and C+ C+^T = (a^2 + b^2) I, so
+    # R_sp = C+ R C-^-1 = -C+ R C+ / (a^2 + b^2): rows, columns, division.
+    n1 = kn.size
+    kap = kappa_vac[:, :n1]
+    w = np.sqrt(kap)
+    a = (-kap * kn[None, :] / k_t * w)[:, :, None]
+    b = (q * ky[:, None] / k_t * w)[:, :, None]
+    te, tm = r_raw[:, :n1], r_raw[:, n1:]
+    rows = np.concatenate([a * te + b * tm, a * tm - b * te], axis=1)
+    a, b = np.swapaxes(a, 1, 2), np.swapaxes(b, 1, 2)
+    te, tm = rows[..., :n1], rows[..., n1:]
+    r_sp = np.concatenate([te * a - tm * b, te * b + tm * a], axis=2)
+    return -r_sp / np.tile(a * a + b * b, 2), kappa_vac, k_t, context
 
 
 def grating_reflection(profile: GratingProfile, model: DielectricModel,
@@ -509,6 +502,13 @@ def _trace_over_z(r_sp: Array, kappa_vac: Array, r1_diag: Array,
     return tr @ ky_w
 
 
+def _separations(z_grid) -> Array:
+    z_arr = np.atleast_1d(np.asarray(z_grid, dtype=float))
+    if not np.all((z_arr > 0.0) & (z_arr < math.inf)):
+        raise ValueError("separations must be positive and finite")
+    return z_arr
+
+
 def casimir_pressure_grating_grid(profile: GratingProfile,
                                   model_grating: DielectricModel,
                                   model_plane: DielectricModel,
@@ -525,9 +525,7 @@ def casimir_pressure_grating_grid(profile: GratingProfile,
     """
     workers = worker_count(workers)
     spec = spec or TruncationSpec()
-    z_arr = np.atleast_1d(np.asarray(z_grid, dtype=float))
-    if not np.all((z_arr > 0.0) & (z_arr < math.inf)):
-        raise ValueError("separations must be positive and finite")
+    z_arr = _separations(z_grid)
     (q_nodes, q_w), (kx_nodes, kx_w), (ky_nodes, ky_w) = _quad_nodes(
         z_arr, profile.period, spec.quadrature)
 
@@ -580,8 +578,8 @@ def rho_ratio(profile: GratingProfile, model_grating: DielectricModel,
     the sphere mapping 2 pi R cancels, so the plane-plane ratio is also
     the sphere force-gradient ratio.
     """
-    z_arr = np.atleast_1d(np.asarray(z_grid, dtype=float))
-    if not np.all(np.diff(z_arr) > 0.0):  # checked before the costly grid
+    z_arr = _separations(z_grid)  # both checked before the costly grid
+    if not np.all(np.diff(z_arr) > 0.0):
         raise ValueError("z grid must be strictly increasing")
     exact = casimir_pressure_grating_grid(profile, model_grating, model_plane,
                                           z_arr, spec, workers=workers)

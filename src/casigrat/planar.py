@@ -105,8 +105,8 @@ def casimir_pressure_planar(material_a: DielectricModel,
     times) until two successive evaluations agree to ``rtol``; the finest
     value is returned.  Raises NumericalError if refinement stalls.
     """
-    if not z > 0.0:
-        raise ValueError("separation z must be positive")
+    if not 0.0 < z < math.inf:
+        raise ValueError("separation z must be positive and finite")
     quad = quad or QuadratureSpec()
     prev = _pressure_once(material_a, material_b, z, quad)
     for factor in (2, 4, 8):

@@ -81,6 +81,16 @@ def test_planar_pressure_and_gradient(tmp_path):
         2.0 * np.pi * 50e-6 * np.abs(curve.values), rel=1e-12)
 
 
+def test_planar_gradient_warns_beyond_the_proximity_regime(tmp_path):
+    out = tmp_path / "g.csv"
+    with pytest.warns(UserWarning, match="z/R = 0.100 strains the proximity"):
+        assert main(["planar", "--material-a", "perfect_conductor",
+                     "--material-b", "perfect_conductor", "--gradient",
+                     "--radius", "1um", "--z", "100nm",
+                     "--out", str(out)]) == 0
+    assert ForceCurve.from_csv(out).values.size == 1
+
+
 def test_planar_conductor_against_drude(tmp_path):
     out = tmp_path / "p.csv"
     assert main(["planar", "--material-a", "perfect_conductor",
@@ -124,6 +134,25 @@ def test_grating_runs_the_recipe_defaults_outside_a_checkout(tmp_path,
     assert main(["grating", "--out", str(out_dir)]) == 0
     rho = ForceCurve.from_csv(out_dir / "rho_ratio_rho_theory.csv")
     assert rho.metadata["orders"] == "8"
+
+
+def test_grating_writes_what_the_pipeline_writes(tmp_path, monkeypatch):
+    # both commands run the one rho_ratio pipeline, so a curve from its
+    # task table is what each writes, byte for byte
+    curve = ForceCurve(np.array([150e-9, 250e-9]), np.array([1.5, 1.25]),
+                       unit="dimensionless")
+    monkeypatch.setitem(casigrat.pipeline._TASK_FNS, "rho_ratio",
+                        lambda config: {"rho_theory": curve})
+    cfg = tmp_path / "small.cfg"
+    cfg.write_text(SMALL_RHO_CFG)
+    for command in ("grating", "pipeline"):
+        assert main([command, "--config", str(cfg),
+                     "--out", str(tmp_path / command)]) == 0
+    written = [(tmp_path / command / "rho_ratio_rho_theory.csv").read_bytes()
+               for command in ("grating", "pipeline")]
+    assert written[0] == written[1]
+    rho = ForceCurve.from_csv(tmp_path / "grating" / "rho_ratio_rho_theory.csv")
+    assert rho.values.tolist() == [1.5, 1.25]
 
 
 def test_electrostatics_outputs_ordered_curves(tmp_path):
@@ -273,7 +302,7 @@ def test_usage_errors_exit_2(tmp_path, monkeypatch, capsys):
         with monkeypatch.context() as m:  # the output path fails first
             m.setattr(casigrat.cli, "electrostatic_gradient_curves",
                       unreachable)
-            m.setattr(casigrat.cli, "rho_ratio_curves", unreachable)
+            m.setitem(casigrat.pipeline._TASK_FNS, "rho_ratio", unreachable)
             m.setitem(casigrat.pipeline._TASK_FNS, "flat_force_gradient",
                       unreachable)
             assert main(argv + ["--out", str(a_file)]) == 2

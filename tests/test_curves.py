@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import casigrat.cli
+import casigrat.pipeline
 from casigrat import (ForceCurve, FrequencyShiftSample, fit_calibration,
                       get_material, load_tabulated_epsilon, parse_quantity,
                       read_frequency_shift_samples, series_gradient_model,
@@ -105,7 +106,8 @@ def test_convergence_sweep_table_reads_back(tmp_path, monkeypatch):
     rows = [(2, -1.2345678901234567e-3), (4, -1.2e-3)]
     monkeypatch.setattr(casigrat.cli, "convergence_sweep",
                         lambda *args, **kwargs: rows)
-    monkeypatch.setattr(casigrat.cli, "rho_ratio_curves", lambda config: {})
+    monkeypatch.setitem(casigrat.pipeline._TASK_FNS, "rho_ratio",
+                        lambda config: {})
     cfg = tmp_path / "rho.cfg"
     cfg.write_text("[pipeline]\ntask = rho_ratio\n[solver]\nsweep_z = 150nm\n")
     assert main(["grating", "--config", str(cfg), "--sweep-N", "2:4:2",

@@ -512,6 +512,19 @@ def test_indefinite_layer_raises_modal_error():
         grating._layer_modes(1e6, kn, -2.0, 0.5, "CTX")
 
 
+def test_lost_tm_mode_names_polarization_eps_and_orders(trench):
+    # conductor_proxy's eps is physical; at N = 12 and xi = 1e12 the TM
+    # reduction through the near-singular T[1/eps] loses a mode, where
+    # N = 8 still solves
+    proxy = get_material("conductor_proxy")
+    kx = 0.3 * math.pi / LAM
+    grating_reflection(trench, proxy, 1e12, kx, 1e6, TruncationSpec(8, 4))
+    with pytest.raises(ModalError, match=r"non-positive TM modal eigenvalue "
+                       r"at xi=1\.0000e\+12 .* for \|eps\| = 9\.16e\+11 at "
+                       r"N = 12: T\[1/eps\], .* smallest eigenvalue 1\.09e-12"):
+        grating_reflection(trench, proxy, 1e12, kx, 1e6, TruncationSpec(12, 4))
+
+
 # --------------------------------------------------------------------------
 # Interface matrices and the loop trace against dense references.
 
@@ -997,6 +1010,21 @@ def test_rho_refuses_a_non_increasing_grid_before_the_grid(trench,
         with pytest.raises(ValueError, match="strictly increasing"):
             rho_ratio(trench, get_material("silicon_doped"),
                       get_material("gold_drude"), z, TruncationSpec(2, 2))
+
+
+@pytest.mark.parametrize("z", [[100e-9, math.nan], [math.nan, 100e-9],
+                               [100e-9, math.inf]])
+def test_rho_refuses_a_non_finite_separation_before_the_grid(trench, z,
+                                                            monkeypatch):
+    # NaN fails the increasing check too; the separations check comes first
+    def unreachable(*args, **kwargs):
+        raise AssertionError("the grid ran")
+
+    monkeypatch.setattr(grating, "casimir_pressure_grating_grid", unreachable)
+    with pytest.raises(ValueError, match="separations must be positive and "
+                                         "finite"):
+        rho_ratio(trench, get_material("silicon_doped"),
+                  get_material("gold_drude"), z, TruncationSpec(2, 2))
 
 
 def test_rho_real_materials_window(trench):

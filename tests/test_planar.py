@@ -174,6 +174,13 @@ def test_invalid_separation(gold):
         casimir_pressure_planar(gold, gold, 0.0)
 
 
+@pytest.mark.parametrize("z", [math.inf, math.nan])
+def test_non_finite_separation_named(gold, z):
+    with pytest.raises(ValueError, match="separation z must be positive and "
+                                         "finite"):
+        casimir_pressure_planar(gold, gold, z)
+
+
 def test_sphere_plane_mapping(gold, silicon):
     z, radius = 200e-9, 150e-6
     grad = force_gradient_sphere_plane(gold, silicon, z, radius)
