@@ -22,19 +22,19 @@ recursion with decaying-only factors unconditionally stable.
 Upward and downward modes differ only in the sign of their kappa-carrying
 field blocks, so each layer's fields take the W/V form E = W (c+ + D c-),
 H = V (c+ - D c-) with D = diag(-I, I) (Moharam et al., JOSA A 12, 1068
-(1995); Rumpf, PIER B 35, 241 (2011)).  One reflection matrix R
-(c+ = R c-) is marched up from the substrate, propagated through each
-layer and carried across each interface as R <- (F + G)(F - G)^{-1} D,
-F = A (R + D), G = B (R - D) with A = W_a^-1 W_b and B = V_a^-1 V_b.
+(1995); Rumpf, PIER B 35, 241 (2011)).  The reflection matrix R
+(c+ = R c-) is carried as S = R D, marched up from the substrate (S = 0;
+S = -I on a perfect conductor), propagated through each layer as
+Phi S Phi and carried across each interface as S <- (P S + M)(M S +
+P)^{-1}, with P = A + B, M = A - B, A = W_a^-1 W_b and B = V_a^-1 V_b.
 W and V are block triangular, so A and B are too, and each of their
 blocks is a k_y-independent n1 x n1 product of the two layers' modal
-matrices times per-k_y diagonals of decay rates and k_y/q.  Each
-interface builds A + B and A - B from these products, and F - G, F + G
-follow with two batched matmuls.  A scaled 2 x 2 rotation of each
-order's (TE-to-x, TM-to-x) pair, acting on the row and column halves of
-the vacuum-side R, converts it to the per-order (s, p) polarization basis,
-in which a flat surface reproduces the planar Fresnel coefficients on the
-diagonal.
+matrices times per-k_y diagonals of decay rates, k_y/q and column scales.
+R = S D is formed at the vacuum, where the column scaling is undone.  A
+scaled 2 x 2 rotation of each order's (TE-to-x, TM-to-x) pair, acting on
+the row and column halves of the vacuum-side R, converts it to the
+per-order (s, p) polarization basis, in which a flat surface reproduces
+the planar Fresnel coefficients on the diagonal.
 
 The force between mirror 1 (planar, below at distance z) and mirror 2
 (the grating) follows from the round-trip operator
@@ -49,10 +49,11 @@ commute), kappa the diagonal of vacuum decay rates per diffraction order,
 and the normalization pinned by the planar ideal-mirror limit exactly as
 in ``planar``.  Evenness in k_x and k_y is folded into the prefactor.
 The trace equals 2 tr[(1 - M')^{-1} kappa M'] for M' = R1 e^{-2 kappa z}
-R2, which is similar to M.  Far out in xi and k_y the loop operator is
-negligible: where ||M'||_F < 2^-26 the trace is taken from the Neumann
-sum 2 tr[kappa (M' + M'^2)], whose remainder lies below rounding, and
-only the other operators go through the batched linear solve.
+R2, which is similar to M.  Where ||M'||_F^(2^p) <= 2^-52 for some
+p <= 6, the trace is the doubling series 2 tr[kappa (M' + ... +
+M'^(2^p))] at the least such p, whose remainder lies below
+sqrt(2 n1) kappa_max ||M'||_F 2^-52 / (1 - ||M'||_F); only operators
+with ||M'||_F > 2^(-52/64) ~ 0.57 go through the batched linear solve.
 
 Before any node runs, the grid builds a plan: an xi-major list of
 (xi, k_x) nodes, each with its weight and the k_y rows it keeps.  |r1| <= 1
@@ -90,12 +91,13 @@ from .quadrature import decay_rule, gauss_legendre
 
 Array = np.ndarray
 
-# Loop operators M' (see _trace_over_z) with ||M'||_F below this skip the
-# solve for the two-term Neumann sum 2 tr[K (M' + M'^2)].  The remainder
-# 2 tr[K M'^3 (1 - M')^-1] is about sqrt(2 n1) ||M'||^2 < sqrt(2 n1) 2^-52
-# relative to kappa_max ||M'||_F, i.e. at the rounding level of the solve
-# it replaces.
+# Loop operators M' (see _trace_over_z) with ||M'||_F^(2^p) <= 2^-52 =
+# _NEUMANN_NORM^2, p <= 6, skip the solve for the 2^p-term doubling series,
+# whose remainder is below sqrt(2 n1) 2^-52 / (1 - ||M'||_F) of kappa_max
+# ||M'||_F; _SERIES_BARS are these bars on ||M'||_F^2.  The grid drops a
+# row whose loop-operator bound is below _NEUMANN_NORM^2 of the largest.
 _NEUMANN_NORM = 2.0 ** -26
+_SERIES_BARS = _NEUMANN_NORM ** 2.0 ** (1 - np.arange(6))
 
 
 class ModalError(NumericalError):
@@ -311,41 +313,45 @@ def _interface(below: _Layer, above: _Layer, q: float, kn: Array,
     tm_tm = g_inv @ mb.vec_tm
 
     te, tm = slice(None, n1), slice(n1, None)
-    inv_te = 1.0 / above.kappa[:, te, None]
-    inv_tm = 1.0 / above.kappa[:, tm, None]
+    row_te, row_tm = (1.0 / above.scale[:, h, None] for h in (te, tm))
+    col_te, col_tm = (below.scale[:, None, h] for h in (te, tm))
+    inv_te = row_te / above.kappa[:, te, None]
+    inv_tm = row_tm / above.kappa[:, tm, None]
     ky_q = (ky / q)[:, None, None]
-    a11 = inv_te * te_te * below.kappa[:, None, te]
-    b22 = inv_tm * tm_tm * below.kappa[:, None, tm]
+    a11 = inv_te * te_te * (below.kappa[:, None, te] * col_te)
+    b22 = inv_tm * tm_tm * (below.kappa[:, None, tm] * col_tm)
+    b11, a22 = row_te * b11 * col_te, row_tm * a22 * col_tm
     plus = np.empty((ky.size, 2 * n1, 2 * n1))
     minus = np.empty_like(plus)
-    plus[:, te, te], minus[:, te, te] = a11 + b11, a11 - b11
-    plus[:, te, tm] = minus[:, te, tm] = ky_q * inv_te * a12
-    plus[:, tm, te] = -ky_q * inv_tm * b21
-    minus[:, tm, te] = -plus[:, tm, te]
-    plus[:, tm, tm], minus[:, tm, tm] = a22 + b22, a22 - b22
-    ratio = below.scale[:, None, :] / above.scale[:, :, None]
-    return plus * ratio, minus * ratio
+    for h, x, y in ((te, a11, b11), (tm, a22, b22)):
+        np.add(x, y, out=plus[:, h, h])
+        np.subtract(x, y, out=minus[:, h, h])
+    np.multiply(ky_q * inv_te * a12, col_tm, out=plus[:, te, tm])
+    minus[:, te, tm] = plus[:, te, tm]
+    np.multiply(-ky_q * inv_tm * b21, col_te, out=plus[:, tm, te])
+    np.negative(plus[:, tm, te], out=minus[:, tm, te])
+    return plus, minus
 
 
-def _climb(r: Array, plus: Array, minus: Array, d: Array,
-           context: str) -> Array:
-    """Reflection just above an interface from the one just below it.
+def _climb(s: Array, plus: Array, minus: Array, context: str) -> Array:
+    """S = R D just above an interface from the one just below it.
 
-    ``plus`` and ``minus`` are the ``_interface`` matrices A + B and
-    A - B; ``r`` maps downward to upward amplitudes (c+ = r c-) in the
-    layer below.  F = A (r + D) and G = B (r - D) are the above-layer
-    amplitude sums c+ + D c- and c+ - D c- per unit c- below, so
-    F - G = (A - B) r + (A + B) D and F + G = (A + B) r + (A - B) D.
+    ``plus`` and ``minus`` are the ``_interface`` matrices P = A + B and
+    M = A - B; R maps downward to upward amplitudes (c+ = R c-) and ``s``
+    is R D in the layer below.  F = A (R + D) and G = B (R - D) are the
+    above-layer amplitude sums c+ + D c- and c+ - D c- per unit c- below,
+    so F - G = (M S + P) D, F + G = (P S + M) D and the new
+    S = (F + G)(F - G)^-1 = (P S + M)(M S + P)^-1.
     """
-    f_minus_g = minus @ r + plus * d
-    f_plus_g = plus @ r + minus * d
+    lhs, rhs = minus @ s, plus @ s
+    lhs += plus
+    rhs += minus
     try:
-        # X (F - G) = F + G, as a solve on the transposes.
-        x_t = np.linalg.solve(np.transpose(f_minus_g, (0, 2, 1)),
-                              np.transpose(f_plus_g, (0, 2, 1)))
+        # X (M S + P) = P S + M, as a solve on the transposes.
+        x_t = np.linalg.solve(np.swapaxes(lhs, 1, 2), np.swapaxes(rhs, 1, 2))
     except np.linalg.LinAlgError as exc:
         raise ModalError(f"interface solve failed at {context}: {exc}") from None
-    return np.transpose(x_t, (0, 2, 1)) * d
+    return np.swapaxes(x_t, 1, 2)
 
 
 def _reflection_batch(profile: GratingProfile, model: DielectricModel,
@@ -382,11 +388,11 @@ def _reflection_batch(profile: GratingProfile, model: DielectricModel,
     levels = [(s.slot_width / profile.period, s.thickness) for s in slabs]
     if pc:
         # Vanishing tangential E on the conductor: W (c+ + D c-) = 0.
-        r = np.broadcast_to(np.diag(-d), (ky.size, n2, n2))
+        s_rd = np.broadcast_to(-np.eye(n2), (ky.size, n2, n2))
     else:
         # The substrate, a level of slot 0 and thickness 0, carries no
-        # upward wave: climb from r = 0.
-        r = np.zeros((ky.size, n2, n2))
+        # upward wave: climb from S = 0.
+        s_rd = np.zeros((ky.size, n2, n2))
         levels.insert(0, (0.0, 0.0))
     layers = [_layer(_layer_modes(q, kn, eps_solid, f, context), q, kn, ky)
               for f, _ in levels + [(1.0, 0.0)]]
@@ -394,12 +400,13 @@ def _reflection_batch(profile: GratingProfile, model: DielectricModel,
     # March upward: propagate through each level, then cross its top.
     for (_, thickness), below, above in zip(levels, layers, layers[1:]):
         phi = np.exp(-below.kappa * thickness)  # (nky, 2 n1)
-        r = _climb(phi[:, :, None] * r * phi[:, None, :],
-                   *_interface(below, above, q, kn, ky), d, context)
+        s_rd = _climb(phi[:, :, None] * s_rd * phi[:, None, :],
+                      *_interface(below, above, q, kn, ky), context)
 
-    # Undo the vacuum column scaling: rows by scale, columns by 1/scale.
+    # R = S D, with the vacuum column scaling undone: rows by scale,
+    # columns by D / scale.
     kappa_vac, scale_vac = layers[-1].kappa, layers[-1].scale
-    r_raw = scale_vac[:, :, None] * r / scale_vac[:, None, :]
+    r_raw = scale_vac[:, :, None] * s_rd * (d / scale_vac)[:, None, :]
 
     # Per order, C+ = [[a, b], [-b, a]] maps upward (TE-to-x, TM-to-x)
     # amplitudes to (s, p), rows flux-weighted by sqrt(kappa_n) for a
@@ -469,8 +476,10 @@ def _trace_over_z(r_sp: Array, kappa_vac: Array, r1_diag: Array,
     With K the diagonal of vacuum decay rates, -dM/dz = K M + M K, and
     since M commutes with (1-M)^{-1} the trace is 2 tr[(1-M)^{-1} K M].
     M' = R1 L^2 R2 = L M L^-1 has the same trace, as K commutes with L.
-    Per z, loop operators with ||M'||_F < _NEUMANN_NORM take the Neumann
-    sum 2 tr[K (M' + M'^2)]; the rest are solved in one batched call.
+    Per z, an operator with ||M'||_F^(2^p) <= 2^-52 at the least p <= 6
+    takes the series 2 tr[K S_p], S_p = M' + ... + M'^(2^p) = S_(p-1) +
+    S_(p-1) M'^(2^(p-1)): p - 1 squarings and a last product of which only
+    the diagonal is formed; the rest, NaN norms too, take one batched solve.
     Every material has eps >= 1, so R1 has the signs of -S = diag(-I, I)
     on the (s, p) orders; for a passive, reciprocal R2 (R2^T = S R2 S)
     1 - M' is then positive definite up to a diagonal similarity.
@@ -478,12 +487,23 @@ def _trace_over_z(r_sp: Array, kappa_vac: Array, r1_diag: Array,
     tr = np.empty((z_grid.size, kappa_vac.shape[0]))
     for t, z in zip(tr, z_grid):
         m = (r1_diag * np.exp(-2.0 * kappa_vac * z))[..., :, None] * r_sp
-        small = np.einsum("...ij,...ij->...", m, m) < _NEUMANN_NORM ** 2
-        m_s, k_s = m[small], kappa_vac[small]
-        t[small] = (np.einsum("bi,bii->b", k_s, m_s)
-                    + np.einsum("bi,bij,bji->b", k_s, m_s, m_s))
-        big = ~small
-        if np.any(big):
+        norm2 = np.einsum("...ij,...ij->...", m, m)
+        order = np.argsort(norm2)  # a NaN norm sorts last, past every bar
+        ends = np.searchsorted(norm2[order], _SERIES_BARS, side="right")
+        s = p = m[order[:ends[-1]]]  # S_(p-1), P = M'^(2^(p-1)) at level p
+        done = 0
+        for level, end in enumerate(ends, 1):
+            rows, n = order[done:end], end - done
+            k = kappa_vac[rows]
+            t[rows] = (np.einsum("bi,bii->b", k, s[:n])
+                       + np.einsum("bi,bij,bji->b", k, s[:n], p[:n]))
+            s, p, done = s[n:], p[n:], end
+            if done == ends[-1]:
+                break
+            sp = s @ p
+            s, p = s + sp, sp if level == 1 else p @ p
+        big = order[done:]
+        if big.size:
             m_b = m[big]
             try:
                 sol = np.linalg.solve(np.eye(m.shape[-1]) - m_b,

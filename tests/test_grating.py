@@ -658,8 +658,8 @@ def test_loop_trace_neumann_branch(norms, z, share_small, monkeypatch):
     # identity weights return the trace of every (z, k_y) operator
     got = grating._trace_over_z(r_sp, kappa, r1, z, np.eye(len(norms)), "test")
     assert np.all(np.abs(got - want) <= tol)
-    # one batched solve per separation with an operator at or above the bar
-    assert len(calls) == np.sum(np.any(norm >= 2.0**-26, axis=1))
+    # one batched solve per separation with an operator above the bar
+    assert len(calls) == np.sum(np.any(norm > 2.0**(-52 / 64), axis=1))
 
 
 def test_singular_loop_names_a_passivity_or_reciprocity_breach():
@@ -678,6 +678,88 @@ def test_singular_loop_names_a_passivity_or_reciprocity_breach():
             r"at test is not passive or not reciprocal: 1 - M' is singular "
             r"for z in \(1\.000e-08, 2\.000e-08\)")):
         grating._trace_over_z(r_sp, kappa, r1, z, np.ones(2), "test")
+
+
+# ||M'||_F bars of the doubling series: 2^p terms below 2^(-52 / 2^p)
+_NORM_BARS = [2.0 ** (-52 / 2**p) for p in range(1, 7)]
+
+
+def _at_the_bars(test):
+    """Hypothesis examples just below and just above each bar."""
+    for bar in _NORM_BARS:
+        for side in (1.0 - 1e-6, 1.0 + 1e-6):
+            test = example(log2_norms=[math.log2(side * bar)], seed=7)(test)
+    return test
+
+
+@_at_the_bars
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(log2_norms=st.lists(st.floats(-30.0, math.log2(0.9)), min_size=1,
+                           max_size=4),
+       seed=st.integers(0, 2**16))
+@example(log2_norms=[-30.0, math.log2(0.9)], seed=1)
+def test_loop_trace_series_matches_dense_solve(log2_norms, seed):
+    # Each operator's trace against a dense LU of 1 - M', within the
+    # remainder bound of the series plus rounding; an operator above the
+    # last bar, and only then, goes to the batched solve.
+    norms = 2.0 ** np.array(log2_norms)
+    z = np.array([1e-8])
+    r_sp, kappa, r1 = _passive_loop(norms, z[0], seed=seed)
+    m = (r1 * np.exp(-2.0 * kappa * z[0]))[:, :, None] * r_sp
+    norm = np.linalg.norm(m, axis=(1, 2))
+    want = np.array([2.0 * np.trace(sla.lu_solve(
+        sla.lu_factor(np.eye(k.size) - mm), k[:, None] * mm))
+        for k, mm in zip(kappa, m)])
+
+    calls = []
+    solve = np.linalg.solve
+
+    def counting(*args):
+        calls.append(1)
+        return solve(*args)
+
+    np.linalg.solve = counting
+    try:
+        got = grating._trace_over_z(r_sp, kappa, r1, z,
+                                    np.eye(norms.size), "test")
+    finally:
+        np.linalg.solve = solve
+    assert np.all(np.abs(got - want) <= 1e-14 * kappa.max(axis=1) * norm)
+    assert len(calls) == int(np.any(norm > _NORM_BARS[-1]))
+
+
+@pytest.mark.parametrize("where", ["r_sp", "r1_diag"])
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+@pytest.mark.parametrize("row", [0, 1])
+def test_non_finite_loop_input_names_the_trace(where, value, row):
+    # A NaN norm fails every comparison with the series bars, so the bad
+    # operator, small or large, must reach the solve and the finite check
+    # rather than leave its trace unset.
+    z = np.array([1e-8, 2e-8])
+    r_sp, kappa, r1 = _passive_loop([1e-20, 0.3], z[0])
+    if where == "r_sp":
+        r_sp[row, 1, 2] = value
+    else:
+        r1[row, 3] = value
+    with pytest.raises(ModalError, match=(
+            r"non-finite loop trace at test, z=1\.000e-08, 2\.000e-08")):
+        grating._trace_over_z(r_sp, kappa, r1, z, np.ones(2), "test")
+
+
+@pytest.mark.parametrize("material", ["silicon_doped", "conductor_proxy"])
+@pytest.mark.parametrize("xi,k_y", [(3e14, 0.0), (2e15, 2e7)])
+def test_vertical_walls_do_not_depend_on_slicing(material, xi, k_y):
+    # Vertical walls give every slice the same slot, so each interface
+    # between slices joins two identical layers and must act as the
+    # identity: the reflection cannot depend on the slice count.
+    profile = GratingProfile(LAM, 0.45 * LAM, 0.55 * LAM, DEPTH)
+    model = get_material(material)
+    r = [grating_reflection(profile, model, xi, 0.3 * math.pi / LAM, k_y,
+                            TruncationSpec(4, n_slices))
+         for n_slices in (1, 2, 4)]
+    scale = np.abs(r[0]).max()
+    for other in r[1:]:
+        assert np.abs(other - r[0]).max() <= 1e-12 * scale
 
 
 def _chebyshev(n, a, b):
