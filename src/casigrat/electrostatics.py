@@ -73,6 +73,9 @@ class SpherePlaneES:
             raise ValueError("gap d must be positive")
         if not self.R > 0.0:
             raise ValueError("radius R must be positive")
+        for name in ("V", "V0"):
+            if not np.all(np.isfinite(getattr(self, name))):
+                raise ValueError(f"{name} must be finite")
 
 
 def _series_terms(alpha: Array, coth_a: Array, n: Array,

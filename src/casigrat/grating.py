@@ -64,14 +64,15 @@ min kappa0) z_min > 26 ln 2, is dropped at every z, and so is a node left
 without rows.  The leading row always stays.  A pool of
 ``worker_count(workers)`` threads, at most one per entry, maps the node
 function over the plan in order, numpy's linear algebra releasing the
-GIL, and the weighted contributions are added one by one in plan order.
-The sum sees the same operands in the same order for any worker count,
-which thus cannot change it.
+GIL.  Nodes return unweighted traces per (z, k_y row); only the grid
+weighs them, entry by entry in plan order, so for any worker count the
+sum sees the same operands in the same order and cannot change.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
@@ -104,6 +105,13 @@ class ModalError(NumericalError):
     """Modal eigenproblem or interface solve failed; carries (xi, k) context."""
 
 
+def _check_counts(**counts) -> None:
+    """Refuse a non-integral count, naming it; numpy integers pass."""
+    for name, value in counts.items():
+        if not isinstance(value, numbers.Integral):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class GratingQuadrature:
     """Node counts for the (xi, k_x, k_y) grid.
@@ -120,6 +128,8 @@ class GratingQuadrature:
     ky_nodes: int = 40
 
     def __post_init__(self) -> None:
+        _check_counts(xi_nodes=self.xi_nodes, kx_nodes=self.kx_nodes,
+                      ky_nodes=self.ky_nodes)
         if min(self.xi_nodes, self.kx_nodes, self.ky_nodes) < 4:
             raise ValueError("need at least 4 nodes per axis")
 
@@ -166,6 +176,7 @@ class TruncationSpec:
     quadrature: GratingQuadrature = GratingQuadrature()
 
     def __post_init__(self) -> None:
+        _check_counts(orders=self.orders, slices=self.n_slices)
         if not 0 <= self.orders <= MAX_ORDERS:
             raise ValueError(f"orders must lie in [0, {MAX_ORDERS}], got "
                              f"{self.orders}")
@@ -470,8 +481,8 @@ def _quad_nodes(z_grid: Array, period: float, quad: GratingQuadrature):
 
 
 def _trace_over_z(r_sp: Array, kappa_vac: Array, r1_diag: Array,
-                  z_grid: Array, ky_w: Array, context: str) -> Array:
-    """Sum_ky w_ky tr[(1-M)^{-1}(-dM/dz)] for each z; M = R1 L R2 L.
+                  z_grid: Array, context: str) -> Array:
+    """Unweighted tr[(1-M)^{-1}(-dM/dz)], shape (n_z, n_ky); M = R1 L R2 L.
 
     With K the diagonal of vacuum decay rates, -dM/dz = K M + M K, and
     since M commutes with (1-M)^{-1} the trace is 2 tr[(1-M)^{-1} K M].
@@ -519,7 +530,7 @@ def _trace_over_z(r_sp: Array, kappa_vac: Array, r1_diag: Array,
     if np.any(bad):
         zs = ", ".join(f"{z:.3e}" for z in z_grid[bad])
         raise ModalError(f"non-finite loop trace at {context}, z={zs}")
-    return tr @ ky_w
+    return tr
 
 
 def _separations(z_grid) -> Array:
@@ -541,7 +552,7 @@ def casimir_pressure_grating_grid(profile: GratingProfile,
     table is reused across the whole z grid.  The plan's nodes, less the
     k_y rows and nodes whose loop operators lie below rounding at z_min,
     run on a pool of ``worker_count(workers)`` threads, at most one per
-    planned node; the result is the same bit for bit for every count.
+    planned node; weights apply here, and every count gives the same bits.
     """
     workers = worker_count(workers)
     spec = spec or TruncationSpec()
@@ -550,10 +561,10 @@ def casimir_pressure_grating_grid(profile: GratingProfile,
         z_arr, profile.period, spec.quadrature)
 
     # The plan (module docstring): xi-major (xi, k_x, weight (q_w c) kx_w,
-    # kept k_y rows, their weights).  k_x lies in half the Brillouin zone,
-    # so order 0 has a row's smallest decay rate kappa0; the cut keeps the
-    # rows whose bound e^{-2 kappa0 z_min} is within _NEUMANN_NORM^2 of the
-    # largest.
+    # kept k_y rows, their weights, read by the sum, not the node).  k_x
+    # lies in half the Brillouin zone, so order 0 has a row's smallest
+    # decay rate kappa0; the cut keeps the rows whose bound
+    # e^{-2 kappa0 z_min} is within _NEUMANN_NORM^2 of the largest.
     kappa0 = np.sqrt((q_nodes[:, None, None] ** 2 + kx_nodes[:, None] ** 2)
                      + ky_nodes ** 2)
     keep = (kappa0 - kappa0.min()) * z_arr.min() <= -math.log(_NEUMANN_NORM)
@@ -563,19 +574,19 @@ def casimir_pressure_grating_grid(profile: GratingProfile,
             for k_x, w_x, rows in zip(kx_nodes, kx_w, keep_q) if rows.any()]
 
     def node(entry) -> Array:
-        """One plan entry: k_y-batched reflection plus z-grid traces."""
-        xi, k_x, _, ky, ky_wt = entry
+        """One plan entry's per-(z, k_y row) loop traces."""
+        xi, k_x, _, ky, _ = entry
         r_sp, kappa_vac, k_t, context = _reflection_batch(
             profile, model_grating, xi, k_x, ky, spec.orders, spec.n_slices)
         r1_diag = np.concatenate(fresnel_te_tm(model_plane, xi, k_t), axis=1)
-        return _trace_over_z(r_sp, kappa_vac, r1_diag, z_arr, ky_wt, context)
+        return _trace_over_z(r_sp, kappa_vac, r1_diag, z_arr, context)
 
     with ThreadPoolExecutor(max_workers=min(workers, len(plan))) as pool:
-        contribs = list(pool.map(node, plan))
+        traces = list(pool.map(node, plan))
 
     acc = np.zeros(z_arr.size)
-    for (_, _, weight, _, _), contrib in zip(plan, contribs):
-        acc += weight * contrib
+    for (_, _, weight, _, ky_wt), tr in zip(plan, traces):
+        acc += weight * (tr @ ky_wt)
     return -(HBAR / (2.0 * math.pi**3)) * acc
 
 

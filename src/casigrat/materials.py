@@ -42,13 +42,13 @@ class MaterialDataError(ValueError):
 
 def _on_positive_xi(method):
     """Run ``method(self, x)`` on a float array x of the frequencies ``xi``
-    after checking xi > 0: a scalar xi gives a float, an array xi an array
-    of its shape."""
+    after checking xi > 0, which NaN fails: a scalar xi gives a float, an
+    array xi an array of its shape."""
 
     @functools.wraps(method)
     def epsilon(self, xi):
         x = np.asarray(xi, dtype=float)
-        if np.any(x <= 0.0):
+        if not np.all(x > 0.0):
             raise ValueError("imaginary frequency xi must be strictly positive")
         return method(self, x) if x.ndim else float(method(self, x.reshape(1))[0])
 

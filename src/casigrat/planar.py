@@ -55,9 +55,9 @@ def fresnel_te_tm(model: DielectricModel, xi, k_perp):
     """
     xi_arr = np.asarray(xi, dtype=float)
     k_arr = np.asarray(k_perp, dtype=float)
-    if np.any(xi_arr <= 0.0):
+    if not np.all(xi_arr > 0.0):
         raise ValueError("xi must be strictly positive")
-    if np.any(k_arr < 0.0):
+    if not np.all(k_arr >= 0.0):
         raise ValueError("k_perp must be non-negative")
     shape = np.broadcast_shapes(xi_arr.shape, k_arr.shape)
     if is_perfect_conductor(model):

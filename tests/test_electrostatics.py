@@ -268,6 +268,11 @@ def test_series_scalar_and_array_contract(fn):
         assert got[i, j] == one  # bit for bit
     with pytest.raises(ValueError, match="gap d must be positive"):
         SpherePlaneES(RADIUS, np.array([1e-6, 0.0, 2e-6]), VOLT)
+    # a NaN voltage gave a NaN force
+    with pytest.raises(ValueError, match="^V must be finite"):
+        SpherePlaneES(RADIUS, 1e-6, math.nan)
+    with pytest.raises(ValueError, match="^V0 must be finite"):
+        SpherePlaneES(RADIUS, 1e-6, VOLT, np.array([0.0, math.inf]))
 
 
 def test_array_capacitor_compares_and_hashes_by_identity():

@@ -452,6 +452,16 @@ def test_argument_validation(trench):
         TruncationSpec(1, grating.MAX_SLICES + 1)
     with pytest.raises(ValueError):
         GratingQuadrature(2, 8, 8)
+    # non-integral counts failed later, without naming the input
+    with pytest.raises(ValueError, match="^orders must be an integer, got 2.5"):
+        TruncationSpec(2.5, 1)
+    with pytest.raises(ValueError, match="^slices must be an integer, got 1.5"):
+        TruncationSpec(2, 1.5)
+    with pytest.raises(ValueError, match="^ky_nodes must be an integer"):
+        GratingQuadrature(8, 8, 4.5)
+    spec = TruncationSpec(np.int64(2), np.int32(1),
+                          GratingQuadrature(np.int64(4), 4, np.int16(4)))
+    assert (spec.orders, spec.quadrature.xi_nodes) == (2, 4)
     assert issubclass(ModalError, Exception)
 
 
@@ -655,8 +665,7 @@ def test_loop_trace_neumann_branch(norms, z, share_small, monkeypatch):
     solve = np.linalg.solve
     monkeypatch.setattr(np.linalg, "solve",
                         lambda *args: calls.append(1) or solve(*args))
-    # identity weights return the trace of every (z, k_y) operator
-    got = grating._trace_over_z(r_sp, kappa, r1, z, np.eye(len(norms)), "test")
+    got = grating._trace_over_z(r_sp, kappa, r1, z, "test")
     assert np.all(np.abs(got - want) <= tol)
     # one batched solve per separation with an operator above the bar
     assert len(calls) == np.sum(np.any(norm > 2.0**(-52 / 64), axis=1))
@@ -677,7 +686,7 @@ def test_singular_loop_names_a_passivity_or_reciprocity_breach():
     with pytest.raises(ModalError, match=(
             r"at test is not passive or not reciprocal: 1 - M' is singular "
             r"for z in \(1\.000e-08, 2\.000e-08\)")):
-        grating._trace_over_z(r_sp, kappa, r1, z, np.ones(2), "test")
+        grating._trace_over_z(r_sp, kappa, r1, z, "test")
 
 
 # ||M'||_F bars of the doubling series: 2^p terms below 2^(-52 / 2^p)
@@ -720,8 +729,7 @@ def test_loop_trace_series_matches_dense_solve(log2_norms, seed):
 
     np.linalg.solve = counting
     try:
-        got = grating._trace_over_z(r_sp, kappa, r1, z,
-                                    np.eye(norms.size), "test")
+        got = grating._trace_over_z(r_sp, kappa, r1, z, "test")
     finally:
         np.linalg.solve = solve
     assert np.all(np.abs(got - want) <= 1e-14 * kappa.max(axis=1) * norm)
@@ -743,7 +751,36 @@ def test_non_finite_loop_input_names_the_trace(where, value, row):
         r1[row, 3] = value
     with pytest.raises(ModalError, match=(
             r"non-finite loop trace at test, z=1\.000e-08, 2\.000e-08")):
-        grating._trace_over_z(r_sp, kappa, r1, z, np.ones(2), "test")
+        grating._trace_over_z(r_sp, kappa, r1, z, "test")
+
+
+def test_row_traces_do_not_depend_on_the_batch(trench):
+    # A nested rule reuses a node's k_y rows under a second weight set, so
+    # a row's traces must be the same bits alone, inside any subset of rows
+    # in any order, and inside the full batch.  At 40 nm the lowest xi
+    # node's rows span the batched solve and every level of the series.
+    si, gold = get_material("silicon_doped"), get_material("gold_drude")
+    z = np.array([40e-9, 100e-9, 250e-9])
+    (q, _), (kx, _), (ky, _) = grating._quad_nodes(
+        z, LAM, GratingQuadrature(8, 4, 12))
+
+    def loop(rows):
+        r_sp, kappa, k_t, context = grating._reflection_batch(
+            trench, si, q[0] * C_LIGHT, kx[1], ky[rows], 4, 2)
+        r1 = np.concatenate(fresnel_te_tm(gold, q[0] * C_LIGHT, k_t), axis=1)
+        return r_sp, kappa, r1, context
+
+    r_sp, kappa, r1, context = loop(np.arange(ky.size))
+    norm = np.linalg.norm(
+        (r1 * np.exp(-2.0 * kappa * z[0]))[:, :, None] * r_sp, axis=(1, 2))
+    assert norm.max() > _NORM_BARS[-1] and norm.min() < _NORM_BARS[0]
+    full = grating._trace_over_z(r_sp, kappa, r1, z, context)
+    rng = np.random.default_rng(1)
+    for rows in [[row] for row in range(ky.size)] + [
+            rng.permutation(ky.size)[:size] for size in (2, 5, 9, ky.size)]:
+        r_sp, kappa, r1, context = loop(rows)
+        got = grating._trace_over_z(r_sp, kappa, r1, z, context)
+        assert got.tolist() == full[:, rows].tolist()
 
 
 @pytest.mark.parametrize("material", ["silicon_doped", "conductor_proxy"])
@@ -963,8 +1000,8 @@ def _uncut_pressure(profile, model_grating, model_plane, z, spec):
                 profile, model_grating, xi, k_x, ky, spec.orders,
                 spec.n_slices)
             r1 = np.concatenate(fresnel_te_tm(model_plane, xi, k_t), axis=1)
-            acc += xi_w * k_x_w * grating._trace_over_z(
-                r_sp, kappa, r1, z, ky_w, context)
+            acc += xi_w * k_x_w * (grating._trace_over_z(
+                r_sp, kappa, r1, z, context) @ ky_w)
     return -(HBAR / (2.0 * math.pi**3)) * acc
 
 

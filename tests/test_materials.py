@@ -42,6 +42,11 @@ def test_drude_rejects_nonpositive_xi(gold):
         gold.epsilon(0.0)
     with pytest.raises(ValueError):
         gold.epsilon(np.array([1e15, -1e14]))
+    # NaN fails xi > 0 too; it used to return NaN
+    with pytest.raises(ValueError, match="xi must be strictly positive"):
+        gold.epsilon(np.nan)
+    with pytest.raises(ValueError, match="xi must be strictly positive"):
+        gold.epsilon(np.array([1e15, np.nan]))
 
 
 def test_drude_params_validation():

@@ -107,6 +107,16 @@ def test_fresnel_limits(gold, conductor):
     assert r_te == -1.0 and r_tm == 1.0
 
 
+@pytest.mark.parametrize("xi, k, name", [
+    (math.nan, 1e7, "xi"), (np.array([1e15, math.nan]), 1e7, "xi"),
+    (1e15, math.nan, "k_perp")])
+def test_fresnel_rejects_nan(gold, conductor, xi, k, name):
+    # a perfect conductor returned (-1, 1) for a NaN xi
+    for model in (gold, conductor):
+        with pytest.raises(ValueError, match=f"^{name} must be"):
+            fresnel_te_tm(model, xi, k)
+
+
 def test_fresnel_against_symbolic(gold):
     # Same expressions built independently in exact arithmetic.
     import sympy as sp
