@@ -36,6 +36,7 @@ from .electrostatics import (SpherePlaneES, solve_corrugated_capacitor,
                              sphere_plane_gradient)
 from .geometry import GratingProfile
 from .interpolate import pchip
+from .quadrature import _check_counts
 
 Array = np.ndarray
 
@@ -117,9 +118,15 @@ class GradientModel:
         return float(grad) if np.ndim(grad) == 0 else grad
 
 
+def _check_radius(radius: float) -> None:
+    if not 0.0 < radius < math.inf:
+        raise ValueError(f"radius must be positive and finite, got {radius!r}")
+
+
 def series_gradient_model(radius: float, v0: float = 0.0) -> GradientModel:
     """Sphere-plane gradient from the exact image-charge series: one
     ``sphere_plane_gradient`` call per sample array."""
+    _check_radius(radius)
 
     def fn(z: Array, volt: Array) -> Array:
         return sphere_plane_gradient(SpherePlaneES(radius, z, volt, v0))
@@ -138,9 +145,11 @@ def fem_gradient_model(profile: GratingProfile, radius: float,
     close-proximity mapping F = -2 pi R (V - V0)^2 E1(z), so the gradient
     is -2 pi R (V - V0)^2 E1'(z) > 0.
     """
+    _check_radius(radius)
     if not (0.0 < z_min < z_max and math.isfinite(z_max)):
         raise ValueError(f"need 0 < z_min < z_max < inf, got z_min = "
                          f"{z_min!r} m, z_max = {z_max!r} m")
+    _check_counts(n_points=n_points)
     if n_points < 8:
         raise ValueError("n_points must be >= 8")
     grid = np.geomspace(0.98 * z_min, 1.02 * z_max, n_points)
@@ -157,6 +166,7 @@ def fem_gradient_model(profile: GratingProfile, radius: float,
 
 def plate_gradient_model(radius: float, v0: float = 0.0) -> GradientModel:
     """Small-gap plate law pi eps0 R (V - V0)^2 / z^2, for fast synthetics."""
+    _check_radius(radius)
 
     def fn(z: Array, volt: Array) -> Array:
         dv = volt - v0

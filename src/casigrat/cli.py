@@ -1,10 +1,14 @@
 """Command-line front end.
 
 Subcommands: materials, planar, pfa, grating, electrostatics, calibrate,
-pipeline.  Every subcommand accepts ``--check`` to run its module's
-self-check suite instead of computing.  Exit codes: 0 success, 1 numerical
-failure, 2 usage error.  The CASIGRAT_WORKERS environment variable sets
-the thread count of the grating node map (default: the usable cores).
+pipeline.  ``grating`` and ``electrostatics`` are ``pipeline`` on a config
+of their recipe's task (rho_ratio, electrostatic_gradient), or on its
+built-in values, and write the same files; ``grating --sweep-N`` adds the
+pressure at each order cutoff on the recipe's [grid] z.  Every subcommand
+accepts ``--check`` to run its module's self-check suite instead of
+computing.  Exit codes: 0 success, 1 numerical failure, 2 usage error.
+The CASIGRAT_WORKERS environment variable sets the thread count of the
+grating node map (default: the usable cores).
 
 Quantities carry a unit of their own dimension (``--z 100:600:25nm``);
 ``--xi`` takes bare rad/s, and ``--sweep-N`` an inclusive range (4:14:2).
@@ -25,13 +29,12 @@ from .calibration import (fem_gradient_model, find_residual_voltage,
                           read_frequency_shift_samples, series_gradient_model)
 from .config import (SCHEMA, Config, ConfigError, named, parse_grid,
                      parse_int_range, parse_quantity)
-from .curves import ForceCurve, write_curves, write_table
+from .curves import ForceCurve, write_table
 from .grating import convergence_sweep
 from .materials import available_materials, get_material, is_perfect_conductor
 from .pfa import flat_pressure_law, pfa_corrugated, pfa_share_topbottom
 from .pipeline import (_meshable_profile_from_config, _profile_from_config,
-                       _rho_inputs, electrostatic_gradient_curves,
-                       run_pipeline)
+                       _rho_inputs, run_pipeline)
 from .planar import (NumericalError, casimir_pressure_planar,
                      force_gradient_sphere_plane)
 
@@ -153,33 +156,25 @@ def _recipe_config(path: str | None, task: str | None = None) -> Config:
     return config
 
 
-def _cmd_grating(args) -> int:
-    config = _recipe_config(args.config, "rho_ratio")
-    if args.sweep_N:  # read the sweep's inputs before the ratio curve runs
+def _cmd_recipe(args) -> int:
+    config = _recipe_config(args.config, args.task)
+    sweep = getattr(args, "sweep_N", None)
+    if sweep:  # read the sweep's inputs before the ratio curve runs
         cutoffs = _flag_value(args, "sweep_N", parse_int_range)
-        z_ref = config.quantity("solver", "sweep_z")
+        z_grid = config.grid("grid", "z")
         profile, (_, model_g), (_, model_p), spec = _rho_inputs(config)
         with named("--sweep-N:"):  # TruncationSpec bounds each cutoff
             orders = [replace(spec, orders=n).orders for n in cutoffs]
     _wrote(*run_pipeline(config, args.out))
-    if args.sweep_N:
-        rows = convergence_sweep(profile, model_g, model_p, z_ref, orders,
+    if sweep:
+        rows = convergence_sweep(profile, model_g, model_p, z_grid, orders,
                                  spec)
         _wrote(write_table(Path(args.out) / "rho_ratio_convergence.csv",
-                           ("orders", "pressure_pa"),
-                           ((str(n), p) for n, p in rows),
+                           ("orders", "z_nm", "pressure_pa"),
+                           ((str(n), z, p) for n, ps in rows
+                            for z, p in zip(z_grid * 1e9, ps)),
                            ["label: pressure vs diffraction-order cutoff",
-                            f"inputs: {config.digest()}",
-                            f"z_nm: {z_ref * 1e9:.6g}"]))
-    return 0
-
-
-def _cmd_electrostatics(args) -> int:
-    config = _recipe_config(args.config, "electrostatic_gradient")
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    _wrote(*write_curves(electrostatic_gradient_curves(config), out_dir,
-                         "electrostatic"))
+                            f"inputs: {config.digest()}"]))
     return 0
 
 
@@ -283,7 +278,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default="out",
                    help="output directory for the ratio and sweep CSVs")
     add_check(p)
-    p.set_defaults(fn=_cmd_grating)
+    p.set_defaults(fn=_cmd_recipe, task="rho_ratio")
 
     p = sub.add_parser("electrostatics", help="capacitor-cell force "
                                               "gradients, flat and trench")
@@ -291,7 +286,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default="out",
                    help="output directory for the flat and trench CSVs")
     add_check(p)
-    p.set_defaults(fn=_cmd_electrostatics)
+    p.set_defaults(fn=_cmd_recipe, task="electrostatic_gradient")
 
     p = sub.add_parser("calibrate", help="fit transduction coefficient and "
                                          "standoff from a frequency-shift "

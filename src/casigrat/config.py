@@ -185,8 +185,7 @@ SCHEMA = {
                       "plane": ("material", "gold_drude")},
         "grid": {"z": ("grid", "100:250:30nm")},
         # orders and slices default to TruncationSpec()'s
-        "solver": {"orders": ("count", None), "slices": ("count", None),
-                   "sweep_z": ("length", "150nm", "> 0")},
+        "solver": {"orders": ("count", None), "slices": ("count", None)},
         "measured": {"gradient_csv": ("path", None)}},
     "electrostatic_gradient": {
         **_COMMON, "geometry": _GEOMETRY,

@@ -43,6 +43,7 @@ from .constants import EPS0
 from .geometry import GratingProfile, height_profile
 from .interpolate import _tridiagonal_solve
 from .planar import NumericalError
+from .quadrature import _check_counts
 
 Array = np.ndarray
 
@@ -69,10 +70,10 @@ class SpherePlaneES:
     V0: float | Array = 0.0
 
     def __post_init__(self) -> None:
-        if not np.all(np.asarray(self.d) > 0.0):
-            raise ValueError("gap d must be positive")
-        if not self.R > 0.0:
-            raise ValueError("radius R must be positive")
+        if not np.all((np.asarray(self.d) > 0.0) & np.isfinite(self.d)):
+            raise ValueError("gap d must be positive and finite")
+        if not 0.0 < self.R < math.inf:
+            raise ValueError("radius R must be positive and finite")
         for name in ("V", "V0"):
             if not np.all(np.isfinite(getattr(self, name))):
                 raise ValueError(f"{name} must be finite")
@@ -196,6 +197,7 @@ class MeshControl:
     ny: int = 48
 
     def __post_init__(self) -> None:
+        _check_counts(nx=self.nx, ny=self.ny)
         if self.nx < 8 or self.ny < 4:
             raise ValueError("need nx >= 8 and ny >= 4")
 
@@ -651,8 +653,8 @@ def corrugated_sphere_force(profile: GratingProfile, z: float, V: float,
                             V0: float = 0.0) -> float:
     """Sphere-grating force (N, negative = attractive), 2 pi R times the
     plane-grating field energy per unit area at potential V - V0."""
-    if not R > 0.0:
-        raise ValueError("radius R must be positive")
+    if not 0.0 < R < math.inf:
+        raise ValueError("radius R must be positive and finite")
     energy = solve_corrugated_capacitor(profile, z, V - V0, control)
     return -2.0 * math.pi * R * energy
 

@@ -27,7 +27,7 @@ from .geometry import GratingProfile
 from .interpolate import not_a_knot
 from .materials import DielectricModel
 from .planar import NumericalError, casimir_pressure_planar
-from .quadrature import gauss_legendre
+from .quadrature import _check_counts, gauss_legendre
 
 Array = np.ndarray
 
@@ -101,6 +101,7 @@ def flat_pressure_law(material_a: DielectricModel,
     if not 0.0 < z_min <= z_max:
         raise ValueError(f"need 0 < z_min <= z_max, got z_min = {z_min:.4g} m, "
                          f"z_max = {z_max:.4g} m")
+    _check_counts(n_points=n_points)
     z = np.geomspace(0.98 * z_min, 1.02 * z_max, n_points)
     vals = np.array([casimir_pressure_planar(material_a, material_b, zi)
                      for zi in z])

@@ -27,7 +27,8 @@ import numpy as np
 
 from .constants import C_LIGHT, HBAR
 from .materials import DielectricModel, is_perfect_conductor
-from .quadrature import QuadratureSpec, decay_rule, gauss_legendre
+from .quadrature import (QuadratureSpec, _check_counts, decay_rule,
+                         gauss_legendre)
 
 Array = np.ndarray
 
@@ -136,8 +137,8 @@ def force_gradient_sphere_plane(material_sphere: DielectricModel,
     positive (gradient magnitude of an attractive force).  Valid for
     z << R; warns beyond z/R = 0.05.
     """
-    if not radius > 0.0:
-        raise ValueError("sphere radius must be positive")
+    if not 0.0 < radius < math.inf:
+        raise ValueError("sphere radius must be positive and finite")
     if z / radius > 0.05:
         warnings.warn(f"z/R = {z / radius:.3f} strains the proximity-force "
                       "mapping (valid for z << R)", stacklevel=2)
@@ -177,6 +178,7 @@ class RoughnessSpec:
         renormalized."""
         if not rms > 0.0:
             raise ValueError("rms must be positive")
+        _check_counts(n_points=n_points)
         if n_points < 3 or n_points % 2 == 0:
             raise ValueError("n_points must be odd and >= 3")
         h = np.linspace(-_TRUNCATION_SIGMAS * rms, _TRUNCATION_SIGMAS * rms,

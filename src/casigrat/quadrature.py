@@ -11,6 +11,7 @@ the exponential tail with a few tens of nodes.
 from __future__ import annotations
 
 import functools
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,6 +25,13 @@ Y_SCALE = 1.0
 Y_HI = 45.0
 
 
+def _check_counts(**counts) -> None:
+    """Refuse a non-integral count, naming it; numpy integers pass."""
+    for name, value in counts.items():
+        if not isinstance(value, numbers.Integral):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class QuadratureSpec:
     """Node counts for the planar two-axis (frequency x momentum) rule."""
@@ -32,6 +40,7 @@ class QuadratureSpec:
     k_nodes: int = 32
 
     def __post_init__(self) -> None:
+        _check_counts(xi_nodes=self.xi_nodes, k_nodes=self.k_nodes)
         if self.xi_nodes < 8 or self.k_nodes < 8:
             raise ValueError("quadrature needs at least 8 nodes per axis")
 

@@ -99,6 +99,19 @@ def test_fem_gradient_model_behaves(trench):
         model(100e-9, 0.3)  # outside the tabulated window
     with pytest.raises(ValueError):
         fem_gradient_model(trench, RADIUS, z_min=0.0, z_max=1e-7)
+    with pytest.raises(ValueError, match="^n_points must be an integer"):
+        fem_gradient_model(trench, RADIUS, 150e-9, 600e-9, n_points=48.5)
+
+
+@pytest.mark.parametrize("radius", [0.0, math.inf, math.nan])
+@pytest.mark.parametrize("builder", [series_gradient_model,
+                                     plate_gradient_model])
+def test_gradient_model_radius_named(builder, radius):
+    # an infinite radius gave an infinite gradient, a NaN one failed only
+    # when called, naming the domain
+    with pytest.raises(ValueError, match="^radius must be positive and "
+                                         "finite"):
+        builder(radius)
 
 
 @pytest.mark.parametrize("z_min, z_max", [(150e-9, math.inf),

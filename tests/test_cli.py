@@ -9,6 +9,7 @@ import casigrat.materials
 import casigrat.pipeline
 from casigrat.cli import main
 from casigrat.curves import ForceCurve, read_table
+from casigrat.config import Config
 from casigrat.planar import NumericalError
 
 SMALL_RHO_CFG = """\
@@ -19,7 +20,6 @@ z = 150:250:100nm
 [solver]
 orders = 2
 slices = 2
-sweep_z = 150nm
 """
 
 PC_FLAT_CFG = """\
@@ -108,7 +108,16 @@ def test_pfa_writes_gradient_and_share(tmp_path):
     assert np.all(np.diff(grad.values) < 0.0)
 
 
-def test_grating_with_order_sweep(tmp_path):
+def test_grating_with_order_sweep(tmp_path, monkeypatch):
+    grid_fn, calls = casigrat.grating.casimir_pressure_grating_grid, []
+
+    def recorded(profile, model_g, model_p, z_grid, spec, workers=None):
+        calls.append((spec.orders, z_grid, grid_fn(
+            profile, model_g, model_p, z_grid, spec, workers=workers)))
+        return calls[-1][2]
+
+    monkeypatch.setattr(casigrat.grating, "casimir_pressure_grating_grid",
+                        recorded)
     cfg = tmp_path / "small.cfg"
     cfg.write_text(SMALL_RHO_CFG)
     out_dir = tmp_path / "out"
@@ -116,10 +125,19 @@ def test_grating_with_order_sweep(tmp_path):
                  "--out", str(out_dir)]) == 0
     rho = ForceCurve.from_csv(out_dir / "rho_ratio_rho_theory.csv")
     assert np.all(rho.values > 1.0)
-    sweep = (out_dir / "rho_ratio_convergence.csv").read_text()
-    rows = [r for r in sweep.splitlines() if r and not r.startswith("#")]
-    assert rows[0] == "orders,pressure_pa"
-    assert [int(r.split(",")[0]) for r in rows[1:]] == [2, 4]
+    # one row per (cutoff, [grid] z), each from one grid call on [grid] z
+    meta, (orders, z_nm, pressure) = read_table(
+        out_dir / "rho_ratio_convergence.csv",
+        ("orders", "z_nm", "pressure_pa"))
+    assert "z_nm" not in meta
+    assert orders.tolist() == [2, 2, 4, 4]
+    assert z_nm.tolist() == [150.0, 250.0, 150.0, 250.0]
+    z_grid = Config.from_text(SMALL_RHO_CFG).grid("grid", "z")
+    sweep = calls[1:]  # calls[0] is the ratio curve's
+    assert [(n, z.tolist()) for n, z, _ in sweep] == [(2, z_grid.tolist()),
+                                                      (4, z_grid.tolist())]
+    assert pressure.tolist() == [float(f"{p:.12e}") for _, _, values in sweep
+                                 for p in values]
 
 
 def test_grating_runs_the_recipe_defaults_outside_a_checkout(tmp_path,
@@ -161,9 +179,35 @@ def test_electrostatics_outputs_ordered_curves(tmp_path):
     out_dir = tmp_path / "out"
     assert main(["electrostatics", "--config", str(cfg),
                  "--out", str(out_dir)]) == 0
-    flat = ForceCurve.from_csv(out_dir / "electrostatic_flat.csv")
-    corr = ForceCurve.from_csv(out_dir / "electrostatic_corrugated.csv")
+    flat = ForceCurve.from_csv(out_dir / "electrostatic_gradient_flat.csv")
+    corr = ForceCurve.from_csv(out_dir /
+                               "electrostatic_gradient_corrugated.csv")
     assert np.all(corr.values < flat.values)
+
+
+def test_electrostatics_writes_what_the_pipeline_writes(tmp_path,
+                                                         monkeypatch):
+    # both commands run the one electrostatic_gradient pipeline, so the
+    # curves of its task table are what each writes, byte for byte
+    z = np.array([150e-9, 300e-9])
+    curves = {name: ForceCurve(z, values, unit="N/m") for name, values in
+              (("flat", np.array([2.5e-3, 1.25e-3])),
+               ("corrugated", np.array([2e-3, 1e-3])))}
+    monkeypatch.setitem(casigrat.pipeline._TASK_FNS, "electrostatic_gradient",
+                        lambda config: curves)
+    cfg = tmp_path / "es.cfg"
+    cfg.write_text(ES_CFG)
+    for command in ("electrostatics", "pipeline"):
+        assert main([command, "--config", str(cfg),
+                     "--out", str(tmp_path / command)]) == 0
+    for name in curves:
+        written = [(tmp_path / command / f"electrostatic_gradient_{name}.csv"
+                    ).read_bytes() for command in ("electrostatics",
+                                                   "pipeline")]
+        assert written[0] == written[1]
+    assert sorted(p.name for p in (tmp_path / "electrostatics").iterdir()) \
+        == ["electrostatic_gradient_corrugated.csv",
+            "electrostatic_gradient_flat.csv"]
 
 
 def test_calibrate_round_trip(tmp_path, capsys):
@@ -300,7 +344,7 @@ def test_usage_errors_exit_2(tmp_path, monkeypatch, capsys):
     for argv in (["electrostatics"], ["grating", "--config", str(rho_cfg)],
                  ["pipeline", "--config", str(flat_cfg)]):
         with monkeypatch.context() as m:  # the output path fails first
-            m.setattr(casigrat.cli, "electrostatic_gradient_curves",
+            m.setitem(casigrat.pipeline._TASK_FNS, "electrostatic_gradient",
                       unreachable)
             m.setitem(casigrat.pipeline._TASK_FNS, "rho_ratio", unreachable)
             m.setitem(casigrat.pipeline._TASK_FNS, "flat_force_gradient",
@@ -543,7 +587,7 @@ def test_sweep_inputs_checked_before_grating(tmp_path, monkeypatch, capsys):
         assert main(["grating", "--config", str(cfg), f"--sweep-N={sweep}",
                      "--out", str(tmp_path / "out")]) == 2
         assert "--sweep-N" in capsys.readouterr().err
-    for line, key in (("[solver]\nsweep_z = -5nm", "[solver] sweep_z"),
+    for line, key in (("[grid]\nz = -5nm", "[grid] z"),
                       ("[solver]\norders = 101", "[solver] orders"),
                       ("[materials]\nplane = golld", "[materials] plane")):
         bad = tmp_path / "bad_sweep.cfg"

@@ -165,7 +165,11 @@ def test_config_defaults_and_required():
     rho = Config.from_text("[pipeline]\ntask = rho_ratio\n")
     assert rho.string("materials", "plane") == "gold_drude"
     assert rho.grid("grid", "z").size == 6
-    assert rho.quantity("solver", "sweep_z") == 150e-9
+    # the order sweep runs on [grid] z, so no separate sweep z is read
+    with pytest.raises(ConfigError, match=r"^\[solver\] sweep_z: not read by "
+                                          "task rho_ratio"):
+        Config.from_text("[pipeline]\ntask = rho_ratio\n[solver]\n"
+                         "sweep_z = 150nm\n")
     # a key without a default reads as None: TruncationSpec() holds them
     assert rho.integer("solver", "orders") is None
     assert rho.string("measured", "gradient_csv") is None

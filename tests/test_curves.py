@@ -103,21 +103,23 @@ def test_materials_table_reads_back(tmp_path):
 
 
 def test_convergence_sweep_table_reads_back(tmp_path, monkeypatch):
-    rows = [(2, -1.2345678901234567e-3), (4, -1.2e-3)]
+    rows = [(2, np.array([-1.2345678901234567e-3, -2.5e-4])),
+            (4, np.array([-1.2e-3, -2.4e-4]))]
     monkeypatch.setattr(casigrat.cli, "convergence_sweep",
                         lambda *args, **kwargs: rows)
     monkeypatch.setitem(casigrat.pipeline._TASK_FNS, "rho_ratio",
                         lambda config: {})
     cfg = tmp_path / "rho.cfg"
-    cfg.write_text("[pipeline]\ntask = rho_ratio\n[solver]\nsweep_z = 150nm\n")
+    cfg.write_text("[pipeline]\ntask = rho_ratio\n[grid]\nz = 100:250:150nm\n")
     assert main(["grating", "--config", str(cfg), "--sweep-N", "2:4:2",
                  "--out", str(tmp_path)]) == 0
-    meta, (orders, pressure) = read_table(
-        tmp_path / "rho_ratio_convergence.csv", ("orders", "pressure_pa"))
+    meta, (orders, z_nm, pressure) = read_table(
+        tmp_path / "rho_ratio_convergence.csv",
+        ("orders", "z_nm", "pressure_pa"))
     assert meta["label"] == "pressure vs diffraction-order cutoff"
-    assert meta["z_nm"] == "150"
-    assert orders.tolist() == [2.0, 4.0]
-    assert pressure.tolist() == written(p for _, p in rows)
+    assert orders.tolist() == [2.0, 2.0, 4.0, 4.0]
+    assert z_nm.tolist() == [100.0, 250.0, 100.0, 250.0]
+    assert pressure.tolist() == written(np.concatenate([p for _, p in rows]))
 
 
 def test_fit_table_reads_back(tmp_path):

@@ -177,6 +177,14 @@ def test_sphere_plane_validation():
         SpherePlaneES(R=RADIUS, d=0.0, V=VOLT)
     with pytest.raises(ValueError):
         SpherePlaneES(R=-1.0, d=1e-6, V=VOLT)
+    # an infinite radius gave a force of -inf, an infinite gap one of 0
+    for bad in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="^radius R must be positive "
+                                             "and finite"):
+            SpherePlaneES(bad, 1e-7, 1.0)
+        with pytest.raises(ValueError, match="^gap d must be positive and "
+                                             "finite"):
+            SpherePlaneES(RADIUS, np.array([1e-7, bad]), 1.0)
 
 
 def scalar_image_series(es, n_max, gradient):
@@ -883,6 +891,12 @@ def test_mesh_control_validation_and_scaling():
         MeshControl(nx=7, ny=48)
     with pytest.raises(ValueError):
         MeshControl(nx=112, ny=3)
+    # nx = 112.5 meshed as 112; ny = 48.5 failed inside range()
+    with pytest.raises(ValueError, match="^nx must be an integer, got 112.5"):
+        MeshControl(nx=112.5)
+    with pytest.raises(ValueError, match="^ny must be an integer, got 48.5"):
+        MeshControl(ny=48.5)
+    assert MeshControl(np.int64(112), np.int32(48)) == MeshControl()
     doubled = MeshControl().scaled(4.0)
     assert doubled.nx == 2 * MeshControl().nx
     assert doubled.ny == 2 * MeshControl().ny
@@ -893,3 +907,6 @@ def test_geometry_validation(trench):
         solve_corrugated_capacitor(trench, 0.0, VOLT)
     with pytest.raises(ValueError):
         corrugated_sphere_force(trench, 150e-9, VOLT, 0.0)
+    with pytest.raises(ValueError, match="^radius R must be positive and "
+                                         "finite"):
+        corrugated_sphere_force(trench, 150e-9, 1.0, math.inf)

@@ -880,6 +880,24 @@ def test_truncation_plateau(trench):
     assert abs(values[2] - values[1]) <= 5e-3 * abs(values[2])
 
 
+def test_convergence_sweep_is_one_grid_call_per_cutoff(trench):
+    gold = get_material("gold_drude")
+    si = get_material("silicon_doped")
+    spec = TruncationSpec(2, 2, GratingQuadrature(6, 4, 6))
+    z = np.array([100e-9, 150e-9, 250e-9])
+    sweep = convergence_sweep(trench, si, gold, z, [2, 4], spec, workers=1)
+    assert [n for n, _ in sweep] == [2, 4]
+    for n, values in sweep:
+        grid = casimir_pressure_grating_grid(
+            trench, si, gold, z, TruncationSpec(n, 2, spec.quadrature))
+        assert values.tolist() == grid.tolist()  # bit for bit
+    # a scalar z gives a float
+    (n, value), = convergence_sweep(trench, si, gold, 150e-9, [4], spec)
+    assert type(value) is float
+    assert value == casimir_pressure_grating_grid(
+        trench, si, gold, [150e-9], TruncationSpec(4, 2, spec.quadrature))[0]
+
+
 def test_worker_count_does_not_change_result(trench):
     gold = get_material("gold_drude")
     si = get_material("silicon_doped")

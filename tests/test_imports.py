@@ -102,13 +102,18 @@ def test_public_defs_are_exported_or_used():
 # (importing module, source module, private name): each entry is a
 # deliberate use of another module's internals
 PRIVATE_IMPORTS = [
+    ("calibration", "quadrature", "_check_counts"),
     ("checks", "electrostatics", "_end_row_schur"),
     ("checks", "electrostatics", "_graded_from_start"),
     ("cli", "pipeline", "_meshable_profile_from_config"),
     ("cli", "pipeline", "_profile_from_config"),
     ("cli", "pipeline", "_rho_inputs"),
     ("electrostatics", "interpolate", "_tridiagonal_solve"),
+    ("electrostatics", "quadrature", "_check_counts"),
+    ("grating", "quadrature", "_check_counts"),
+    ("pfa", "quadrature", "_check_counts"),
     ("pipeline", "electrostatics", "_meshing_profile"),
+    ("planar", "quadrature", "_check_counts"),
 ]
 
 

@@ -117,6 +117,12 @@ def test_flat_pressure_law_needs_ordered_positive_bounds(gold, silicon,
         flat_pressure_law(gold, silicon, z_min, z_max)
 
 
+def test_flat_pressure_law_needs_an_integral_count(gold, silicon):
+    with pytest.raises(ValueError, match="^n_points must be an integer, "
+                                         "got 48.5"):
+        flat_pressure_law(gold, silicon, 100e-9, 200e-9, 48.5)
+
+
 def test_law_from_table_exact_at_knots(gold_silicon_law):
     z0 = gold_silicon_law.z_min
     assert gold_silicon_law(z0) == pytest.approx(gold_silicon_law.fn(z0), rel=1e-14)

@@ -199,6 +199,13 @@ def test_sphere_plane_mapping(gold, silicon):
     assert grad > 0.0
 
 
+@pytest.mark.parametrize("radius", [0.0, math.inf, math.nan])
+def test_sphere_plane_radius_named(gold, radius):
+    with pytest.raises(ValueError, match="^sphere radius must be positive "
+                                         "and finite"):
+        force_gradient_sphere_plane(gold, gold, 1e-7, radius)
+
+
 def test_sphere_plane_warns_outside_pfa_regime(gold, silicon):
     with pytest.warns(UserWarning, match="proximity"):
         force_gradient_sphere_plane(gold, silicon, 3e-6, 50e-6)
@@ -250,3 +257,6 @@ def test_roughness_weight_validation():
         RoughnessSpec(np.array([-1e-9, 1e-9]), np.array([0.6, 0.6]))
     with pytest.raises(ValueError):
         RoughnessSpec(np.array([1e-9]), np.array([-1.0]))
+    with pytest.raises(ValueError, match="^n_points must be an integer"):
+        RoughnessSpec.gaussian(1e-9, 21.0)
+    assert RoughnessSpec.gaussian(1e-9, np.int64(5)).offsets.size == 5

@@ -64,6 +64,12 @@ def test_asinh_rule_interval_validation():
 def test_spec_validation():
     with pytest.raises(ValueError):
         QuadratureSpec(xi_nodes=4)
+    with pytest.raises(ValueError, match="^xi_nodes must be an integer, "
+                                         "got 64.5"):
+        QuadratureSpec(64.5, 32)
+    with pytest.raises(ValueError, match="^k_nodes must be an integer"):
+        QuadratureSpec(64, 32.0)
+    assert QuadratureSpec(np.int64(64), np.int32(32)) == QuadratureSpec()
     spec = QuadratureSpec(16, 8)
     assert spec.scaled(2) == QuadratureSpec(32, 16)
 
