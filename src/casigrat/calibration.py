@@ -17,9 +17,10 @@ so the fit and the synthetic sweep evaluate all samples in one call.
 ``fit_calibration`` recovers (coeff, z0) from frequency-shift samples by
 separable least squares: for trial z0 the model is linear in coeff, and
 the concentrated residual is minimized over z0 by Brent's bounded
-search; each trial evaluates the model once on the gap array.  A known
-Casimir force-gradient background can be added to the model, or
-cancelled exactly by fitting voltage differences at shared distances.
+search; each trial evaluates the model once, on the gaps of both
+voltages when it fits voltage differences.  A known Casimir
+force-gradient background can be added to the model, or cancelled exactly
+by fitting voltage differences at shared distances.
 """
 
 from __future__ import annotations
@@ -70,20 +71,25 @@ def predict_frequency_shift(coeff: float, grad):
         else coeff * grad
 
 
+def _check_positive(**values: float) -> None:
+    for name, value in values.items():
+        if not 0.0 < value < math.inf:
+            raise ValueError(f"{name} must be positive and finite, "
+                             f"got {value!r}")
+
+
 def oscillator_coefficient(lever_b: float, inertia: float, f0: float) -> float:
     """Signed transduction coefficient -b^2 / (8 pi^2 I f0), in m/(N s)."""
-    if lever_b <= 0.0 or inertia <= 0.0 or f0 <= 0.0:
-        raise ValueError("lever arm, inertia and base frequency must be "
-                         "positive")
+    _check_positive(lever_b=lever_b, inertia=inertia, f0=f0)
     return -lever_b**2 / (8.0 * math.pi**2 * inertia * f0)
 
 
 def inertia_from_coefficient(coeff: float, lever_b: float, f0: float) -> float:
     """Moment of inertia consistent with a signed coefficient (kg m^2)."""
-    if coeff >= 0.0:
-        raise ValueError("transduction coefficient must be negative")
-    if lever_b <= 0.0 or f0 <= 0.0:
-        raise ValueError("lever arm and base frequency must be positive")
+    if not -math.inf < coeff < 0.0:
+        raise ValueError(f"transduction coefficient coeff must be negative "
+                         f"and finite, got {coeff!r}")
+    _check_positive(lever_b=lever_b, f0=f0)
     return -lever_b**2 / (8.0 * math.pi**2 * coeff * f0)
 
 
@@ -118,15 +124,10 @@ class GradientModel:
         return float(grad) if np.ndim(grad) == 0 else grad
 
 
-def _check_radius(radius: float) -> None:
-    if not 0.0 < radius < math.inf:
-        raise ValueError(f"radius must be positive and finite, got {radius!r}")
-
-
 def series_gradient_model(radius: float, v0: float = 0.0) -> GradientModel:
     """Sphere-plane gradient from the exact image-charge series: one
     ``sphere_plane_gradient`` call per sample array."""
-    _check_radius(radius)
+    _check_positive(radius=radius)
 
     def fn(z: Array, volt: Array) -> Array:
         return sphere_plane_gradient(SpherePlaneES(radius, z, volt, v0))
@@ -145,7 +146,7 @@ def fem_gradient_model(profile: GratingProfile, radius: float,
     close-proximity mapping F = -2 pi R (V - V0)^2 E1(z), so the gradient
     is -2 pi R (V - V0)^2 E1'(z) > 0.
     """
-    _check_radius(radius)
+    _check_positive(radius=radius)
     if not (0.0 < z_min < z_max and math.isfinite(z_max)):
         raise ValueError(f"need 0 < z_min < z_max < inf, got z_min = "
                          f"{z_min!r} m, z_max = {z_max!r} m")
@@ -166,7 +167,7 @@ def fem_gradient_model(profile: GratingProfile, radius: float,
 
 def plate_gradient_model(radius: float, v0: float = 0.0) -> GradientModel:
     """Small-gap plate law pi eps0 R (V - V0)^2 / z^2, for fast synthetics."""
-    _check_radius(radius)
+    _check_positive(radius=radius)
 
     def fn(z: Array, volt: Array) -> Array:
         dv = volt - v0
@@ -290,12 +291,17 @@ def fit_calibration(samples: Sequence[FrequencyShiftSample],
     differences at shared distances, which cancels any voltage-independent
     background exactly.
 
-    Each trial z0 makes one ``gradient_model`` call on the gap array (two
-    with voltage differences) and one ``casimir_background`` call on it.
+    Each trial z0 makes one ``gradient_model`` call, on the gap array
+    (on it twice over, once per voltage, with voltage differences), and
+    one ``casimir_background`` call on the gap array.  The two-sided
+    Jacobian step at the optimum makes one call of each on the gaps of
+    both steps, so both callables must act elementwise.
 
     Returns a CalibrationFit; 1-sigma uncertainties come from the
     residual covariance at the optimum.
     """
+    if not math.isfinite(lever_b):
+        raise ValueError(f"lever_b must be finite, got {lever_b!r}")
     if len(samples) < 3:
         raise FitError("need at least 3 samples")
     z_piezo, thetas, volts, shifts = _sample_columns(samples)
@@ -311,14 +317,20 @@ def fit_calibration(samples: Sequence[FrequencyShiftSample],
             offsets, volts, shifts)
         if np.unique(offsets).size < 2:
             raise FitError("voltage differencing left a single distance")
+        # both voltages of every difference go into one model call
+        offsets, volts = np.tile(offsets, 2), np.concatenate([volts, volt_b])
+    n = shifts.size
 
-    def model_vector(z0: float) -> Array:
-        gaps = z0 - offsets
-        g = gradient_model(gaps, volts)
+    def model_rows(*z0s: float) -> Array:
+        """The model vector at each trial z0, one row each, from one
+        ``gradient_model`` call on all their gaps."""
+        gaps = np.concatenate([z0 - offsets for z0 in z0s])
+        g = gradient_model(gaps, np.tile(volts, len(z0s)))
+        g = g.reshape(len(z0s), -1)
         if use_voltage_differences:
-            return g - gradient_model(gaps, volt_b)
+            return g[:, :n] - g[:, n:]
         if casimir_background is not None:
-            g = g + casimir_background(gaps)
+            g = g + casimir_background(gaps).reshape(len(z0s), -1)
         return g
 
     base = float(offsets.max())
@@ -330,7 +342,7 @@ def fit_calibration(samples: Sequence[FrequencyShiftSample],
                        "incompatible with the gradient model domain")
 
     def concentrated(z0: float):
-        g = model_vector(z0)
+        g = model_rows(z0)[0]
         gg = float(g @ g)
         if gg == 0.0:
             raise FitError("gradient model vanishes on all samples")
@@ -342,11 +354,11 @@ def fit_calibration(samples: Sequence[FrequencyShiftSample],
     rss, coeff_hat, g_hat, resid = concentrated(z0_hat)
 
     # 1-sigma errors from the residual covariance at the optimum
-    n = shifts.size
     dof = max(n - 2, 1)
     sigma2 = rss / dof
     h = max(1e-12, 1e-7 * (z0_hat - base))
-    dg = (model_vector(z0_hat + h) - model_vector(z0_hat - h)) / (2.0 * h)
+    g_up, g_down = model_rows(z0_hat + h, z0_hat - h)
+    dg = (g_up - g_down) / (2.0 * h)
     jac = np.column_stack([g_hat, coeff_hat * dg])
     # normalize columns (they carry different units) before conditioning
     scale = np.sqrt((jac**2).sum(axis=0))

@@ -4,9 +4,9 @@ Two force models:
 
 1. the exact sphere-plane series in the bispherical parameter
    alpha = acosh(1 + d / R) for scalar or array gaps and voltages (a
-   float back for scalars, else an array of their broadcast shape), all
-   gaps summed together, each until its geometric tail bound drops below
-   a relative threshold,
+   float back for scalars, else an array of their broadcast shape), each
+   distinct gap summed once and all of them together, each until its
+   geometric tail bound drops below a relative threshold,
 2. a first-order (P1) triangular finite-element solve of the Laplace
    problem in one period of the trench cell, whose field energy per unit
    area maps to the sphere force through the close-proximity rule
@@ -110,11 +110,12 @@ def _image_series(es: SpherePlaneES, gradient: bool) -> float | Array:
     """Force (gradient=False) or its gap derivative at every broadcast
     element of ``es``: a float if its fields are scalars.
 
-    The gaps are summed together in blocks of ``_BLOCK`` image orders; a
-    gap leaves the block once its tail bound drops below ``_TAIL_RTOL`` of
-    its running total.  Per-gap scalars come from ``math`` and the block
-    sums run along contiguous rows, so every value is the one a single-gap
-    call gives.
+    Each distinct gap is summed once, however many voltages share it,
+    and the distinct gaps are summed together in blocks of ``_BLOCK``
+    image orders; a gap leaves the block once its tail bound drops below
+    ``_TAIL_RTOL`` of its running total.  Per-gap scalars come from
+    ``math`` and the block sums run along contiguous rows, so every value
+    is the one a single-gap call gives.
     """
     d, v, v0 = np.broadcast_arrays(*(np.asarray(x, dtype=float)
                                      for x in (es.d, es.V, es.V0)))
@@ -127,12 +128,17 @@ def _image_series(es: SpherePlaneES, gradient: bool) -> float | Array:
     out[plate] = (law / (gaps[plate] * gaps[plate]) if gradient
                   else -(law / gaps[plate]))
     live = np.flatnonzero((dv != 0.0) & ~plate)
-    a = alpha[live]
+    # one sum per distinct live gap, in order of first occurrence; rows[k]
+    # is the sum of sample live[k]
+    first: dict[float, int] = {}
+    rows = np.array([first.setdefault(gap, len(first))
+                     for gap in gaps[live].tolist()], dtype=int)
+    a = np.array([math.acosh(1.0 + gap / radius) for gap in first])
     coth_a = np.array([1.0 / math.tanh(x) for x in a])
     csch2_a = (np.array([1.0 / math.sinh(x) ** 2 for x in a]) if gradient
                else None)
-    total = np.zeros(live.size)
-    active = np.arange(live.size)
+    total = np.zeros(a.size)
+    active = np.arange(a.size)
     n_done = 0
     while active.size:
         n = np.arange(n_done + 1, n_done + _BLOCK + 1, dtype=float)
@@ -151,9 +157,10 @@ def _image_series(es: SpherePlaneES, gradient: bool) -> float | Array:
         if active.size and n_done > 10_000_000:
             raise NumericalError(f"sphere-plane series did not converge "
                                  f"(alpha={a[active[0]]:.3e})")
-    out[live] = 2.0 * math.pi * EPS0 * dv[live] * dv[live] * total
+    out[live] = 2.0 * math.pi * EPS0 * dv[live] * dv[live] * total[rows]
     if gradient:  # d(alpha)/d(d) from cosh(alpha) = 1 + d/R
-        out[live] *= 1.0 / (radius * np.array([math.sinh(x) for x in a]))
+        chain = 1.0 / (radius * np.array([math.sinh(x) for x in a]))
+        out[live] *= chain[rows]
     return float(out[0]) if d.ndim == 0 else out.reshape(d.shape)
 
 

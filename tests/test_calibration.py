@@ -7,6 +7,7 @@ background subtraction and voltage differencing, and closed-form vertex
 recovery for the residual voltage.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -69,6 +70,62 @@ def test_oscillator_coefficient_roundtrip():
         oscillator_coefficient(-1.0, inertia, F0)
     with pytest.raises(ValueError):
         inertia_from_coefficient(614.0, LEVER, F0)
+
+
+@pytest.mark.parametrize("call, args, name", [
+    (oscillator_coefficient, (math.nan, 1.0, 1.0), "lever_b"),
+    (oscillator_coefficient, (1e-3, math.inf, 1.0), "inertia"),
+    (oscillator_coefficient, (1e-3, 1.0, math.nan), "f0"),
+    (inertia_from_coefficient, (math.nan, 1e-3, 1.0), "coeff"),
+    (inertia_from_coefficient, (-math.inf, 1e-3, 1.0), "coeff"),
+])
+def test_oscillator_conversions_name_a_non_finite_input(call, args, name):
+    # these gave NaN, -0.0 or 0.0 instead of an error
+    with pytest.raises(ValueError, match=rf"\b{name} must be"):
+        call(*args)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("lever_b", [math.nan, math.inf])
+def test_fit_names_a_non_finite_lever_arm(noiseless_samples, lever_b):
+    # these gave a RuntimeWarning, then the misleading FitError "all
+    # samples share one distance"
+    def fn(z, volt):
+        raise AssertionError("the model was called")
+
+    model = GradientModel(fn=fn, z_min=1e-12, z_max=0.1 * RADIUS,
+                          label="unused")
+    with pytest.raises(ValueError, match="^lever_b must be finite"):
+        fit_calibration(noiseless_samples, model, lever_b=lever_b)
+
+
+@pytest.mark.parametrize("differences", [False, True])
+def test_fit_calls_the_model_once_per_trial_z0(noiseless_samples,
+                                                series_model, monkeypatch,
+                                                differences):
+    calls, trials = [], []
+
+    def fn(z, volt):
+        calls.append(z.size)
+        return series_model.fn(z, volt)
+
+    search = calibration._bounded_minimum
+
+    def counted_search(objective, lo, hi):
+        def trial(z0):
+            trials.append(z0)
+            return objective(z0)
+        return search(trial, lo, hi)
+
+    monkeypatch.setattr(calibration, "_bounded_minimum", counted_search)
+    model = dataclasses.replace(series_model, fn=fn)
+    fit = fit_calibration(noiseless_samples, model,
+                          use_voltage_differences=differences)
+    # 13 distances at 2 voltages: 26 gaps, or 13 differences of 2 gaps
+    per_trial = len(noiseless_samples)
+    # each trial of the search and the optimum, then both Jacobian steps
+    assert calls == [per_trial] * (len(trials) + 1) + [2 * per_trial]
+    assert fit.z0 == pytest.approx(Z0, rel=1e-6)
 
 
 def test_noiseless_roundtrip_series(noiseless_samples, series_model):

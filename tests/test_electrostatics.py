@@ -283,6 +283,50 @@ def test_series_scalar_and_array_contract(fn):
         SpherePlaneES(RADIUS, 1e-6, VOLT, np.array([0.0, math.inf]))
 
 
+_D_STAR = RADIUS * _CROSSOVER  # the plate-law crossover gap
+_CAL_GAPS = 800e-9 - np.linspace(0.0, 600e-9, 13)  # a calibration sweep
+# gaps, voltages, V0 and the distinct live gaps the first block sums
+_REPEATS = {
+    "interleaved": ([1e-6, 3e-5, 1e-6, 2e-7, 3e-5, 1e-6],
+                    [0.3, -0.7, 0.2, 0.3, 0.3, -0.4], 0.1, 3),
+    "at V0": ([1e-6, 2e-6, 1e-6, 2e-6, 5e-6, 1e-6],
+              [0.1, 0.3, 0.3, 0.1, 0.1, -0.2], 0.1, 2),
+    "straddling the crossover": ([0.999 * _D_STAR, 1.001 * _D_STAR,
+                                  0.999 * _D_STAR, 1.001 * _D_STAR,
+                                  1.001 * _D_STAR],
+                                 [0.3, 0.3, -0.2, -0.2, 0.25], 0.0, 1),
+    "plate law": ([1e-14, 1e-14, 1e-6, 1e-14, 1e-6],
+                  [0.3, -0.2, 0.3, 0.1, 0.2], 0.0, 1),
+    "calibration grid": (_CAL_GAPS[None, :], [[0.245], [0.300]], 0.0, 13),
+    "grid with a column at V0": (_CAL_GAPS[None, :], [[0.1], [0.3]], 0.1,
+                                 13),
+    "grid at V0": (_CAL_GAPS[None, :], [[0.1], [0.1]], 0.1, 0),
+}
+
+
+@pytest.mark.parametrize("case", list(_REPEATS))
+@pytest.mark.parametrize("fn", [sphere_plane_force, sphere_plane_gradient])
+def test_series_sums_each_distinct_live_gap_once(fn, case, monkeypatch):
+    gaps, volts, v0, distinct = _REPEATS[case]
+    gaps, volts = np.broadcast_arrays(np.asarray(gaps, dtype=float),
+                                      np.asarray(volts, dtype=float))
+    blocks = []
+    series_terms = electrostatics._series_terms
+
+    def spy(alpha, *rest):
+        blocks.append(alpha.shape[0])
+        return series_terms(alpha, *rest)
+
+    monkeypatch.setattr(electrostatics, "_series_terms", spy)
+    got = fn(SpherePlaneES(RADIUS, gaps, volts, v0))
+    monkeypatch.undo()
+    assert (blocks[0] if blocks else 0) == distinct
+    assert got.shape == gaps.shape
+    for i in np.ndindex(gaps.shape):
+        one = fn(SpherePlaneES(RADIUS, float(gaps[i]), float(volts[i]), v0))
+        assert got[i] == one  # bit for bit
+
+
 def test_array_capacitor_compares_and_hashes_by_identity():
     gaps = np.array([1e-6, 2e-6])
     a = SpherePlaneES(RADIUS, gaps, VOLT)
