@@ -26,7 +26,6 @@ from .calibration import (
     synthesize_frequency_shifts,
     write_frequency_shift_samples,
 )
-from .checks import all_passed, format_results, run_checks
 from .config import (
     Config,
     ConfigError,
@@ -103,7 +102,6 @@ __all__ = [
     "plate_gradient_model", "predict_frequency_shift",
     "read_frequency_shift_samples", "series_gradient_model",
     "synthesize_frequency_shifts", "write_frequency_shift_samples",
-    "all_passed", "format_results", "run_checks",
     "Config", "ConfigError", "TASKS", "parse_grid", "parse_int_range",
     "parse_quantity",
     "C_LIGHT", "EPS0", "EV_TO_RAD_PER_S", "HBAR", "ev_to_rad_per_s",

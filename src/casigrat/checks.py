@@ -1,4 +1,4 @@
-"""Fast self-check suites, one per module, for the CLI ``--check`` flag.
+"""Fast self-check suites, one per module, for ``casigrat check``.
 
 Each suite returns (name, passed, detail) tuples and runs in seconds; the
 checks exercise closed-form pins, cross-module agreements, and exact
@@ -16,6 +16,7 @@ from .calibration import (FrequencyShiftSample, find_residual_voltage,
                           fit_calibration, plate_gradient_model,
                           predict_frequency_shift, series_gradient_model,
                           synthesize_frequency_shifts)
+from .config import Config
 from .constants import EPS0
 from .electrostatics import (MeshControl, SpherePlaneES, _end_row_schur,
                              _graded_from_start, solve_corrugated_capacitor,
@@ -24,6 +25,7 @@ from .geometry import GratingProfile, height_profile, reference_trench_profile
 from .grating import TruncationSpec, casimir_pressure_grating_grid
 from .materials import get_material
 from .pfa import FlatForceLaw, pfa_corrugated
+from .pipeline import flat_force_gradient_curve
 from .planar import casimir_pressure_planar, ideal_pressure
 
 CheckResult = tuple[str, bool, str]
@@ -191,8 +193,6 @@ def check_calibration() -> list[CheckResult]:
 
 
 def check_pipeline() -> list[CheckResult]:
-    from .config import Config
-    from .pipeline import flat_force_gradient_curve
     cfg = Config.from_text(
         "[pipeline]\ntask = flat_force_gradient\n"
         "[materials]\nsphere = perfect_conductor\nplane = perfect_conductor\n"
@@ -237,7 +237,3 @@ def format_results(results: list[CheckResult]) -> str:
     n_ok = sum(passed for _, passed, _ in results)
     lines.append(f"{n_ok}/{len(results)} checks passed")
     return "\n".join(lines)
-
-
-def all_passed(results: list[CheckResult]) -> bool:
-    return all(passed for _, passed, _ in results)

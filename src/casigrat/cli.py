@@ -1,12 +1,12 @@
 """Command-line front end.
 
 Subcommands: materials, planar, pfa, grating, electrostatics, calibrate,
-pipeline.  ``grating`` and ``electrostatics`` are ``pipeline`` on a config
-of their recipe's task (rho_ratio, electrostatic_gradient), or on its
-built-in values, and write the same files; ``grating --sweep-N`` adds the
-pressure at each order cutoff on the recipe's [grid] z.  Every subcommand
-accepts ``--check`` to run its module's self-check suite instead of
-computing.  Exit codes: 0 success, 1 numerical failure, 2 usage error.
+pipeline, check.  ``grating`` and ``electrostatics`` are ``pipeline`` on a
+config of their recipe's task (rho_ratio, electrostatic_gradient), or on
+its built-in values, and write the same files; ``grating --sweep-N`` adds
+the pressure at each order cutoff on the recipe's [grid] z.  ``check
+[SUITE]`` runs one module's self-check suite, or every suite without
+SUITE.  Exit codes: 0 success, 1 numerical failure, 2 usage error.
 The CASIGRAT_WORKERS environment variable sets the thread count of the
 grating node map (default: the usable cores).
 
@@ -17,6 +17,7 @@ Quantities carry a unit of their own dimension (``--z 100:600:25nm``);
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -55,10 +56,10 @@ def _wrote(*paths: Path) -> None:
         print(f"wrote {path}")
 
 
-def _run_check(module: str) -> int:
-    results = checks.run_checks(module)
+def _cmd_check(args) -> int:
+    results = checks.run_checks(args.suite)
     print(checks.format_results(results))
-    return 0 if checks.all_passed(results) else _NUMERICAL_ERROR
+    return 0 if all(passed for _, passed, _ in results) else _NUMERICAL_ERROR
 
 
 def _radius(text: str) -> float:
@@ -221,7 +222,10 @@ def _cmd_pipeline(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process and shared by every
+    ``main`` call, so callers must not change it."""
     parser = argparse.ArgumentParser(
         prog="casigrat",
         description="Casimir and electrostatic forces on trench gratings: "
@@ -230,16 +234,11 @@ def build_parser() -> argparse.ArgumentParser:
                     "calibration.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_check(p):
-        p.add_argument("--check", action="store_true",
-                       help="run the module self-check suite and exit")
-
     p = sub.add_parser("materials", help="list or tabulate material models")
     p.add_argument("--name", choices=available_materials())
     p.add_argument("--xi", default="2e14:2e15:2e14",
                    help="imaginary-frequency grid in bare rad/s, no unit")
     p.add_argument("--out", default="out/materials_epsilon.csv")
-    add_check(p)
     p.set_defaults(fn=_cmd_materials)
 
     p = sub.add_parser("planar", help="plane-plane pressure or sphere "
@@ -253,7 +252,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="sphere-plane force gradient instead of pressure")
     p.add_argument("--radius", default="50um", type=_radius)
     p.add_argument("--out", default="out/planar.csv")
-    add_check(p)
     p.set_defaults(fn=_cmd_planar)
 
     p = sub.add_parser("pfa", help="additive proximity-force curves over "
@@ -266,7 +264,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--z", default="100:300:10nm")
     p.add_argument("--radius", default="50um", type=_radius)
     p.add_argument("--out", default="out/pfa_gradient.csv")
-    add_check(p)
     p.set_defaults(fn=_cmd_pfa)
 
     p = sub.add_parser("grating", help="exact-to-proximity force ratio from "
@@ -277,7 +274,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="order-cutoff sweep, e.g. 4:14:2")
     p.add_argument("--out", default="out",
                    help="output directory for the ratio and sweep CSVs")
-    add_check(p)
     p.set_defaults(fn=_cmd_recipe, task="rho_ratio")
 
     p = sub.add_parser("electrostatics", help="capacitor-cell force "
@@ -285,13 +281,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", help="config file (geometry, voltage, grid)")
     p.add_argument("--out", default="out",
                    help="output directory for the flat and trench CSVs")
-    add_check(p)
     p.set_defaults(fn=_cmd_recipe, task="electrostatic_gradient")
 
     p = sub.add_parser("calibrate", help="fit transduction coefficient and "
                                          "standoff from a frequency-shift "
                                          "CSV")
-    p.add_argument("--input", required=False,
+    p.add_argument("--input", required=True,
                    help="CSV with z_piezo_nm,theta_rad,V_volt,delta_f_hz")
     p.add_argument("--model", choices=("series", "plate", "fem"),
                    default="series")
@@ -306,33 +301,26 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--fem-z-min", default="100nm")
     p.add_argument("--fem-z-max", default="1um")
     p.add_argument("--out", help="optional fit-report CSV path")
-    add_check(p)
     p.set_defaults(fn=_cmd_calibrate)
 
     p = sub.add_parser("pipeline", help="run a figure recipe from a config "
                                         "file")
-    p.add_argument("--config", required=False)
+    p.add_argument("--config", required=True)
     p.add_argument("--out", default="out",
                    help="output directory for the recipe's CSVs")
-    p.add_argument("--all-checks", action="store_true",
-                   help="with --check, run every module suite")
-    add_check(p)
     p.set_defaults(fn=_cmd_pipeline)
+
+    p = sub.add_parser("check", help="run the fast self-check suites")
+    p.add_argument("suite", nargs="?", default="all",
+                   choices=(*checks.SUITES, "all"),
+                   help="one module's suite; default: every suite")
+    p.set_defaults(fn=_cmd_check)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if not args.check:
-        if args.command == "calibrate" and not args.input:
-            parser.error("calibrate requires --input (or --check)")
-        if args.command == "pipeline" and not args.config:
-            parser.error("pipeline requires --config (or --check)")
+    args = build_parser().parse_args(argv)
     try:
-        if args.check:  # each subcommand names its checks.SUITES entry
-            return _run_check("all" if getattr(args, "all_checks", False)
-                              else args.command)
         return args.fn(args)
     except (ConfigError, OSError) as exc:
         if isinstance(exc, OSError) and exc.filename is None:

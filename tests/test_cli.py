@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import casigrat.checks
 import casigrat.cli
 import casigrat.grating
 import casigrat.materials
@@ -288,22 +289,61 @@ def test_pipeline_rerun_byte_identical(tmp_path):
 
 
 @pytest.mark.parametrize("argv, summary", [
-    (["materials", "--check"], "gold leads doped silicon at low frequency"),
-    (["planar", "--check"], "attraction decays with separation"),
-    (["pfa", "--check"], "un-etched profile reduces to the flat law"),
-    (["grating", "--check"],
+    (["check", "materials"], "gold leads doped silicon at low frequency"),
+    (["check", "planar"], "attraction decays with separation"),
+    (["check", "pfa"], "un-etched profile reduces to the flat law"),
+    (["check", "grating"],
      "un-etched grating reproduces the ideal planar pin"),
-    (["electrostatics", "--check"],
+    (["check", "electrostatics"],
      "matched potentials give exactly zero force"),
-    (["calibrate", "--check"], "residual-voltage vertex recovery"),
-    (["pipeline", "--check"], "rerun is byte-identical"),
-    (["pipeline", "--check", "--all-checks"], "17/17 checks passed"),
+    (["check", "calibrate"], "residual-voltage vertex recovery"),
+    (["check", "pipeline"], "rerun is byte-identical"),
+    (["check"], "17/17 checks passed"),
 ], ids=["materials", "planar", "pfa", "grating", "electrostatics",
         "calibrate", "pipeline", "all"])
 def test_check_flag_runs_suite(capsys, argv, summary):
     assert main(argv) == 0
     out = capsys.readouterr().out
     assert summary in out
+
+
+def test_check_failure_exits_1_and_unknown_suite_exits_2(monkeypatch,
+                                                         capsys):
+    monkeypatch.setitem(casigrat.checks.SUITES, "planar",
+                        lambda: [("rigged", False, "always fails")])
+    assert main(["check", "planar"]) == 1
+    out = capsys.readouterr().out
+    assert "FAIL  rigged: always fails" in out
+    assert "0/1 checks passed" in out
+    with pytest.raises(SystemExit) as exc:
+        main(["check", "bogus"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "bogus" in err
+    assert all(name in err for name in (*casigrat.checks.SUITES, "all"))
+
+
+def test_reused_parser_leaks_no_state(tmp_path):
+    # main builds its parser once per process; a flag set by one call must
+    # not carry into the next
+    assert casigrat.cli.build_parser() is casigrat.cli.build_parser()
+    from casigrat.calibration import (series_gradient_model,
+                                      synthesize_frequency_shifts,
+                                      write_frequency_shift_samples)
+    samples = synthesize_frequency_shifts(
+        -614.0, 800e-9, series_gradient_model(50e-6),
+        voltages=(0.245, 0.300), z_piezo=np.linspace(0.0, 600e-9, 13),
+        noise_frac=0.02, rng=np.random.default_rng(1))
+    csv_in = tmp_path / "shifts.csv"
+    write_frequency_shift_samples(csv_in, samples)
+    fit = ["calibrate", "--input", str(csv_in)]
+    assert main(fit + ["--out", str(tmp_path / "b.csv")]) == 0
+    assert main(fit + ["--voltage-differences",
+                       "--out", str(tmp_path / "a.csv")]) == 0
+    assert main(fit + ["--out", str(tmp_path / "c.csv")]) == 0
+    b = (tmp_path / "b.csv").read_bytes()
+    assert (tmp_path / "c.csv").read_bytes() == b
+    assert (tmp_path / "a.csv").read_bytes() != b
 
 
 def unreachable(*args, **kwargs):
@@ -317,6 +357,15 @@ def test_usage_errors_exit_2(tmp_path, monkeypatch, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["calibrate"])  # missing --input
     assert exc.value.code == 2
+    assert "--input" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
+        main(["pipeline"])  # missing --config
+    assert exc.value.code == 2
+    assert "--config" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
+        main(["planar", "--check"])  # the suites run only as `check`
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --check" in capsys.readouterr().err
     assert main(["pipeline", "--config", str(tmp_path / "missing.cfg")]) == 2
     # a directory where a file is read, bytes that are not UTF-8, and an
     # existing file where an output directory goes
